@@ -56,10 +56,8 @@ from .config import (
 from .geometry import (
     AngularInterval,
     BsGeometry,
-    MotionModel,
     SensedState,
     TargetPose,
-    UniformRectilinearMotion,
     path_to_interval,
     point_at_direction,
     pose_to_direction,
@@ -79,10 +77,8 @@ from .precoder import (
     Precoder,
     adaptive_precoder,
     beta_coeff,
-    bf_gain_closed_form,
     bf_gain_direct,
     bf_gain_profile,
-    g_coeff,
     mrt_precoder,
     sample_fn,
 )

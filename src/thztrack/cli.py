@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codebook as cbmod
-from .codebook import CodebookBuildError, CodebookError, build_codebook, scenario_fingerprint
+from .codebook import CodebookBuildError, CodebookError, build_codebook
 from .config import (
     ConfigError,
     RunConfig,
@@ -29,32 +29,15 @@ from .config import (
     parse_config_file,
 )
 from .exports import pattern_gain_db, write_pattern, write_sweep, write_trace
-from .geometry import path_to_interval
-from .optimizer import ObjectiveSpec, optimize_omega
+from .optimizer import optimize_omega
 from .precoder import adaptive_precoder, bf_gain_profile
 from .seeding import derive_seed
-from .tracking import (
-    SCHEME_CONVENTIONAL,
-    SCHEME_EVENT,
-    SCHEME_PROPOSED,
-    TrackingRunError,
-    compute_metrics,
-    run_conventional,
-    run_event_based,
-    run_sensing_assisted,
-)
+from .tracking import SCHEMES, TrackingRunError, compute_metrics, run_scheme, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CODEBOOK = 3
 EXIT_RUN = 4
-
-_SCHEME_LABELS = {
-    "proposed": SCHEME_PROPOSED,
-    "conventional": SCHEME_CONVENTIONAL,
-    "event": SCHEME_EVENT,
-}
-_SCHEME_SLUGS = {"proposed": "proposed", "conventional": "conventional", "event": "event_based"}
 
 
 def _parse_values(raw: str) -> list[float]:
@@ -65,10 +48,6 @@ def _parse_values(raw: str) -> list[float]:
         return [float(v) for v in values]
     except ValueError as exc:
         raise ConfigError(f"cannot parse value list {raw!r}") from exc
-
-
-def _load_config(args) -> RunConfig:
-    return parse_config_file(args.config)
 
 
 def _default_jobs(args) -> int:
@@ -83,17 +62,13 @@ def _out_dir(args, config: RunConfig) -> Path:
     return out
 
 
-def _load_codebook(args, config: RunConfig):
-    path = args.codebook or config.codebook.path
-    template = build_objective_template(config)
-    expected = scenario_fingerprint(
-        template.cfg, template.budget, template.tau, template.alpha, template.r_min
-    )
-    return cbmod.load(path, expected_fingerprint=expected)
+def _load_codebook(args, config: RunConfig, scenario):
+    expected = scenario.fingerprint(config.optimizer.alpha)
+    return cbmod.load(args.codebook or config.codebook.path, expected_fingerprint=expected)
 
 
 def cmd_codebook_build(args) -> int:
-    config = _load_config(args)
+    config = parse_config_file(args.config)
     grid = build_grid(config)
     template = build_objective_template(config)
     pso = build_pso(config, seed=args.seed)
@@ -108,24 +83,17 @@ def cmd_codebook_build(args) -> int:
     return EXIT_OK
 
 
-def _run_scheme(key: str, scenario, cb, config: RunConfig, seed: int | None):
-    if key == "proposed":
-        return run_sensing_assisted(scenario, cb)
-    if key == "conventional":
-        return run_conventional(scenario)
-    return run_event_based(scenario, build_event_params(config, seed))
-
-
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
+    config = parse_config_file(args.config)
     scenario = build_scenario(config)
-    keys = list(_SCHEME_LABELS) if args.scheme == "all" else [args.scheme]
-    cb = _load_codebook(args, config) if "proposed" in keys else None
+    keys = list(SCHEMES) if args.scheme == "all" else [args.scheme]
+    cb = _load_codebook(args, config, scenario) if "proposed" in keys else None
+    event_params = build_event_params(config) if "event" in keys else None
     out = _out_dir(args, config)
     window = (scenario.start_angle, scenario.end_angle)
     for key in keys:
-        rec = _run_scheme(key, scenario, cb, config, args.seed)
-        trace_path = out / f"trace_{_SCHEME_SLUGS[key]}.csv"
+        rec = run_scheme(key, scenario, cb, event_params)
+        trace_path = out / f"trace_{SCHEMES[key][1]}.csv"
         write_trace(rec, trace_path, config.output.delimiter)
         m = compute_metrics(rec, window)
         print(
@@ -137,23 +105,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .tracking import sweep  # local import keeps CLI startup light
-
-    config = _load_config(args)
+    config = parse_config_file(args.config)
     template = build_scenario(config)
     values = _parse_values(args.values)
     keys = [k.strip() for k in args.schemes.split(",") if k.strip()]
     for key in keys:
-        if key not in _SCHEME_LABELS:
-            raise ConfigError(f"unknown scheme {key!r}; choose from {sorted(_SCHEME_LABELS)}")
-    cb = _load_codebook(args, config) if "proposed" in keys else None
+        if key not in SCHEMES:
+            raise ConfigError(f"unknown scheme {key!r}; choose from {sorted(SCHEMES)}")
+    cb = _load_codebook(args, config, template) if "proposed" in keys else None
     rows = sweep(
         template,
         args.axis,
         values,
         keys,
         cb,
-        event_params=build_event_params(config, args.seed),
+        event_params=build_event_params(config),
         jobs=_default_jobs(args),
     )
     out = _out_dir(args, config)
@@ -161,40 +127,27 @@ def cmd_sweep(args) -> int:
     write_sweep(rows, table_path, config.output.delimiter)
     print(f"{len(rows)} rows -> {table_path}")
     for key in keys:
-        label = _SCHEME_LABELS[key]
+        label, slug = SCHEMES[key]
         scheme_rows = [r for r in rows if r.scheme == label]
-        path = out / f"sweep_{_SCHEME_SLUGS[key]}.csv"
+        path = out / f"sweep_{slug}.csv"
         write_sweep(scheme_rows, path, config.output.delimiter)
         print(f"  {label} -> {path}")
     return EXIT_OK
 
 
 def cmd_pattern(args) -> int:
-    config = _load_config(args)
-    template = build_scenario(config)
+    config = parse_config_file(args.config)
     pso = build_pso(config, seed=args.seed)
     velocities = _parse_values(args.velocities)
     out = _out_dir(args, config)
     sin_grid = np.linspace(-1.0, 1.0, 2001)
     for velocity in velocities:
         scenario = build_scenario(config, velocity=velocity)
-        state = scenario.state_at(0.0)
-        interval = path_to_interval(state, scenario.tau, scenario.geom)
-        spec = ObjectiveSpec(
-            state=state,
-            tau=scenario.tau,
-            interval=interval,
-            budget=scenario.budget,
-            cfg=scenario.cfg,
-            r_min=scenario.r_min,
-            alpha=config.optimizer.alpha,
-            n_quad=config.optimizer.n_quad,
-            geom=scenario.geom,
-        )
+        spec = scenario.period_spec(0.0, config.optimizer.alpha, config.optimizer.n_quad)
         result = optimize_omega(
             spec, replace(pso, seed=derive_seed("pattern", pso.seed, velocity))
         )
-        beam = adaptive_precoder(interval, result.omega_star, scenario.cfg)
+        beam = adaptive_precoder(spec.interval, result.omega_star, scenario.cfg)
         gains = bf_gain_profile(sin_grid, beam, scenario.cfg)
         path = out / f"pattern_v{velocity:g}.csv"
         write_pattern(sin_grid, pattern_gain_db(gains), path, config.output.delimiter)
@@ -232,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--scheme",
         default="all",
-        choices=["proposed", "conventional", "event", "all"],
+        choices=[*SCHEMES, "all"],
     )
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -139,6 +139,15 @@ def scenario_fingerprint(cfg, budget, tau: float, alpha: float, r_min: float) ->
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def check_fingerprint(cb: Codebook, expected: str) -> None:
+    """Raise CodebookFingerprintError unless ``cb`` was built for the ``expected`` scenario."""
+    if cb.fingerprint != expected:
+        raise CodebookFingerprintError(
+            "codebook was built for a different scenario "
+            f"(stored {cb.fingerprint[:12]}..., expected {expected[:12]}...); rebuild the codebook"
+        )
+
+
 def _template_perpendicular_distance(template: ObjectiveSpec) -> float:
     """Perpendicular distance from the BS to the template's motion line."""
     ox, oy = template.geom.origin
@@ -319,11 +328,18 @@ def save(cb: Codebook, sink) -> None:
         Path(sink).write_text(text, encoding="utf-8")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise CodebookCorruptError(f"codebook payload holds a non-finite number {text!r}")
+    return value
+
+
 def load(source, expected_fingerprint: str | None = None) -> Codebook:
     """Read a codebook from a path or file object, validating version and payload.
 
-    When ``expected_fingerprint`` is given it must match the stored one, which
-    ties the codebook to the active scenario.
+    Non-finite numbers are rejected. When ``expected_fingerprint`` is given it
+    must match the stored one, which ties the codebook to the active scenario.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -333,7 +349,7 @@ def load(source, expected_fingerprint: str | None = None) -> Codebook:
         except OSError as exc:
             raise CodebookCorruptError(f"cannot read codebook: {exc}") from exc
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise CodebookCorruptError(f"codebook payload is not valid JSON: {exc}") from exc
 
@@ -387,9 +403,6 @@ def load(source, expected_fingerprint: str | None = None) -> Codebook:
     except (KeyError, TypeError, ValueError) as exc:
         raise CodebookCorruptError(f"codebook payload incomplete: {exc}") from exc
 
-    if expected_fingerprint is not None and cb.fingerprint != expected_fingerprint:
-        raise CodebookFingerprintError(
-            "codebook was built for a different scenario "
-            f"(stored {cb.fingerprint[:12]}..., expected {expected_fingerprint[:12]}...)"
-        )
+    if expected_fingerprint is not None:
+        check_fingerprint(cb, expected_fingerprint)
     return cb

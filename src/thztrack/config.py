@@ -9,6 +9,7 @@ is required, and parse(render(config)) reproduces the configuration exactly.
 from __future__ import annotations
 
 import configparser
+import functools
 import io
 import math
 from dataclasses import dataclass, field, fields
@@ -17,8 +18,6 @@ from .channel import ArrayConfig, LinkBudget, achievable_rate
 from .codebook import CodebookGrid
 from .optimizer import ObjectiveSpec, PsoConfig, pso_bounds
 from .tracking import EventBasedParams, Scenario
-from .geometry import path_to_interval
-from .seeding import derive_seed
 
 
 class ConfigError(Exception):
@@ -98,15 +97,7 @@ class RunConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
 
-_SECTIONS = {
-    "array": ArraySection,
-    "link": LinkSection,
-    "scenario": ScenarioSection,
-    "optimizer": OptimizerSection,
-    "codebook": CodebookSection,
-    "event_based": EventSection,
-    "output": OutputSection,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
 def default_config() -> RunConfig:
@@ -161,15 +152,7 @@ def parse_config(text: str) -> RunConfig:
             built[section] = cls(**values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid values in section [{section}]: {exc}") from exc
-    return RunConfig(
-        array=built["array"],
-        link=built["link"],
-        scenario=built["scenario"],
-        optimizer=built["optimizer"],
-        codebook=built["codebook"],
-        event_based=built["event_based"],
-        output=built["output"],
-    )
+    return RunConfig(**built)
 
 
 def parse_config_file(path) -> RunConfig:
@@ -208,6 +191,20 @@ def render_config(config: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _builder(build):
+    """Report a value that parses but that the built object rejects as a ConfigError."""
+
+    @functools.wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"invalid value: {exc}") from exc
+
+    return checked
+
+
+@_builder
 def build_array(config: RunConfig) -> ArrayConfig:
     return ArrayConfig(
         n_antennas=config.array.n_antennas,
@@ -215,6 +212,7 @@ def build_array(config: RunConfig) -> ArrayConfig:
     )
 
 
+@_builder
 def build_budget(config: RunConfig) -> LinkBudget:
     return LinkBudget.from_db(
         tx_power_dbm=config.link.tx_power_dbm,
@@ -237,6 +235,7 @@ def resolve_r_min(config: RunConfig) -> float:
     return 0.1 * aligned
 
 
+@_builder
 def build_scenario(config: RunConfig, velocity: float | None = None) -> Scenario:
     sc = config.scenario
     return Scenario(
@@ -252,6 +251,7 @@ def build_scenario(config: RunConfig, velocity: float | None = None) -> Scenario
     )
 
 
+@_builder
 def build_pso(config: RunConfig, seed: int | None = None) -> PsoConfig:
     opt = config.optimizer
     return PsoConfig(
@@ -265,6 +265,7 @@ def build_pso(config: RunConfig, seed: int | None = None) -> PsoConfig:
     )
 
 
+@_builder
 def build_grid(config: RunConfig) -> CodebookGrid:
     cbs = config.codebook
     return CodebookGrid(
@@ -275,28 +276,17 @@ def build_grid(config: RunConfig) -> CodebookGrid:
     )
 
 
+@_builder
 def build_objective_template(config: RunConfig) -> ObjectiveSpec:
     """Template spec for codebook builds; state and interval get replaced per cell."""
-    scenario = build_scenario(config)
-    state = scenario.state_at(0.0)
-    return ObjectiveSpec(
-        state=state,
-        tau=scenario.tau,
-        interval=path_to_interval(state, scenario.tau, scenario.geom),
-        budget=scenario.budget,
-        cfg=scenario.cfg,
-        r_min=scenario.r_min,
-        alpha=config.optimizer.alpha,
-        n_quad=config.optimizer.n_quad,
-        geom=scenario.geom,
-    )
+    opt = config.optimizer
+    return build_scenario(config).period_spec(0.0, opt.alpha, opt.n_quad)
 
 
-def build_event_params(config: RunConfig, seed: int | None = None) -> EventBasedParams:
-    base = config.optimizer.seed if seed is None else seed
+@_builder
+def build_event_params(config: RunConfig) -> EventBasedParams:
     return EventBasedParams(
         slot=config.event_based.slot_s,
         rw_var=config.event_based.rw_var,
         weight=config.event_based.weight,
-        seed=derive_seed("event", base),
     )

@@ -7,7 +7,8 @@ Column sets are stable:
     pattern: sin_dir, gain_db
 
 Every numeric column is checked to be finite before writing; beam-pattern
-gains are floored at -120 dB so nulls stay finite.
+gains are floored at -120 dB so nulls stay finite. A field holding the
+delimiter or a double quote is quoted CSV-style, e.g. the beam id cb[4,14].
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ def _require_finite(name: str, values) -> None:
         raise ValueError(f"refusing to export non-finite values in column {name!r}")
 
 
+def _join(values, delimiter: str) -> str:
+    return delimiter.join(
+        '"' + v.replace('"', '""') + '"' if delimiter in v or '"' in v else v for v in values
+    )
+
+
 def _write_lines(sink, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if hasattr(sink, "write"):
@@ -50,7 +57,7 @@ def write_trace(rec: TrackRecord, sink, delimiter: str = ",") -> None:
     lines = [delimiter.join(TRACE_COLUMNS)]
     for i in range(len(rec.times)):
         lines.append(
-            delimiter.join(
+            _join(
                 (
                     repr(float(rec.times[i])),
                     rec.scheme,
@@ -60,7 +67,8 @@ def write_trace(rec: TrackRecord, sink, delimiter: str = ",") -> None:
                     repr(float(rec.rates[i])),
                     str(int(rec.outages[i])),
                     rec.beam_ids[i],
-                )
+                ),
+                delimiter,
             )
         )
     _write_lines(sink, lines)
@@ -72,14 +80,15 @@ def write_sweep(rows: list[SweepRow], sink, delimiter: str = ",") -> None:
         _require_finite("avg_rate_bps", [row.metrics.avg_rate])
         _require_finite("outage_prob", [row.metrics.outage_prob])
         lines.append(
-            delimiter.join(
+            _join(
                 (
                     repr(float(row.value)),
                     row.scheme,
                     repr(float(row.metrics.avg_rate)),
                     repr(float(row.metrics.outage_prob)),
                     str(row.metrics.realignment_count),
-                )
+                ),
+                delimiter,
             )
         )
     _write_lines(sink, lines)

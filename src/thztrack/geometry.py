@@ -1,4 +1,4 @@
-"""Target kinematics and sine-space angular geometry seen from a fixed base station.
+"""Constant-velocity target kinematics and sine-space geometry seen from a fixed base station.
 
 All angular quantities that cross module boundaries are expressed as the sine
 of the angle from the array broadside, i.e. values in [-1, 1]. Conversion from
@@ -32,10 +32,6 @@ class SensedState:
         values = (*self.position, *self.velocity, self.epoch)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("sensed state fields must be finite")
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.velocity[0], self.velocity[1])
 
 
 @dataclass(frozen=True)
@@ -95,43 +91,22 @@ class AngularInterval:
         return self.theta_m + self.delta
 
 
-class MotionModel:
-    """Kinematic law used to extrapolate a sensed state forward in time."""
-
-    def displace(self, state: SensedState, t: float) -> Point:
-        raise NotImplementedError
-
-
-class UniformRectilinearMotion(MotionModel):
-    """Constant-velocity straight-line motion: p(t) = p0 + v0 * t."""
-
-    def displace(self, state: SensedState, t: float) -> Point:
-        return (
-            state.position[0] + state.velocity[0] * t,
-            state.position[1] + state.velocity[1] * t,
-        )
-
-
-_URM = UniformRectilinearMotion()
-
-
-def predict_pose(
-    state: SensedState,
-    t: float,
-    tau: float,
-    model: MotionModel | None = None,
-) -> TargetPose:
+def predict_pose(state: SensedState, t: float, tau: float) -> TargetPose:
     """Extrapolate the sensed state by ``t`` seconds within a period of length ``tau``.
 
-    Prediction is exact under the motion model; no sensing or prediction noise
-    is injected. Raises ValueError when ``t`` falls outside [0, tau].
+    The target moves in a straight line at its sensed velocity, p(t) = p0 + v0 * t;
+    no sensing or prediction noise is injected. Raises ValueError when ``t`` falls
+    outside [0, tau].
     """
     if tau <= 0.0:
         raise ValueError(f"sensing period must be positive, got {tau!r}")
     if t < 0.0 or t > tau * (1.0 + 1e-12):
         raise ValueError(f"elapsed time {t!r} outside the sensing period [0, {tau!r}]")
-    model = model or _URM
-    return TargetPose(position=model.displace(state, t), elapsed=t)
+    position = (
+        state.position[0] + state.velocity[0] * t,
+        state.position[1] + state.velocity[1] * t,
+    )
+    return TargetPose(position=position, elapsed=t)
 
 
 def pose_to_direction(pose: TargetPose, geom: BsGeometry) -> tuple[float, float]:
@@ -151,19 +126,14 @@ def pose_to_direction(pose: TargetPose, geom: BsGeometry) -> tuple[float, float]
     return max(-1.0, min(1.0, sin_dir)), distance
 
 
-def path_to_interval(
-    state: SensedState,
-    tau: float,
-    geom: BsGeometry,
-    model: MotionModel | None = None,
-) -> AngularInterval:
+def path_to_interval(state: SensedState, tau: float, geom: BsGeometry) -> AngularInterval:
     """Sine-space interval swept by the predicted path over one sensing period.
 
     The centre is the midpoint of the endpoint sines and the half-width their
     absolute half-difference, so motion in either angular direction is covered.
     """
-    sin0, _ = pose_to_direction(predict_pose(state, 0.0, tau, model), geom)
-    sin1, _ = pose_to_direction(predict_pose(state, tau, tau, model), geom)
+    sin0, _ = pose_to_direction(predict_pose(state, 0.0, tau), geom)
+    sin1, _ = pose_to_direction(predict_pose(state, tau, tau), geom)
     return AngularInterval(
         theta_m=0.5 * (sin0 + sin1),
         delta=0.5 * abs(sin1 - sin0),

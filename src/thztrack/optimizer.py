@@ -145,9 +145,7 @@ class _PeriodEvaluator:
     def values(self, omegas) -> np.ndarray:
         spec = self.spec
         rates = self.rates(np.atleast_1d(np.asarray(omegas, dtype=float)))
-        penalised = rates + np.where(
-            rates <= spec.r_min, -spec.alpha * (spec.r_min - rates), 0.0
-        )
+        penalised = rates + penalty(rates, spec.r_min, spec.alpha)
         return (self.weights @ penalised) / spec.tau
 
     def value(self, omega: float) -> float:

@@ -7,11 +7,8 @@ A precoder that spreads its main lobe over the sine-space interval
 
 where Sa(x) = sin(x)/x, omega is a free shape parameter, and beta normalises
 the vector to unit power. With delta = 0 the taper is flat and the precoder
-collapses to maximum ratio transmission (MRT) towards theta_m.
-
-Two beamforming-gain evaluators are provided: the direct |a^H f|^2 and an
-expanded cosine form. They are algebraically identical and serve as mutual
-cross-checks.
+collapses to maximum ratio transmission (MRT) towards theta_m. The
+beamforming gain towards a direction is |a^H f|^2.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ class Precoder:
 
     def __post_init__(self):
         power = float(np.sum(np.abs(self.weights) ** 2))
-        if abs(power - 1.0) > _UNIT_POWER_TOL:
+        if not abs(power - 1.0) <= _UNIT_POWER_TOL:  # also rejects NaN weights
             raise ValueError(f"precoder power {power!r} violates the unit constraint")
         if self.kind not in ("adaptive", "mrt"):
             raise ValueError(f"unknown precoder kind {self.kind!r}")
@@ -68,15 +65,6 @@ class Precoder:
 def sample_fn(x):
     """Sampling kernel Sa(x) = sin(x)/x with Sa(0) = 1. Accepts arrays."""
     return np.sinc(np.asarray(x) / np.pi)
-
-
-def g_coeff(n: int, omega: float, delta: float) -> float:
-    """Per-antenna taper coefficient Sa(delta * (omega - (n-1)*pi)), n 1-based."""
-    if n < 1:
-        raise ValueError(f"antenna index is 1-based, got {n!r}")
-    if delta < 0.0:
-        raise ValueError(f"half-width must be non-negative, got {delta!r}")
-    return float(sample_fn(delta * (omega - (n - 1) * np.pi)))
 
 
 def _g_vector(omega: float, delta: float, n_antennas: int) -> np.ndarray:
@@ -141,29 +129,3 @@ def bf_gain_profile(sin_dirs: np.ndarray, precoder: Precoder, cfg: ArrayConfig) 
         raise ValueError("precoder length does not match the antenna count")
     amp = np.conj(response_matrix(sin_dirs, cfg)) @ precoder.weights
     return amp.real**2 + amp.imag**2
-
-
-def bf_gain_closed_form(
-    sin_dir: float,
-    interval: AngularInterval,
-    omega: float,
-    cfg: ArrayConfig,
-) -> float:
-    """Beamforming gain via the expanded cosine form.
-
-    gain = beta^2 * (sum_m g_m^2
-                     + sum_{m>n} 2 cos(Theta_m - Theta_n) g_m g_n)
-
-    with Theta_k = -(k-1) * pi * (theta_m - sin_dir); both angles live in sine
-    space. Must agree with :func:`bf_gain_direct` for the same parameters.
-    """
-    if not -1.0 <= sin_dir <= 1.0:
-        raise ValueError(f"sine direction must lie in [-1, 1], got {sin_dir!r}")
-    g = _g_vector(omega, interval.delta, cfg.n_antennas)
-    beta = beta_coeff(omega, interval.delta, cfg.n_antennas)
-    idx = np.arange(cfg.n_antennas)
-    theta = -idx * np.pi * (interval.theta_m - sin_dir)
-    diag = float(np.dot(g, g))
-    cross_matrix = 2.0 * np.cos(theta[:, None] - theta[None, :]) * np.outer(g, g)
-    cross = float(np.sum(np.triu(cross_matrix, k=1)))
-    return beta**2 * (diag + cross)

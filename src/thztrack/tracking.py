@@ -30,8 +30,8 @@ import numpy as np
 from .channel import ArrayConfig, LinkBudget, achievable_rate, dbm_to_watt
 from .codebook import (
     Codebook,
-    CodebookFingerprintError,
     CodebookRangeError,
+    check_fingerprint,
     entry_precoder,
     lookup_indices,
     scenario_fingerprint,
@@ -51,6 +51,13 @@ from .seeding import derive_seed
 SCHEME_PROPOSED = "proposed"
 SCHEME_CONVENTIONAL = "conventional"
 SCHEME_EVENT = "event-based (approx.)"
+
+# scheme key -> (label written into traces and sweep rows, output file slug)
+SCHEMES = {
+    "proposed": (SCHEME_PROPOSED, "proposed"),
+    "conventional": (SCHEME_CONVENTIONAL, "conventional"),
+    "event": (SCHEME_EVENT, "event_based"),
+}
 
 # Sine-space variance represented by one unit of the event tracker's
 # random-walk variance parameter. Calibrated so that the default parameters
@@ -141,19 +148,33 @@ class Scenario:
         pose = TargetPose(position=self.position_at(t), elapsed=0.0)
         return pose_to_direction(pose, self.geom)
 
+    def period_spec(self, epoch: float, alpha: float, n_quad: int) -> ObjectiveSpec:
+        """Objective of the period starting at ``epoch``, predicted from the state sensed then."""
+        state = self.state_at(epoch)
+        return ObjectiveSpec(
+            state=state,
+            tau=self.tau,
+            interval=path_to_interval(state, self.tau, self.geom),
+            budget=self.budget,
+            cfg=self.cfg,
+            r_min=self.r_min,
+            alpha=alpha,
+            n_quad=n_quad,
+            geom=self.geom,
+        )
+
+    def fingerprint(self, alpha: float) -> str:
+        """Fingerprint of a codebook built for this scenario with penalty weight ``alpha``."""
+        return scenario_fingerprint(self.cfg, self.budget, self.tau, alpha, self.r_min)
+
 
 @dataclass(frozen=True)
 class EventBasedParams:
-    """Published knobs of the event-triggered baseline (see module docstring).
-
-    ``seed`` feeds any stochastic component of the tracker; the shipped
-    mechanism is deterministic variance bookkeeping, so it is reserved.
-    """
+    """Published knobs of the event-triggered baseline (see module docstring)."""
 
     slot: float = 0.05
     rw_var: float = 25.0
     weight: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.slot <= 0.0:
@@ -265,11 +286,7 @@ def _period_layout(sc: Scenario) -> tuple[np.ndarray, np.ndarray, int]:
 
 def run_sensing_assisted(sc: Scenario, cb: Codebook) -> TrackRecord:
     """Proposed scheme: per-period codebook beams over predicted intervals."""
-    expected = scenario_fingerprint(sc.cfg, sc.budget, sc.tau, cb.alpha, sc.r_min)
-    if expected != cb.fingerprint:
-        raise CodebookFingerprintError(
-            "codebook fingerprint does not match the scenario; rebuild the codebook"
-        )
+    check_fingerprint(cb, sc.fingerprint(cb.alpha))
     times, seg_of, n_periods = _period_layout(sc)
     builder = _TraceBuilder(sc, SCHEME_PROPOSED)
     for k in range(n_periods):
@@ -317,21 +334,9 @@ def run_sensing_assisted_direct(
     builder = _TraceBuilder(sc, SCHEME_PROPOSED)
     for k in range(n_periods):
         epoch = k * sc.tau
-        state = sc.state_at(epoch)
-        interval = path_to_interval(state, sc.tau, sc.geom)
-        spec = ObjectiveSpec(
-            state=state,
-            tau=sc.tau,
-            interval=interval,
-            budget=sc.budget,
-            cfg=sc.cfg,
-            r_min=sc.r_min,
-            alpha=alpha,
-            n_quad=n_quad,
-            geom=sc.geom,
-        )
+        spec = sc.period_spec(epoch, alpha, n_quad)
         result = optimize_omega(spec, replace(pso, seed=derive_seed("direct", pso.seed, k)))
-        beam = adaptive_precoder(interval, result.omega_star, sc.cfg)
+        beam = adaptive_precoder(spec.interval, result.omega_star, sc.cfg)
         builder.add_segment(times[seg_of == k], beam, f"opt[{k}]")
         builder.realignments.append(epoch)
     return builder.record()
@@ -418,35 +423,31 @@ def mean_realignment_slots(rec: TrackRecord, slot: float) -> float | None:
     return float(np.mean(gaps) / slot)
 
 
-_SCHEME_KEYS = ("proposed", "conventional", "event")
-
-
-def _run_one(
-    sc: Scenario,
+def run_scheme(
     scheme: str,
+    sc: Scenario,
     cb: Codebook | None,
     event_params: EventBasedParams,
-    direct: bool,
+    direct: bool = False,
 ) -> TrackRecord:
+    """One episode of a :data:`SCHEMES` key; ``direct`` re-optimises proposed beams per period."""
     if scheme == "proposed":
-        if direct:
-            if cb is None:
-                raise TrackingRunError("direct optimisation requires codebook metadata")
-            return run_sensing_assisted_direct(sc, cb.pso, cb.alpha, cb.n_quad)
         if cb is None:
             raise TrackingRunError("the proposed scheme requires a codebook")
+        if direct:
+            return run_sensing_assisted_direct(sc, cb.pso, cb.alpha, cb.n_quad)
         return run_sensing_assisted(sc, cb)
     if scheme == "conventional":
         return run_conventional(sc)
     if scheme == "event":
         return run_event_based(sc, event_params)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {_SCHEME_KEYS}")
+    raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
 
 
 def _sweep_task(args) -> SweepRow:
     sc, scheme, value, cb, event_params, direct, window = args
     try:
-        rec = _run_one(sc, scheme, cb, event_params, direct)
+        rec = run_scheme(scheme, sc, cb, event_params, direct)
         metrics = compute_metrics(rec, window)
     except Exception as exc:
         raise TrackingRunError(f"sweep point (value={value!r}, scheme={scheme!r}): {exc}") from exc
@@ -474,8 +475,8 @@ def sweep(
         raise ValueError("sweep requires at least one axis value")
     schemes = list(schemes)
     for scheme in schemes:
-        if scheme not in _SCHEME_KEYS:
-            raise ValueError(f"unknown scheme {scheme!r}; expected one of {_SCHEME_KEYS}")
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
     if event_params is None:
         event_params = EventBasedParams()
     window = (template.start_angle, template.end_angle)
@@ -486,12 +487,7 @@ def sweep(
             sc = replace(template, velocity=float(value))
             direct = False
         elif axis == "tx_power":
-            budget = LinkBudget(
-                tx_power=dbm_to_watt(float(value)),
-                noise_psd=template.budget.noise_psd,
-                bandwidth=template.budget.bandwidth,
-                absorption_coeff=template.budget.absorption_coeff,
-            )
+            budget = replace(template.budget, tx_power=dbm_to_watt(float(value)))
             sc = replace(template, budget=budget)
             direct = True
         else:

@@ -13,7 +13,6 @@ from thztrack import (
     Scenario,
     achievable_rate,
     build_codebook,
-    path_to_interval,
     pso_bounds,
 )
 
@@ -58,18 +57,7 @@ def make_scenario(
 def make_objective_spec(
     sc: Scenario, alpha: float = 10.0, n_quad: int = 64, epoch: float = 0.0
 ) -> ObjectiveSpec:
-    state = sc.state_at(epoch)
-    return ObjectiveSpec(
-        state=state,
-        tau=sc.tau,
-        interval=path_to_interval(state, sc.tau, sc.geom),
-        budget=sc.budget,
-        cfg=sc.cfg,
-        r_min=sc.r_min,
-        alpha=alpha,
-        n_quad=n_quad,
-        geom=sc.geom,
-    )
+    return sc.period_spec(epoch, alpha, n_quad)
 
 
 @pytest.fixture(scope="session")

@@ -21,17 +21,14 @@ from thztrack import (
     PsoConfig,
     adaptive_precoder,
     beta_coeff,
-    bf_gain_closed_form,
     bf_gain_direct,
     bf_gain_profile,
     build_codebook,
     compute_metrics,
-    g_coeff,
     load,
     mean_realignment_slots,
     objective,
     optimize_omega,
-    path_to_interval,
     pso_bounds,
     run_event_based,
     run_sensing_assisted,
@@ -48,8 +45,8 @@ from thztrack.config import (
     parse_config,
     render_config,
 )
-from thztrack.optimizer import ObjectiveSpec
 from conftest import CARRIER_HZ, make_budget, make_objective_spec, make_scenario
+from gain_reference import bf_gain_closed_form, g_coeff
 
 VELOCITIES = [float(v) for v in range(10, 101, 10)]
 
@@ -313,21 +310,9 @@ def test_criterion_8_pattern_trends():
     widths, peaks = [], []
     for velocity in (10.0, 50.0, 90.0):
         sc = build_scenario(rc, velocity=velocity)
-        state = sc.state_at(0.0)
-        interval = path_to_interval(state, sc.tau, sc.geom)
-        spec = ObjectiveSpec(
-            state=state,
-            tau=sc.tau,
-            interval=interval,
-            budget=sc.budget,
-            cfg=sc.cfg,
-            r_min=sc.r_min,
-            alpha=10.0,
-            n_quad=64,
-            geom=sc.geom,
-        )
+        spec = sc.period_spec(0.0, 10.0, 64)
         result = optimize_omega(spec, replace(pso, seed=pso.seed + int(velocity)))
-        beam = adaptive_precoder(interval, result.omega_star, sc.cfg)
+        beam = adaptive_precoder(spec.interval, result.omega_star, sc.cfg)
         gains = bf_gain_profile(sin_grid, beam, sc.cfg)
         peak_idx = int(np.argmax(gains))
         peak = float(gains[peak_idx])

@@ -183,6 +183,18 @@ def test_load_truncated_payload(tiny_build, tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_rejects_non_finite_numbers(tiny_build, tmp_path, constant):
+    _, _, cb = tiny_build
+    path = tmp_path / "cb.json"
+    save(cb, path)
+    payload = json.loads(path.read_text())
+    payload["entries"][0][4] = "OMEGA"
+    path.write_text(json.dumps(payload).replace('"OMEGA"', constant))
+    with pytest.raises(CodebookCorruptError, match="non-finite"):
+        load(path)
+
+
 def test_load_version_mismatch(tiny_build, tmp_path):
     _, _, cb = tiny_build
     path = tmp_path / "cb.json"

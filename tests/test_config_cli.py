@@ -219,9 +219,9 @@ def test_cli_pattern_matches_direct_gain(tmp_path):
     # pattern integral over sine space stays at the unit-power value of 2
     import numpy as np
 
-    from thztrack import adaptive_precoder, bf_gain_direct, path_to_interval
+    from thztrack import adaptive_precoder, bf_gain_direct
     from thztrack.config import build_pso, parse_config_file
-    from thztrack.optimizer import ObjectiveSpec, optimize_omega
+    from thztrack.optimizer import optimize_omega
     from thztrack.seeding import derive_seed
     from dataclasses import replace
 
@@ -232,18 +232,8 @@ def test_cli_pattern_matches_direct_gain(tmp_path):
 
     rc = parse_config_file(config)
     scenario = build_scenario(rc, velocity=30.0)
-    interval = path_to_interval(scenario.state_at(0.0), scenario.tau, scenario.geom)
-    spec = ObjectiveSpec(
-        state=scenario.state_at(0.0),
-        tau=scenario.tau,
-        interval=interval,
-        budget=scenario.budget,
-        cfg=scenario.cfg,
-        r_min=scenario.r_min,
-        alpha=rc.optimizer.alpha,
-        n_quad=rc.optimizer.n_quad,
-        geom=scenario.geom,
-    )
+    spec = scenario.period_spec(0.0, rc.optimizer.alpha, rc.optimizer.n_quad)
+    interval = spec.interval
     pso = build_pso(rc)
     result = optimize_omega(spec, replace(pso, seed=derive_seed("pattern", pso.seed, 30.0)))
     beam = adaptive_precoder(interval, result.omega_star, scenario.cfg)
@@ -280,6 +270,21 @@ def test_cli_fingerprint_mismatch_exit_code(tmp_path):
     text = config.read_text().replace("tx_power_dbm = 40.0", "tx_power_dbm = 37.0")
     config.write_text(text)
     assert main(["simulate", "--config", str(config), "--scheme", "proposed"]) == 3
+    argv = ["sweep", "--config", str(config), "--axis", "velocity", "--values", "10", "--jobs", "1"]
+    assert main(argv) == 3
+
+
+@pytest.mark.parametrize(
+    "key, value", [("n_antennas", "1"), ("time_step_s", "0.1")]  # 0.1 s exceeds tau/10
+)
+def test_cli_invalid_config_value_exit_code(tmp_path, capsys, key, value):
+    config = small_config_text(tmp_path)
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in config.read_text().splitlines()]
+    config.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--config", str(config), "--scheme", "conventional"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: invalid value") and err.count("\n") == 1
 
 
 def test_cli_run_failure_exit_code(tmp_path, capsys):

@@ -165,24 +165,3 @@ def test_point_at_direction_round_trip():
         assert sin_dir == pytest.approx(s, abs=1e-12)
         assert dist == pytest.approx(d, rel=1e-12)
 
-
-def test_custom_motion_model_plugs_in():
-    from thztrack import MotionModel
-
-    class UniformAcceleration(MotionModel):
-        def __init__(self, ax: float, ay: float):
-            self.accel = (ax, ay)
-
-        def displace(self, state, t):
-            return (
-                state.position[0] + state.velocity[0] * t + 0.5 * self.accel[0] * t * t,
-                state.position[1] + state.velocity[1] * t + 0.5 * self.accel[1] * t * t,
-            )
-
-    state = SensedState(position=(100.0, 0.0), velocity=(0.0, 10.0))
-    model = UniformAcceleration(0.0, 4.0)
-    pose = predict_pose(state, 0.1, TAU, model)
-    assert pose.position[1] == pytest.approx(1.0 + 0.02, rel=1e-12)
-    interval = path_to_interval(state, TAU, GEOM, model)
-    straight = path_to_interval(state, TAU, GEOM)
-    assert interval.hi > straight.hi  # acceleration stretches the swept interval

@@ -1,4 +1,4 @@
-"""Precoder construction, normalisation, and the two gain evaluators."""
+"""Precoder construction, normalisation, and the gain against its closed form."""
 
 from __future__ import annotations
 
@@ -13,14 +13,13 @@ from thztrack import (
     adaptive_precoder,
     array_response,
     beta_coeff,
-    bf_gain_closed_form,
     bf_gain_direct,
     bf_gain_profile,
-    g_coeff,
     mrt_precoder,
     sample_fn,
 )
 from conftest import CARRIER_HZ
+from gain_reference import bf_gain_closed_form, g_coeff
 
 CFG128 = ArrayConfig(128, CARRIER_HZ)
 
@@ -91,6 +90,12 @@ def test_adaptive_unit_power_fuzz():
         omega = rng.uniform(0.0, (n - 1) * math.pi)
         p = adaptive_precoder(interval, omega, cfg)
         assert abs(np.sum(np.abs(p.weights) ** 2) - 1.0) < 1e-9
+
+
+def test_adaptive_rejects_nan_omega():
+    # NaN weights have NaN power, which no tolerance comparison may let through
+    with pytest.raises(ValueError, match="unit constraint"):
+        adaptive_precoder(AngularInterval(0.1, 0.02), math.nan, CFG128)
 
 
 def test_adaptive_main_lobe_covers_interval():

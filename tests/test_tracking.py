@@ -117,7 +117,7 @@ def test_event_static_never_realigns(small_cfg, small_budget):
 
 
 def test_event_moving_target_realigns(small_scenario):
-    params = EventBasedParams(seed=3)
+    params = EventBasedParams()
     rec1 = run_event_based(small_scenario, params)
     rec2 = run_event_based(small_scenario, params)
     assert len(rec1.realignment_times) > 1
@@ -200,6 +200,12 @@ def test_sweep_power_axis_uses_direct_optimization(small_scenario, small_codeboo
     assert by[(40.0, "proposed")].avg_rate > by[(30.0, "proposed")].avg_rate
 
 
+def test_sweep_rows_independent_of_jobs(small_scenario, small_codebook):
+    args = (small_scenario, "velocity", [10.0, 25.0], ["proposed", "conventional", "event"])
+    serial = sweep(*args, small_codebook, jobs=1)
+    assert sweep(*args, small_codebook, jobs=2) == serial
+
+
 def test_sweep_rejects_bad_input(small_scenario, small_codebook):
     with pytest.raises(ValueError):
         sweep(small_scenario, "velocity", [], ["proposed"], small_codebook)
@@ -269,6 +275,26 @@ def test_export_rejects_non_finite(small_scenario, small_codebook, tmp_path):
     broken = dc_replace(rec, rates=rates)
     with pytest.raises(ValueError, match="rate_bps"):
         write_trace(broken, tmp_path / "t.csv")
+
+
+def test_proposed_trace_parses_back_with_csv(small_scenario, small_codebook, tmp_path):
+    import csv
+
+    from thztrack.exports import TRACE_COLUMNS, write_trace
+
+    rec = run_sensing_assisted(small_scenario, small_codebook)
+    assert any("," in beam for beam in rec.beam_ids)  # ids like cb[4,14] hold the delimiter
+    path = tmp_path / "trace.csv"
+    write_trace(rec, path)
+    with open(path, newline="", encoding="utf-8") as handle:
+        table = list(csv.reader(handle))
+    assert tuple(table[0]) == TRACE_COLUMNS
+    assert all(len(row) == len(TRACE_COLUMNS) for row in table[1:])
+    columns = list(zip(*table[1:]))
+    assert list(columns[7]) == rec.beam_ids
+    assert [float(x) for x in columns[0]] == list(rec.times)
+    assert [float(x) for x in columns[5]] == list(rec.rates)
+    assert [int(x) for x in columns[6]] == [int(o) for o in rec.outages]
 
 
 def test_trace_export_round_trip(small_scenario, tmp_path):
