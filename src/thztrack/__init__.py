@@ -69,6 +69,7 @@ from .optimizer import (
     PsoConfig,
     objective,
     optimize_omega,
+    optimize_omegas,
     penalty,
     pso_bounds,
     violation_mass,

@@ -171,10 +171,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, codebook=False):
         p.add_argument("--config", required=True, help="run configuration (INI)")
         p.add_argument("--out", help="output directory or file")
-        p.add_argument("--seed", type=int, help="override the configured master seed")
         p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
         if codebook:
             p.add_argument("--codebook", help="codebook file (default from config)")
+        else:  # the commands that run the swarm
+            p.add_argument("--seed", type=int, help="override the configured master seed")
 
     p_build = sub.add_parser("codebook-build", help="optimise and save the beam codebook")
     common(p_build)

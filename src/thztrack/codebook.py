@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .geometry import AngularInterval, SensedState, point_at_direction
-from .optimizer import ObjectiveSpec, PsoConfig, optimize_omega
+from .optimizer import SWARM_CHUNK, ObjectiveSpec, PsoConfig, optimize_omegas
 from .precoder import Precoder, adaptive_precoder
 from .seeding import derive_seed
 
@@ -180,24 +180,24 @@ def _cell_spec(
     return replace(template, state=state, interval=interval)
 
 
-def _build_cell(args) -> tuple[int, int, CodebookEntry]:
-    template, pso, ti, di, theta_m, delta, distance = args
-    cell_seed = derive_seed("cell", pso.seed, ti, di)
+def _build_cells(args) -> list[tuple[int, int, CodebookEntry]]:
+    """Optimise a chunk of cells in lockstep swarms; a failure names its cell."""
+    template, pso, cells, distance = args
+    seeds = [derive_seed("cell", pso.seed, ti, di) for ti, di, _, _ in cells]
     try:
-        spec = _cell_spec(template, theta_m, delta, distance)
-        result = optimize_omega(spec, replace(pso, seed=cell_seed))
+        specs = [_cell_spec(template, theta_m, delta, distance) for _, _, theta_m, delta in cells]
+        results = optimize_omegas(specs, pso, seeds)
     except Exception as exc:
+        for cell in cells if len(cells) > 1 else ():
+            _build_cells((template, pso, [cell], distance))  # raises naming the failing cell
+        ti, di, theta_m, delta = cells[0]
         raise CodebookBuildError(
             f"cell ({ti}, {di}) at theta={theta_m!r} delta={delta!r} failed: {exc}"
         ) from exc
-    entry = CodebookEntry(
-        interval=spec.interval,
-        omega=result.omega_star,
-        objective_value=result.objective_value,
-        seed=cell_seed,
-        n_quad=template.n_quad,
-    )
-    return ti, di, entry
+    return [
+        (ti, di, CodebookEntry(spec.interval, r.omega_star, r.objective_value, seed, spec.n_quad))
+        for (ti, di, _, _), spec, seed, r in zip(cells, specs, seeds, results)
+    ]
 
 
 def build_codebook(
@@ -212,20 +212,16 @@ def build_codebook(
     seed and its grid indices, so builds are reproducible for any job count.
     """
     distance = _template_perpendicular_distance(template)
-    tasks = []
-    for ti, theta_m in enumerate(grid.theta_values()):
-        for di, delta in enumerate(grid.delta_values()):
-            tasks.append((template, pso, ti, di, theta_m, delta, distance))
-
-    entries: dict[tuple[int, int], CodebookEntry] = {}
+    deltas = list(enumerate(grid.delta_values()))
+    cells = [(ti, di, t, d) for ti, t in enumerate(grid.theta_values()) for di, d in deltas]
+    step = SWARM_CHUNK
+    tasks = [(template, pso, cells[i : i + step], distance) for i in range(0, len(cells), step)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for ti, di, entry in pool.map(_build_cell, tasks, chunksize=8):
-                entries[(ti, di)] = entry
+            chunks = list(pool.map(_build_cells, tasks))
     else:
-        for task in tasks:
-            ti, di, entry = _build_cell(task)
-            entries[(ti, di)] = entry
+        chunks = [_build_cells(task) for task in tasks]
+    entries = {(ti, di): entry for chunk in chunks for ti, di, entry in chunk}
 
     fingerprint = scenario_fingerprint(
         template.cfg, template.budget, template.tau, template.alpha, template.r_min
@@ -335,11 +331,24 @@ def _finite(text: str) -> float:
     return value
 
 
+def _check_cells(cb: Codebook, rows: int) -> None:
+    """Every grid cell is stored once, at its own grid interval, with the payload's n_quad."""
+    thetas, deltas = cb.grid.theta_values(), cb.grid.delta_values()
+    grid = {(ti, di): (t, d) for ti, t in enumerate(thetas) for di, d in enumerate(deltas)}
+    for key, entry in cb.entries.items():
+        if grid.get(key) != (entry.interval.theta_m, entry.interval.delta):
+            raise CodebookCorruptError(f"codebook cell {key} does not match its grid interval")
+        if entry.n_quad != cb.n_quad:
+            raise CodebookCorruptError(f"codebook cell {key} has n_quad {entry.n_quad!r}")
+    if not rows == len(cb.entries) == len(grid):
+        raise CodebookCorruptError(f"{rows} rows cover {len(cb.entries)} of {len(grid)} cells")
+
+
 def load(source, expected_fingerprint: str | None = None) -> Codebook:
     """Read a codebook from a path or file object, validating version and payload.
 
-    Non-finite numbers are rejected. When ``expected_fingerprint`` is given it
-    must match the stored one, which ties the codebook to the active scenario.
+    Non-finite numbers and missing, duplicate or misplaced cells are rejected. A given
+    ``expected_fingerprint`` must match the stored one, tying it to the active scenario.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -400,6 +409,7 @@ def load(source, expected_fingerprint: str | None = None) -> Codebook:
             base_seed=payload["base_seed"],
             pso=pso,
         )
+        _check_cells(cb, len(payload["entries"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CodebookCorruptError(f"codebook payload incomplete: {exc}") from exc
 

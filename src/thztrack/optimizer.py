@@ -6,11 +6,11 @@ The objective for a candidate shape parameter omega is
 
 where R is the instantaneous achievable rate along the predicted path and F_p
 a linear penalty that activates when R drops below a minimum-rate threshold.
-The integral is evaluated by Gauss-Legendre quadrature; the precoder is built
-once per omega and reused across the quadrature nodes.
+The integral is evaluated by Gauss-Legendre quadrature in real arithmetic,
+for many specs and candidate omegas at once.
 
 The search over omega is a synchronous, seeded particle swarm with reflective
-bounds, deterministic bit-for-bit for a fixed seed.
+bounds, deterministic bit-for-bit for a fixed seed, also when swarms step in lockstep.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from .channel import ArrayConfig, LinkBudget, channel_gain
 from .geometry import AngularInterval, BsGeometry, SensedState, pose_to_direction, predict_pose
-from .precoder import sample_fn
 
 
 @dataclass(frozen=True)
@@ -104,74 +103,72 @@ def penalty(rate, r_min: float, alpha: float):
     return float(value) if np.isscalar(rate) else value
 
 
+# Specs per lockstep batch; each batched spec holds about 0.35 MB of temporaries.
+SWARM_CHUNK = 8
+
+
 class _PeriodEvaluator:
-    """Precomputed quadrature data for fast batched objective evaluation."""
+    """Period objectives of specs sharing the antenna count and ``n_quad``, batched.
 
-    def __init__(self, spec: ObjectiveSpec):
-        nodes, weights = np.polynomial.legendre.leggauss(spec.n_quad)
-        t = 0.5 * spec.tau * (nodes + 1.0)
-        self.weights = 0.5 * spec.tau * weights  # sums to tau
+    With the centre phase folded into a real ``[cos; sin]`` steering matrix, a node's
+    gain is ``|steer @ g|^2 / ||g||^2`` for the real taper ``g``; tau cancels in the average.
+    """
 
-        sins = np.empty(spec.n_quad)
-        dists = np.empty(spec.n_quad)
-        for i, tk in enumerate(t):
-            pose = predict_pose(spec.state, float(tk), spec.tau)
-            sins[i], dists[i] = pose_to_direction(pose, spec.geom)
-
-        h0 = channel_gain(dists, spec.budget, spec.cfg)
-        self.snr_coef = spec.budget.tx_power * h0 * h0 / (
-            spec.budget.noise_psd * spec.budget.bandwidth
-        )
-        n = np.arange(spec.cfg.n_antennas)
-        self.steer_conj = np.exp(1j * np.pi * np.outer(sins, n))
-        self.centre_phase = np.exp(-1j * np.pi * spec.interval.theta_m * n)
-        self.grid = np.pi * n
-        self.spec = spec
-
-    def _weight_matrix(self, omegas: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        g = np.asarray(sample_fn(spec.interval.delta * (omegas[None, :] - self.grid[:, None])))
-        norms = np.sqrt(np.sum(g * g, axis=0))
-        if np.any(norms <= 1e-150):
-            raise ValueError("degenerate taper normalisation")
-        return self.centre_phase[:, None] * g / norms[None, :]
+    def __init__(self, specs: list[ObjectiveSpec]):
+        if len({(s.cfg.n_antennas, s.n_quad) for s in specs}) > 1:
+            raise ValueError("batched specs must share the antenna count and n_quad")
+        nodes, weights = np.polynomial.legendre.leggauss(specs[0].n_quad)
+        self.weights, unit = 0.5 * weights, 0.5 * (nodes + 1.0)  # weights sum to 1
+        self.grid = np.pi * np.arange(specs[0].cfg.n_antennas)
+        steer, snr = [], []
+        for spec in specs:
+            poses = [predict_pose(spec.state, float(t), spec.tau) for t in spec.tau * unit]
+            sins, dists = np.array([pose_to_direction(p, spec.geom) for p in poses]).T
+            phase = np.outer(sins - spec.interval.theta_m, self.grid)
+            steer.append(np.vstack([np.cos(phase), np.sin(phase)]))
+            b, h0 = spec.budget, channel_gain(dists, spec.budget, spec.cfg)
+            snr.append(b.tx_power * h0 * h0 / (b.noise_psd * b.bandwidth))
+        self.steer = np.stack(steer)  # specs x 2 nodes x antennas
+        self.snr = np.stack(snr)[:, :, None]
+        per_spec = [(s.interval.delta, s.budget.bandwidth, s.r_min, s.alpha) for s in specs]
+        self.delta, self.bandwidth, self.r_min, self.alpha = np.array(per_spec).T[:, :, None, None]
 
     def rates(self, omegas: np.ndarray) -> np.ndarray:
-        """Instantaneous rate at every quadrature node for each omega (nodes x omegas)."""
-        amp = self.steer_conj @ self._weight_matrix(omegas)
-        gains = amp.real**2 + amp.imag**2
-        return self.spec.budget.bandwidth * np.log2(1.0 + self.snr_coef[:, None] * gains)
+        """Rate at every node (specs x nodes x omegas) for omegas given as specs x omegas."""
+        x = self.delta * (omegas[:, None, :] - self.grid[:, None])
+        g = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+        norm2 = np.sum(g * g, axis=1, keepdims=True)
+        if np.any(norm2 <= 1e-300):
+            raise ValueError("degenerate taper normalisation")
+        amp = self.steer @ g
+        q = self.snr.shape[1]
+        gains = (amp[:, :q] ** 2 + amp[:, q:] ** 2) / norm2
+        return self.bandwidth * np.log2(1.0 + self.snr * gains)
 
-    def values(self, omegas) -> np.ndarray:
-        spec = self.spec
-        rates = self.rates(np.atleast_1d(np.asarray(omegas, dtype=float)))
-        penalised = rates + penalty(rates, spec.r_min, spec.alpha)
-        return (self.weights @ penalised) / spec.tau
-
-    def value(self, omega: float) -> float:
-        return float(self.values([omega])[0])
+    def values(self, omegas: np.ndarray) -> np.ndarray:
+        """Period objective (specs x omegas) for omegas given as specs x omegas."""
+        rates = self.rates(omegas)
+        return self.weights @ (rates + penalty(rates, self.r_min, self.alpha))
 
 
 def objective(omega: float, spec: ObjectiveSpec) -> float:
     """Penalised average rate over one sensing period for the given omega."""
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
-    return _PeriodEvaluator(spec).value(omega)
+    return float(_PeriodEvaluator([spec]).values(np.full((1, 1), omega))[0, 0])
 
 
 def violation_mass(omega: float, spec: ObjectiveSpec) -> float:
     """Integral of the rate shortfall max(0, r_min - R(t)) over the period."""
-    ev = _PeriodEvaluator(spec)
-    rates = ev.rates(np.asarray([float(omega)]))[:, 0]
-    shortfall = np.maximum(0.0, spec.r_min - rates)
-    return float(ev.weights @ shortfall)
+    ev = _PeriodEvaluator([spec])
+    rates = ev.rates(np.full((1, 1), omega))[0, :, 0]
+    return float(spec.tau * (ev.weights @ np.maximum(0.0, spec.r_min - rates)))
 
 
-def _incumbent(x: np.ndarray, fx: np.ndarray) -> tuple[float, float]:
-    # best objective first, ties broken towards the smallest omega
-    order = np.lexsort((x, -fx))
-    i = order[0]
-    return float(x[i]), float(fx[i])
+def _incumbent(x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # per row: best objective first, ties broken towards the smallest omega
+    rows, i = np.arange(len(x)), np.lexsort((x, -fx), axis=-1)[:, 0]
+    return x[rows, i], fx[rows, i]
 
 
 def optimize_omega(spec: ObjectiveSpec, pso: PsoConfig) -> OptResult:
@@ -183,31 +180,53 @@ def optimize_omega(spec: ObjectiveSpec, pso: PsoConfig) -> OptResult:
     towards the smallest omega. Identical inputs (including the seed) yield
     identical results.
     """
+    return optimize_omegas([spec], pso, [pso.seed])[0]
+
+
+def optimize_omegas(
+    specs: list[ObjectiveSpec], pso: PsoConfig, seeds: list[int]
+) -> list[OptResult]:
+    """:func:`optimize_omega` for each spec with its own seed (``pso.seed`` is unused).
+
+    The swarms of :data:`SWARM_CHUNK` specs step in lockstep, one batched
+    evaluation per iteration; each keeps its own random stream, so every
+    result is bit-identical to the one-spec run.
+    """
+    if len(specs) != len(seeds):
+        raise ValueError(f"{len(specs)} specs but {len(seeds)} seeds")
+    results: list[OptResult] = []
+    for i in range(0, len(specs), SWARM_CHUNK):
+        results += _lockstep_swarms(specs[i : i + SWARM_CHUNK], pso, seeds[i : i + SWARM_CHUNK])
+    return results
+
+
+def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
     lo, hi = pso.bounds
     if lo < 0.0:
         raise ValueError(f"omega domain starts at 0, got lower bound {lo!r}")
-    evaluator = _PeriodEvaluator(spec)
-    rng = np.random.default_rng(pso.seed)
+    evaluator = _PeriodEvaluator(specs)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+
+    def draw() -> np.ndarray:
+        return np.stack([rng.random(pso.n_particles) for rng in rngs])
+
     span = hi - lo
     v_max = 0.2 * span
 
-    x = lo + rng.random(pso.n_particles) * span
-    v = (2.0 * rng.random(pso.n_particles) - 1.0) * v_max
+    x = lo + draw() * span
+    v = (2.0 * draw() - 1.0) * v_max
     fx = evaluator.values(x)
-    evaluations = pso.n_particles
 
-    pbest_x = x.copy()
-    pbest_f = fx.copy()
+    pbest_x, pbest_f = x.copy(), fx.copy()
     best_x, best_f = _incumbent(x, fx)
-    converged_iteration = 0
+    converged_iteration = np.zeros(len(specs), dtype=int)
 
     for it in range(1, pso.n_iterations + 1):
-        r_cog = rng.random(pso.n_particles)
-        r_soc = rng.random(pso.n_particles)
+        r_cog, r_soc = draw(), draw()
         v = (
             pso.inertia * v
             + pso.cognitive * r_cog * (pbest_x - x)
-            + pso.social * r_soc * (best_x - x)
+            + pso.social * r_soc * (best_x[:, None] - x)
         )
         np.clip(v, -v_max, v_max, out=v)
         x = x + v
@@ -222,20 +241,19 @@ def optimize_omega(spec: ObjectiveSpec, pso: PsoConfig) -> OptResult:
         np.clip(x, lo, hi, out=x)
 
         fx = evaluator.values(x)
-        evaluations += pso.n_particles
 
         improved = fx > pbest_f
         pbest_x[improved] = x[improved]
         pbest_f[improved] = fx[improved]
 
         cand_x, cand_f = _incumbent(x, fx)
-        if cand_f > best_f or (cand_f == best_f and cand_x < best_x):
-            best_x, best_f = cand_x, cand_f
-            converged_iteration = it
+        better = (cand_f > best_f) | ((cand_f == best_f) & (cand_x < best_x))
+        best_x[better] = cand_x[better]
+        best_f[better] = cand_f[better]
+        converged_iteration[better] = it
 
-    return OptResult(
-        omega_star=best_x,
-        objective_value=best_f,
-        evaluations=evaluations,
-        converged_iteration=converged_iteration,
-    )
+    evaluations = pso.n_particles * (pso.n_iterations + 1)
+    return [
+        OptResult(float(bx), float(bf), evaluations, int(it))
+        for bx, bf, it in zip(best_x, best_f, converged_iteration)
+    ]

@@ -44,7 +44,7 @@ from .geometry import (
     path_to_interval,
     pose_to_direction,
 )
-from .optimizer import ObjectiveSpec, PsoConfig, optimize_omega
+from .optimizer import ObjectiveSpec, PsoConfig, optimize_omegas
 from .precoder import Precoder, adaptive_precoder, bf_gain_profile, mrt_precoder
 from .seeding import derive_seed
 
@@ -332,13 +332,12 @@ def run_sensing_assisted_direct(
     """
     times, seg_of, n_periods = _period_layout(sc)
     builder = _TraceBuilder(sc, SCHEME_PROPOSED)
-    for k in range(n_periods):
-        epoch = k * sc.tau
-        spec = sc.period_spec(epoch, alpha, n_quad)
-        result = optimize_omega(spec, replace(pso, seed=derive_seed("direct", pso.seed, k)))
+    specs = [sc.period_spec(k * sc.tau, alpha, n_quad) for k in range(n_periods)]
+    seeds = [derive_seed("direct", pso.seed, k) for k in range(n_periods)]
+    for k, (spec, result) in enumerate(zip(specs, optimize_omegas(specs, pso, seeds))):
         beam = adaptive_precoder(spec.interval, result.omega_star, sc.cfg)
         builder.add_segment(times[seg_of == k], beam, f"opt[{k}]")
-        builder.realignments.append(epoch)
+        builder.realignments.append(k * sc.tau)
     return builder.record()
 
 

@@ -1,4 +1,4 @@
-"""Reference forms of the precoder gain that the tests check the package against.
+"""Reference forms of the gain and period objective that the tests check the package against.
 
 Not named ``oracles``: ``perfbench/test_oracles.py`` imports its own
 ``oracles`` module, and both test directories sit on ``sys.path`` in one
@@ -9,7 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from thztrack import AngularInterval, ArrayConfig, beta_coeff, sample_fn
+from thztrack import (
+    AngularInterval,
+    ArrayConfig,
+    ObjectiveSpec,
+    beta_coeff,
+    channel_gain,
+    penalty,
+    pose_to_direction,
+    predict_pose,
+    sample_fn,
+)
 
 
 def g_coeff(n: int, omega: float, delta: float) -> float:
@@ -45,3 +55,33 @@ def bf_gain_closed_form(
     cross_matrix = 2.0 * np.cos(theta[:, None] - theta[None, :]) * np.outer(g, g)
     cross = float(np.sum(np.triu(cross_matrix, k=1)))
     return beta**2 * (diag + cross)
+
+
+def period_rates(spec: ObjectiveSpec, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature weights (summing to tau) and node rates (nodes x omegas), complex form.
+
+    Each omega's unit-power complex precoder ``exp(-j n pi theta_m) Sa(...) / norm``
+    is built explicitly and its gain taken as ``|a^H f|^2`` at every node.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(spec.n_quad)
+    t = 0.5 * spec.tau * (nodes + 1.0)
+    directions = [
+        pose_to_direction(predict_pose(spec.state, float(tk), spec.tau), spec.geom) for tk in t
+    ]
+    sins, dists = (np.array(v) for v in zip(*directions))
+    h0 = channel_gain(dists, spec.budget, spec.cfg)
+    snr = spec.budget.tx_power * h0 * h0 / (spec.budget.noise_psd * spec.budget.bandwidth)
+    n = np.arange(spec.cfg.n_antennas)
+    omegas = np.asarray(omegas, dtype=float)
+    g = np.asarray(sample_fn(spec.interval.delta * (omegas[None, :] - np.pi * n[:, None])))
+    precoders = np.exp(-1j * np.pi * spec.interval.theta_m * n)[:, None] * g
+    precoders /= np.sqrt(np.sum(g * g, axis=0))[None, :]
+    amp = np.exp(1j * np.pi * np.outer(sins, n)) @ precoders
+    gains = amp.real**2 + amp.imag**2
+    return 0.5 * spec.tau * weights, spec.budget.bandwidth * np.log2(1.0 + snr[:, None] * gains)
+
+
+def period_objective(spec: ObjectiveSpec, omegas) -> np.ndarray:
+    """Penalised average rate over the period for each omega, complex form."""
+    weights, rates = period_rates(spec, omegas)
+    return (weights @ (rates + penalty(rates, spec.r_min, spec.alpha))) / spec.tau

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a verdict.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 6 and 7 share a
-session-scoped default codebook build (about 1-2 minutes on a few cores).
+session-scoped default codebook build (about 13 s on two cores).
 """
 
 from __future__ import annotations

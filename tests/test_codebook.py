@@ -11,6 +11,7 @@ import pytest
 
 from thztrack import (
     AngularInterval,
+    CodebookBuildError,
     CodebookCorruptError,
     CodebookFingerprintError,
     CodebookGrid,
@@ -193,6 +194,46 @@ def test_load_rejects_non_finite_numbers(tiny_build, tmp_path, constant):
     path.write_text(json.dumps(payload).replace('"OMEGA"', constant))
     with pytest.raises(CodebookCorruptError, match="non-finite"):
         load(path)
+
+
+def _swap_indices(rows) -> None:
+    rows[1][:2], rows[2][:2] = rows[2][:2], rows[1][:2]
+
+
+def _bump_n_quad(rows) -> None:
+    rows[3][7] += 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows.pop(4), "rows cover"),
+        (lambda rows: rows.append(list(rows[0])), "rows cover"),
+        (_swap_indices, "does not match its grid interval"),
+        (_bump_n_quad, "n_quad"),
+    ],
+    ids=["missing", "duplicate", "mismatched-index", "mismatched-n_quad"],
+)
+def test_load_rejects_incomplete_or_inconsistent_cells(tiny_build, tmp_path, edit, message):
+    _, _, cb = tiny_build
+    path = tmp_path / "cb.json"
+    save(cb, path)
+    payload = json.loads(path.read_text())
+    edit(payload["entries"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CodebookCorruptError, match=message):
+        load(path)
+
+
+def test_build_error_names_failing_cell(tiny_build, small_pso):
+    grid, template, _ = tiny_build
+    # every cell fails on a negative lower bound; the first of the chunk is named
+    with pytest.raises(CodebookBuildError, match=r"cell \(0, 0\) at theta=0\.0 delta=0\.0"):
+        build_codebook(grid, template, replace(small_pso, bounds=(-1.0, 10.0)))
+    # the third cell of the chunk is the first to reach sine-space edge 1; it is named
+    wide = replace(grid, theta_range=(0.9, 0.95), delta_max=0.1, delta_step=0.05)
+    with pytest.raises(CodebookBuildError, match=r"cell \(0, 2\) at theta=0\.9 delta=0\.1"):
+        build_codebook(wide, template, small_pso)
 
 
 def test_load_version_mismatch(tiny_build, tmp_path):

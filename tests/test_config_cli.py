@@ -18,7 +18,7 @@ from thztrack import (
     render_config,
     resolve_r_min,
 )
-from thztrack.cli import main
+from thztrack.cli import _build_parser, main
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "table1.ini"
 
@@ -261,6 +261,32 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys):
 def test_cli_missing_codebook_exit_code(tmp_path):
     config = small_config_text(tmp_path)
     assert main(["simulate", "--config", str(config), "--scheme", "proposed"]) == 3
+
+
+def test_cli_incomplete_codebook_exit_code(tmp_path, capsys):
+    import json
+
+    config = small_config_text(tmp_path)
+    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
+    path = tmp_path / "cb.json"
+    payload = json.loads(path.read_text())
+    del payload["entries"][5:20]
+    path.write_text(json.dumps(payload))
+    assert main(["simulate", "--config", str(config), "--scheme", "proposed"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("codebook error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cli_seed_only_where_the_swarm_runs(tmp_path, command):
+    config = small_config_text(tmp_path)
+    extra = ["--axis", "velocity", "--values", "10"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), "--seed", "1", *extra])
+    assert exc.value.code == 2
+    parser = _build_parser()
+    for swarm_command in (["codebook-build"], ["pattern", "--velocities", "10"]):
+        assert parser.parse_args([*swarm_command, "--config", "x.ini", "--seed", "3"]).seed == 3
 
 
 def test_cli_fingerprint_mismatch_exit_code(tmp_path):

@@ -17,13 +17,16 @@ from thztrack import (
     bf_gain_direct,
     objective,
     optimize_omega,
+    optimize_omegas,
     penalty,
     pose_to_direction,
     predict_pose,
     pso_bounds,
     violation_mass,
 )
+from thztrack.optimizer import SWARM_CHUNK, _PeriodEvaluator
 from conftest import CARRIER_HZ, aligned_rate, make_budget, make_objective_spec, make_scenario
+from gain_reference import period_objective, period_rates
 
 CFG = ArrayConfig(128, CARRIER_HZ)
 BUDGET = make_budget()
@@ -159,3 +162,59 @@ def test_spec_validation():
         make_objective_spec(sc, alpha=-1.0)
     with pytest.raises(ValueError):
         make_objective_spec(sc, n_quad=4)
+
+
+def _mixed_specs(cfg: ArrayConfig, count: int, rng, n_quad: int = 64) -> list[ObjectiveSpec]:
+    """Specs over velocities, start angles, epochs and penalties; the first is static (delta 0)."""
+    aligned = aligned_rate(cfg, BUDGET)
+    specs = []
+    for i in range(count):
+        velocity = 0.0 if i == 0 else float(rng.uniform(5.0, 120.0))
+        sc = make_scenario(cfg, BUDGET, velocity=velocity)
+        sc = replace(sc, start_angle=float(rng.uniform(-0.6, 0.3)))
+        epoch = float(rng.uniform(0.0, 0.5)) if velocity else 0.0
+        spec = make_objective_spec(sc, float(rng.uniform(0.0, 50.0)), n_quad, epoch)
+        specs.append(replace(spec, r_min=float(rng.uniform(0.05, 1.0)) * aligned))
+    return specs
+
+
+@pytest.mark.parametrize("n_antennas", [16, 33, 128])
+def test_evaluator_matches_complex_reference(n_antennas):
+    rng = np.random.default_rng(n_antennas)
+    cfg = ArrayConfig(n_antennas, CARRIER_HZ)
+    specs = _mixed_specs(cfg, 5, rng)
+    assert specs[0].interval.delta == 0.0
+    full = (n_antennas - 1) * math.pi
+    # omega = 0 and n*pi zero the taper argument on one antenna; then both bounds
+    special = [0.0, math.pi, 5.0 * math.pi, full / 2.0, full]
+    omegas = np.array([special + list(rng.uniform(0.0, full, 15)) for _ in specs])
+    values = _PeriodEvaluator(specs).values(omegas)
+    masses = []
+    for spec, row, got in zip(specs, omegas, values):
+        assert np.allclose(got, period_objective(spec, row), rtol=1e-12, atol=0.0)
+        # one omega at a time takes a matrix-vector product, so compare to the reference
+        single = period_objective(spec, row[3:4])[0]
+        assert objective(float(row[3]), spec) == pytest.approx(single, rel=1e-12)
+        weights, rates = period_rates(spec, row[:5])
+        for omega, expected in zip(row, weights @ np.maximum(0.0, spec.r_min - rates)):
+            masses.append(violation_mass(float(omega), spec))
+            assert masses[-1] == pytest.approx(expected, rel=1e-12, abs=1e-6)
+    assert max(masses) > 0.0
+
+
+def test_optimize_omegas_bit_equal_to_per_spec_runs():
+    specs = _mixed_specs(CFG, 11, np.random.default_rng(11))
+    assert len(specs) % SWARM_CHUNK != 0
+    pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=16, n_iterations=25, seed=0)
+    seeds = [1000 + 7 * i for i in range(len(specs))]
+    batched = optimize_omegas(specs, pso, seeds)
+    single = [optimize_omega(spec, replace(pso, seed=seed)) for spec, seed in zip(specs, seeds)]
+    assert batched == single  # OptResult equality compares every float bit for bit
+
+
+def test_evaluator_rejects_mixed_shapes():
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError):
+        _PeriodEvaluator(_mixed_specs(CFG, 1, rng) + _mixed_specs(CFG, 1, rng, n_quad=32))
+    with pytest.raises(ValueError):
+        optimize_omegas(_mixed_specs(CFG, 2, rng), PsoConfig(bounds=(0.0, 1.0)), [1])

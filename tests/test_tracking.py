@@ -15,15 +15,20 @@ from thztrack import (
     TrackRecord,
     TrackingRunError,
     achievable_rate,
+    adaptive_precoder,
+    bf_gain_profile,
     build_codebook,
     compute_metrics,
     mean_realignment_slots,
+    optimize_omega,
     run_conventional,
     run_event_based,
     run_sensing_assisted,
     run_sensing_assisted_direct,
     sweep,
 )
+from thztrack.optimizer import SWARM_CHUNK
+from thztrack.seeding import derive_seed
 from conftest import aligned_rate, make_objective_spec, make_scenario
 
 TAU = 0.165
@@ -204,6 +209,9 @@ def test_sweep_rows_independent_of_jobs(small_scenario, small_codebook):
     args = (small_scenario, "velocity", [10.0, 25.0], ["proposed", "conventional", "event"])
     serial = sweep(*args, small_codebook, jobs=1)
     assert sweep(*args, small_codebook, jobs=2) == serial
+    # the power axis re-optimises every period in lockstep swarms
+    args = (small_scenario, "tx_power", [30.0, 40.0], ["proposed"])
+    assert sweep(*args, small_codebook, jobs=2) == sweep(*args, small_codebook, jobs=1)
 
 
 def test_sweep_rejects_bad_input(small_scenario, small_codebook):
@@ -234,6 +242,22 @@ def test_direct_run_trace_symmetry(small_scenario, small_pso):
             continue
         corr = float(np.corrcoef(seg, seg[::-1])[0, 1])
         assert corr > 0.95
+
+
+def test_direct_run_matches_per_period_swarms(small_scenario, small_pso):
+    # one batched call reproduces a swarm per period seeded with ("direct", seed, k)
+    sc = small_scenario
+    rec = run_sensing_assisted_direct(sc, small_pso, alpha=10.0, n_quad=16)
+    beam_ids = np.array(rec.beam_ids)
+    n_periods = len(set(rec.beam_ids))
+    assert n_periods > SWARM_CHUNK
+    for k in range(n_periods):
+        spec = sc.period_spec(k * sc.tau, 10.0, 16)
+        seed = derive_seed("direct", small_pso.seed, k)
+        omega = optimize_omega(spec, replace(small_pso, seed=seed)).omega_star
+        beam = adaptive_precoder(spec.interval, omega, sc.cfg)
+        mask = beam_ids == f"opt[{k}]"
+        assert np.array_equal(rec.bf_gains[mask], bf_gain_profile(rec.sin_dirs[mask], beam, sc.cfg))
 
 
 def test_scenario_validation(small_cfg, small_budget):
