@@ -61,6 +61,7 @@ from .geometry import (
     path_to_interval,
     point_at_direction,
     pose_to_direction,
+    positions_to_directions,
     predict_pose,
 )
 from .optimizer import (
@@ -68,11 +69,13 @@ from .optimizer import (
     OptResult,
     PsoConfig,
     objective,
+    objectives,
     optimize_omega,
     optimize_omegas,
     penalty,
     pso_bounds,
     violation_mass,
+    violation_masses,
 )
 from .precoder import (
     Precoder,

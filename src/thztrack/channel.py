@@ -110,12 +110,19 @@ def array_response(sin_dir: float, cfg: ArrayConfig) -> np.ndarray:
 
 
 def response_matrix(sin_dirs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Stack of array response vectors, one row per direction."""
-    s = np.asarray(sin_dirs, dtype=float)
+    """Stack of array response vectors, one row per direction.
+
+    Row elements are the powers z^n of z = exp(-j * pi * sin_dir), formed by a
+    running product: one complex exponential per direction instead of one per
+    element. Element n then carries a rounding error of about n ulps.
+    """
+    s = np.asarray(sin_dirs, dtype=float).reshape(-1)
     if np.any(np.abs(s) > 1.0):
         raise ValueError("sine directions must lie in [-1, 1]")
-    n = np.arange(cfg.n_antennas)
-    return np.exp(-1j * np.pi * np.outer(s, n))
+    rows = np.empty((len(s), cfg.n_antennas), dtype=complex)
+    rows[:, 0] = 1.0
+    rows[:, 1:] = np.exp(-1j * np.pi * s)[:, None]
+    return np.cumprod(rows, axis=1, out=rows)
 
 
 def fraunhofer_distance(cfg: ArrayConfig) -> float:

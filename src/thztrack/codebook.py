@@ -89,14 +89,21 @@ class CodebookGrid:
         if self.delta_max < 0.0:
             raise ValueError(f"delta_max must be >= 0, got {self.delta_max!r}")
 
-    def theta_values(self) -> list[float]:
+    @property
+    def theta_count(self) -> int:
         lo, hi = self.theta_range
-        count = int(math.ceil((hi - lo) / self.theta_step - 1e-9)) + 1
-        return [lo + i * self.theta_step for i in range(count)]
+        return int(math.ceil((hi - lo) / self.theta_step - 1e-9)) + 1
+
+    @property
+    def delta_count(self) -> int:
+        return int(math.ceil(self.delta_max / self.delta_step - 1e-9)) + 1
+
+    def theta_values(self) -> list[float]:
+        lo = self.theta_range[0]
+        return [lo + i * self.theta_step for i in range(self.theta_count)]
 
     def delta_values(self) -> list[float]:
-        count = int(math.ceil(self.delta_max / self.delta_step - 1e-9)) + 1
-        return [i * self.delta_step for i in range(count)]
+        return [i * self.delta_step for i in range(self.delta_count)]
 
     def contains(self, interval: AngularInterval) -> bool:
         lo, hi = self.theta_range
@@ -240,25 +247,37 @@ def build_codebook(
 
 
 def lookup_indices(cb: Codebook, interval: AngularInterval) -> tuple[int, int]:
-    """Grid indices serving a query: nearest centre, half-width rounded up."""
-    if not cb.grid.contains(interval):
+    """Grid indices serving a query: nearest centre, half-width rounded up.
+
+    The centre index is the nearest centre, a higher one winning only when
+    nearer by more than 1e-15 (so ties go to the lower index); the row index is
+    the first row at or above delta * (1 - 1e-12) - 1e-15. Both come from
+    arithmetic on the grid steps, corrected against the neighbouring grid
+    values, which equals a scan of the grid for steps far above 1e-15.
+    """
+    grid = cb.grid
+    if not grid.contains(interval):
         raise CodebookRangeError(
             f"interval (theta={interval.theta_m!r}, delta={interval.delta!r}) "
             f"outside grid range; rebuild with a wider grid"
         )
-    centres = cb.grid.theta_values()
-    ti = 0
-    for i, centre in enumerate(centres):
-        if abs(centre - interval.theta_m) < abs(centres[ti] - interval.theta_m) - 1e-15:
-            ti = i
-    rows = cb.grid.delta_values()
-    di = None
+    lo, step, theta = grid.theta_range[0], grid.theta_step, interval.theta_m
+    last = grid.theta_count - 1
+    # ti: the centre at or just below theta. Rounding can put it one off only
+    # when theta lies within a few ulps of a centre, and the comparison with
+    # the next centre then still picks that nearest centre.
+    ti = min(max(math.floor((theta - lo) / step), 0), last)
+    if ti < last and abs(lo + (ti + 1) * step - theta) < abs(lo + ti * step - theta) - 1e-15:
+        ti += 1
+
+    row_step, top = grid.delta_step, grid.delta_count - 1
     target = interval.delta * (1.0 - 1e-12) - 1e-15
-    for i, row in enumerate(rows):
-        if row >= target:
-            di = i
-            break
-    if di is None:  # grid rows always reach delta_max, guarded by contains()
+    di = min(max(math.ceil(target / row_step), 0), top + 1)
+    while di > 0 and (di - 1) * row_step >= target:
+        di -= 1
+    while di <= top and di * row_step < target:
+        di += 1
+    if di > top:  # grid rows reach delta_max, up to the 1e-12 slack of contains()
         raise CodebookRangeError(f"no grid row covers half-width {interval.delta!r}")
     return ti, di
 

@@ -114,14 +114,15 @@ def _parse_value(section: str, key: str, raw: str):
     raw = raw.strip()
     if key == "r_min_bps" and raw == "auto":
         return None
+    if key in _STR_KEYS:
+        return raw
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _STR_KEYS:
-            return raw
-        return float(raw)
+        value = int(raw) if key in _INT_KEYS else float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    if not math.isfinite(value):  # nan, inf, and literals such as 1e999 that overflow to inf
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:

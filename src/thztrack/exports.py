@@ -31,10 +31,25 @@ def _require_finite(name: str, values) -> None:
         raise ValueError(f"refusing to export non-finite values in column {name!r}")
 
 
-def _join(values, delimiter: str) -> str:
-    return delimiter.join(
-        '"' + v.replace('"', '""') + '"' if delimiter in v or '"' in v else v for v in values
-    )
+def _quoted(column: list[str], delimiter: str) -> list[str]:
+    """The column with every field that holds the delimiter or a double quote quoted CSV-style."""
+    text = "\n".join(column)
+    if delimiter not in text and '"' not in text:
+        return column
+    return ['"' + v.replace('"', '""') + '"' if delimiter in v or '"' in v else v for v in column]
+
+
+def _reprs(values) -> list[str]:
+    """Shortest round-trip text of each value as a float."""
+    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _write_rows(sink, header: tuple[str, ...], columns: list[list[str]], delimiter: str) -> None:
+    """Write the header and the rows formed by ``columns``, quoting fields column by column."""
+    quoted = [_quoted(column, delimiter) for column in columns]
+    lines = [delimiter.join(header)]
+    lines.extend(delimiter.join(row) for row in zip(*quoted))
+    _write_lines(sink, lines)
 
 
 def _write_lines(sink, lines: list[str]) -> None:
@@ -54,44 +69,31 @@ def write_trace(rec: TrackRecord, sink, delimiter: str = ",") -> None:
         ("rate_bps", rec.rates),
     ):
         _require_finite(name, column)
-    lines = [delimiter.join(TRACE_COLUMNS)]
-    for i in range(len(rec.times)):
-        lines.append(
-            _join(
-                (
-                    repr(float(rec.times[i])),
-                    rec.scheme,
-                    repr(float(rec.sin_dirs[i])),
-                    repr(float(rec.distances[i])),
-                    repr(float(rec.bf_gains[i])),
-                    repr(float(rec.rates[i])),
-                    str(int(rec.outages[i])),
-                    rec.beam_ids[i],
-                ),
-                delimiter,
-            )
-        )
-    _write_lines(sink, lines)
+    columns = [
+        _reprs(rec.times),
+        [rec.scheme] * len(rec.times),
+        _reprs(rec.sin_dirs),
+        _reprs(rec.distances),
+        _reprs(rec.bf_gains),
+        _reprs(rec.rates),
+        [str(v) for v in np.asarray(rec.outages, dtype=int).tolist()],
+        rec.beam_ids,
+    ]
+    _write_rows(sink, TRACE_COLUMNS, columns, delimiter)
 
 
 def write_sweep(rows: list[SweepRow], sink, delimiter: str = ",") -> None:
-    lines = [delimiter.join(SWEEP_COLUMNS)]
     for row in rows:
         _require_finite("avg_rate_bps", [row.metrics.avg_rate])
         _require_finite("outage_prob", [row.metrics.outage_prob])
-        lines.append(
-            _join(
-                (
-                    repr(float(row.value)),
-                    row.scheme,
-                    repr(float(row.metrics.avg_rate)),
-                    repr(float(row.metrics.outage_prob)),
-                    str(row.metrics.realignment_count),
-                ),
-                delimiter,
-            )
-        )
-    _write_lines(sink, lines)
+    columns = [
+        _reprs([row.value for row in rows]),
+        [row.scheme for row in rows],
+        _reprs([row.metrics.avg_rate for row in rows]),
+        _reprs([row.metrics.outage_prob for row in rows]),
+        [str(row.metrics.realignment_count) for row in rows],
+    ]
+    _write_rows(sink, SWEEP_COLUMNS, columns, delimiter)
 
 
 def pattern_gain_db(gains: np.ndarray) -> np.ndarray:

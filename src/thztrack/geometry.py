@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 Point = tuple[float, float]
 
 
@@ -124,6 +126,19 @@ def pose_to_direction(pose: TargetPose, geom: BsGeometry) -> tuple[float, float]
     bx, by = geom.boresight
     sin_dir = (bx * ry - by * rx) / distance
     return max(-1.0, min(1.0, sin_dir)), distance
+
+
+def positions_to_directions(
+    xs: np.ndarray, ys: np.ndarray, geom: BsGeometry
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`pose_to_direction`: (sines, distances) of positions (xs, ys)."""
+    rx = np.asarray(xs, dtype=float) - geom.origin[0]
+    ry = np.asarray(ys, dtype=float) - geom.origin[1]
+    distances = np.hypot(rx, ry)
+    if np.any(distances <= 0.0):
+        raise ValueError("target position coincides with the base station origin")
+    bx, by = geom.boresight
+    return np.clip((bx * ry - by * rx) / distances, -1.0, 1.0), distances
 
 
 def path_to_interval(state: SensedState, tau: float, geom: BsGeometry) -> AngularInterval:

@@ -151,18 +151,33 @@ class _PeriodEvaluator:
         return self.weights @ (rates + penalty(rates, self.r_min, self.alpha))
 
 
+def _omega_row(omegas) -> np.ndarray:
+    row = np.asarray(omegas, dtype=float).reshape(1, -1)
+    if not np.all(np.isfinite(row)):
+        raise ValueError(f"omega must be finite, got {omegas!r}")
+    return row
+
+
+def objectives(omegas, spec: ObjectiveSpec) -> np.ndarray:
+    """:func:`objective` at each of many omegas, from one evaluator of ``spec``."""
+    return _PeriodEvaluator([spec]).values(_omega_row(omegas))[0]
+
+
+def violation_masses(omegas, spec: ObjectiveSpec) -> np.ndarray:
+    """:func:`violation_mass` at each of many omegas, from one evaluator of ``spec``."""
+    ev = _PeriodEvaluator([spec])
+    rates = ev.rates(_omega_row(omegas))[0]  # nodes x omegas
+    return spec.tau * (ev.weights @ np.maximum(0.0, spec.r_min - rates))
+
+
 def objective(omega: float, spec: ObjectiveSpec) -> float:
     """Penalised average rate over one sensing period for the given omega."""
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega!r}")
-    return float(_PeriodEvaluator([spec]).values(np.full((1, 1), omega))[0, 0])
+    return float(objectives([omega], spec)[0])
 
 
 def violation_mass(omega: float, spec: ObjectiveSpec) -> float:
     """Integral of the rate shortfall max(0, r_min - R(t)) over the period."""
-    ev = _PeriodEvaluator([spec])
-    rates = ev.rates(np.full((1, 1), omega))[0, :, 0]
-    return float(spec.tau * (ev.weights @ np.maximum(0.0, spec.r_min - rates)))
+    return float(violation_masses([omega], spec)[0])
 
 
 def _incumbent(x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -124,8 +124,12 @@ def bf_gain_direct(sin_dir: float, precoder: Precoder, cfg: ArrayConfig) -> floa
 
 
 def bf_gain_profile(sin_dirs: np.ndarray, precoder: Precoder, cfg: ArrayConfig) -> np.ndarray:
-    """Vectorised beamforming gain over many directions."""
+    """Vectorised beamforming gain |sum_n a_n(s) conj(f_n)|^2 over many directions.
+
+    The sum runs in ``np.einsum``'s own loop rather than a BLAS product, so a
+    trace never wakes the BLAS thread pool.
+    """
     if len(precoder.weights) != cfg.n_antennas:
         raise ValueError("precoder length does not match the antenna count")
-    amp = np.conj(response_matrix(sin_dirs, cfg)) @ precoder.weights
+    amp = np.einsum("ij,j->i", response_matrix(sin_dirs, cfg), np.conj(precoder.weights))
     return amp.real**2 + amp.imag**2

@@ -43,6 +43,7 @@ from .geometry import (
     TargetPose,
     path_to_interval,
     pose_to_direction,
+    positions_to_directions,
 )
 from .optimizer import ObjectiveSpec, PsoConfig, optimize_omegas
 from .precoder import Precoder, adaptive_precoder, bf_gain_profile, mrt_precoder
@@ -126,7 +127,8 @@ class Scenario:
             return self.tau
         return (self.lateral_end - self.lateral_start) / self.velocity
 
-    def position_at(self, t: float) -> tuple[float, float]:
+    def position_at(self, t):
+        """Target position at time ``t``; an array of times gives arrays of coordinates."""
         bx, by = self.geom.boresight
         px, py = self.geom.lateral
         lateral = self.lateral_start + self.velocity * t
@@ -147,6 +149,11 @@ class Scenario:
     def direction_at(self, t: float) -> tuple[float, float]:
         pose = TargetPose(position=self.position_at(t), elapsed=0.0)
         return pose_to_direction(pose, self.geom)
+
+    def directions_at(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Array form of :meth:`direction_at`: (sines, distances) at every time in ``times``."""
+        xs, ys = self.position_at(np.asarray(times, dtype=float))
+        return positions_to_directions(xs, ys, self.geom)
 
     def period_spec(self, epoch: float, alpha: float, n_quad: int) -> ObjectiveSpec:
         """Objective of the period starting at ``epoch``, predicted from the state sensed then."""
@@ -226,70 +233,56 @@ def _sample_times(duration: float, dt: float) -> np.ndarray:
     return np.arange(count + 1) * dt
 
 
-def _segment_bounds(times: np.ndarray, period: float, n_segments: int) -> np.ndarray:
-    idx = np.floor(times / period + 1e-9).astype(int)
-    return np.minimum(idx, n_segments - 1)
-
-
 class _TraceBuilder:
-    """Accumulates per-segment samples evaluated against a held beam."""
+    """Samples an episode once, then evaluates held beams on contiguous segments of it.
 
-    def __init__(self, sc: Scenario, scheme: str):
+    Segment k (a sensing period or an event slot of length ``period``) holds the
+    samples with floor(t / period + 1e-9) == k, the last segment taking any
+    samples beyond it.
+    """
+
+    def __init__(self, sc: Scenario, scheme: str, period: float):
         self.sc = sc
         self.scheme = scheme
-        self.times: list[np.ndarray] = []
-        self.sins: list[np.ndarray] = []
-        self.dists: list[np.ndarray] = []
-        self.gains: list[np.ndarray] = []
-        self.rates: list[np.ndarray] = []
+        self.times = _sample_times(sc.duration, sc.time_step)
+        self.sins, self.dists = sc.directions_at(self.times)
+        self.n_segments = max(1, int(math.ceil(sc.duration / period - 1e-9)))
+        seg_of = np.minimum(np.floor(self.times / period + 1e-9).astype(int), self.n_segments - 1)
+        self.starts = np.searchsorted(seg_of, np.arange(self.n_segments + 1))
+        self.gains = np.empty(len(self.times))
+        self.rates = np.empty(len(self.times))
         self.beam_ids: list[str] = []
         self.realignments: list[float] = []
 
-    def add_segment(self, seg_times: np.ndarray, beam: Precoder, beam_id: str) -> bool:
-        """Evaluate one held-beam segment; returns True when it had an outage."""
+    def add_segment(self, k: int, beam: Precoder, beam_id: str) -> bool:
+        """Evaluate segment ``k`` under a held beam; returns True when it had an outage."""
         sc = self.sc
-        sins = np.empty(len(seg_times))
-        dists = np.empty(len(seg_times))
-        for i, t in enumerate(seg_times):
-            sins[i], dists[i] = sc.direction_at(float(t))
-        gains = bf_gain_profile(sins, beam, sc.cfg)
-        rates = achievable_rate(gains, dists, sc.budget, sc.cfg)
-        self.times.append(seg_times)
-        self.sins.append(sins)
-        self.dists.append(dists)
-        self.gains.append(gains)
-        self.rates.append(np.asarray(rates))
-        self.beam_ids.extend([beam_id] * len(seg_times))
-        return bool(np.any(np.asarray(rates) < sc.r_min))
+        seg = slice(self.starts[k], self.starts[k + 1])
+        self.gains[seg] = bf_gain_profile(self.sins[seg], beam, sc.cfg)
+        self.rates[seg] = achievable_rate(self.gains[seg], self.dists[seg], sc.budget, sc.cfg)
+        self.beam_ids.extend([beam_id] * (seg.stop - seg.start))
+        return bool(np.any(self.rates[seg] < sc.r_min))
 
     def record(self) -> TrackRecord:
-        rates = np.concatenate(self.rates)
         return TrackRecord(
             scheme=self.scheme,
-            times=np.concatenate(self.times),
-            sin_dirs=np.concatenate(self.sins),
-            distances=np.concatenate(self.dists),
-            bf_gains=np.concatenate(self.gains),
-            rates=rates,
-            outages=rates < self.sc.r_min,
+            times=self.times,
+            sin_dirs=self.sins,
+            distances=self.dists,
+            bf_gains=self.gains,
+            rates=self.rates,
+            outages=self.rates < self.sc.r_min,
             beam_ids=self.beam_ids,
             realignment_times=self.realignments,
             r_min=self.sc.r_min,
         )
 
 
-def _period_layout(sc: Scenario) -> tuple[np.ndarray, np.ndarray, int]:
-    times = _sample_times(sc.duration, sc.time_step)
-    n_periods = max(1, int(math.ceil(sc.duration / sc.tau - 1e-9)))
-    return times, _segment_bounds(times, sc.tau, n_periods), n_periods
-
-
 def run_sensing_assisted(sc: Scenario, cb: Codebook) -> TrackRecord:
     """Proposed scheme: per-period codebook beams over predicted intervals."""
     check_fingerprint(cb, sc.fingerprint(cb.alpha))
-    times, seg_of, n_periods = _period_layout(sc)
-    builder = _TraceBuilder(sc, SCHEME_PROPOSED)
-    for k in range(n_periods):
+    builder = _TraceBuilder(sc, SCHEME_PROPOSED, sc.tau)
+    for k in range(builder.n_segments):
         epoch = k * sc.tau
         state = sc.state_at(epoch)
         interval = path_to_interval(state, sc.tau, sc.geom)
@@ -300,20 +293,19 @@ def run_sensing_assisted(sc: Scenario, cb: Codebook) -> TrackRecord:
                 f"no codebook beam for epoch {k} (t={epoch:.6g} s): {exc}"
             ) from exc
         beam = entry_precoder(cb.entries[(ti, di)], sc.cfg)
-        builder.add_segment(times[seg_of == k], beam, f"cb[{ti},{di}]")
+        builder.add_segment(k, beam, f"cb[{ti},{di}]")
         builder.realignments.append(epoch)
     return builder.record()
 
 
 def run_conventional(sc: Scenario) -> TrackRecord:
     """Baseline: per-period MRT beam at the target's direction at each epoch."""
-    times, seg_of, n_periods = _period_layout(sc)
-    builder = _TraceBuilder(sc, SCHEME_CONVENTIONAL)
-    for k in range(n_periods):
+    builder = _TraceBuilder(sc, SCHEME_CONVENTIONAL, sc.tau)
+    for k in range(builder.n_segments):
         epoch = k * sc.tau
         sin_dir, _ = sc.direction_at(epoch)
         beam = mrt_precoder(sin_dir, sc.cfg)
-        builder.add_segment(times[seg_of == k], beam, f"mrt[{k}]")
+        builder.add_segment(k, beam, f"mrt[{k}]")
         builder.realignments.append(epoch)
     return builder.record()
 
@@ -330,13 +322,12 @@ def run_sensing_assisted_direct(
     the stored fingerprint binds the build power, so each power point
     re-optimises its period beams directly on the unquantised intervals.
     """
-    times, seg_of, n_periods = _period_layout(sc)
-    builder = _TraceBuilder(sc, SCHEME_PROPOSED)
-    specs = [sc.period_spec(k * sc.tau, alpha, n_quad) for k in range(n_periods)]
-    seeds = [derive_seed("direct", pso.seed, k) for k in range(n_periods)]
+    builder = _TraceBuilder(sc, SCHEME_PROPOSED, sc.tau)
+    specs = [sc.period_spec(k * sc.tau, alpha, n_quad) for k in range(builder.n_segments)]
+    seeds = [derive_seed("direct", pso.seed, k) for k in range(builder.n_segments)]
     for k, (spec, result) in enumerate(zip(specs, optimize_omegas(specs, pso, seeds))):
         beam = adaptive_precoder(spec.interval, result.omega_star, sc.cfg)
-        builder.add_segment(times[seg_of == k], beam, f"opt[{k}]")
+        builder.add_segment(k, beam, f"opt[{k}]")
         builder.realignments.append(k * sc.tau)
     return builder.record()
 
@@ -359,23 +350,17 @@ def run_event_based(sc: Scenario, params: EventBasedParams) -> TrackRecord:
     the next slot boundary and reset the uncertainty, otherwise grow it by
     weight * rw_var per slot.
     """
-    times = _sample_times(sc.duration, sc.time_step)
-    n_slots = max(1, int(math.ceil(sc.duration / params.slot - 1e-9)))
-    slot_of = _segment_bounds(times, params.slot, n_slots)
-
-    builder = _TraceBuilder(sc, SCHEME_EVENT)
+    builder = _TraceBuilder(sc, SCHEME_EVENT, params.slot)
     estimate, _ = sc.direction_at(0.0)
     variance = 0.0
     growth = params.weight * params.rw_var * EVENT_VARIANCE_UNIT
     segment = 0
     builder.realignments.append(0.0)
 
-    for k in range(n_slots):
+    for k in range(builder.n_segments):
         half_width = EVENT_COVERAGE_SIGMAS * math.sqrt(variance)
         beam = _event_beam(sc, estimate, half_width)
-        had_outage = builder.add_segment(
-            times[slot_of == k], beam, f"event[{segment}]"
-        )
+        had_outage = builder.add_segment(k, beam, f"event[{segment}]")
         boundary = (k + 1) * params.slot
         if had_outage and boundary < sc.duration:
             estimate, _ = sc.direction_at(boundary)

@@ -13,6 +13,7 @@ from thztrack import (
     AngularInterval,
     ArrayConfig,
     ObjectiveSpec,
+    Precoder,
     beta_coeff,
     channel_gain,
     penalty,
@@ -55,6 +56,13 @@ def bf_gain_closed_form(
     cross_matrix = 2.0 * np.cos(theta[:, None] - theta[None, :]) * np.outer(g, g)
     cross = float(np.sum(np.triu(cross_matrix, k=1)))
     return beta**2 * (diag + cross)
+
+
+def bf_gain_profile_outer(sin_dirs, precoder: Precoder, cfg: ArrayConfig) -> np.ndarray:
+    """Gain over many directions as conj(exp(-j pi outer(s, n))) @ f: one exponential per element."""
+    n = np.arange(cfg.n_antennas)
+    amp = np.conj(np.exp(-1j * np.pi * np.outer(sin_dirs, n))) @ precoder.weights
+    return amp.real**2 + amp.imag**2
 
 
 def period_rates(spec: ObjectiveSpec, omegas) -> tuple[np.ndarray, np.ndarray]:

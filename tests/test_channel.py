@@ -16,6 +16,7 @@ from thztrack import (
     channel_gain,
     dbm_to_watt,
     fraunhofer_distance,
+    response_matrix,
     watt_to_dbm,
 )
 from conftest import CARRIER_HZ, aligned_rate, make_budget
@@ -43,6 +44,23 @@ def test_array_response_rejects_out_of_range():
     cfg = ArrayConfig(4, CARRIER_HZ)
     with pytest.raises(ValueError):
         array_response(1.0001, cfg)
+
+
+def test_response_matrix_rows_are_array_responses():
+    cfg = ArrayConfig(33, CARRIER_HZ)
+    dirs = np.array([-1.0, -0.37, 0.0, 0.5, 1.0])
+    rows = response_matrix(dirs, cfg)
+    assert rows.shape == (len(dirs), cfg.n_antennas)
+    assert np.all(rows[:, 0] == 1.0)
+    for s, row in zip(dirs, rows):
+        assert np.allclose(row, array_response(float(s), cfg), rtol=0.0, atol=1e-13)
+
+
+def test_response_matrix_rejects_out_of_range():
+    cfg = ArrayConfig(8, CARRIER_HZ)
+    for bad in ([1.0 + 1e-12], [0.0, -1.5]):
+        with pytest.raises(ValueError):
+            response_matrix(np.array(bad), cfg)
 
 
 def test_array_response_norm_and_conjugate():

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from thztrack import (
     AngularInterval,
@@ -117,6 +121,82 @@ def test_lookup_coverage_soundness(tiny_build):
         q = AngularInterval(rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.02))
         entry = lookup(cb, q)
         assert entry.interval.delta >= q.delta - 1e-12
+
+
+def _scan_lookup_indices(grid: CodebookGrid, interval: AngularInterval) -> tuple[int, int]:
+    """Reference lookup: a linear scan over the centres and the rows of the grid."""
+    if not grid.contains(interval):
+        raise CodebookRangeError("outside grid range")
+    centres = grid.theta_values()
+    ti = 0
+    for i, centre in enumerate(centres):
+        if abs(centre - interval.theta_m) < abs(centres[ti] - interval.theta_m) - 1e-15:
+            ti = i
+    target = interval.delta * (1.0 - 1e-12) - 1e-15
+    for di, row in enumerate(grid.delta_values()):
+        if row >= target:
+            return ti, di
+    raise CodebookRangeError("no grid row covers the half-width")
+
+
+@st.composite
+def _grid_and_query(draw):
+    lo = draw(st.floats(-0.9, 0.9))
+    hi = min(lo + draw(st.floats(0.0, 0.8)), 0.99)
+    grid = CodebookGrid(
+        theta_step=draw(st.floats(1e-3, 0.2)),
+        delta_step=draw(st.floats(1e-3, 0.1)),
+        theta_range=(lo, hi),
+        delta_max=draw(st.floats(0.0, 0.3)),
+    )
+    centres, rows = grid.theta_values(), grid.delta_values()
+    i = draw(st.integers(0, len(centres) - 1))
+    theta = draw(
+        st.sampled_from(
+            [centres[i], 0.5 * (centres[i] + centres[min(i + 1, len(centres) - 1)]),
+             lo - 1e-12, hi + 1e-12]
+        )
+        | st.floats(lo - 2e-12, hi + 2e-12)
+    )
+    j = draw(st.integers(0, len(rows) - 1))
+    delta = draw(
+        st.sampled_from(
+            # a row, a half-width whose round-up target lands on that row, the top of the range
+            [rows[j], (rows[j] + 1e-15) / (1.0 - 1e-12), grid.delta_max, grid.delta_max + 1e-12]
+        )
+        | st.floats(0.0, grid.delta_max + 2e-12)
+    )
+    # one ulp either side of the drawn values, or the values themselves
+    theta = float(np.nextafter(theta, draw(st.sampled_from([-math.inf, theta, math.inf]))))
+    delta = max(0.0, float(np.nextafter(delta, draw(st.sampled_from([-math.inf, delta, math.inf])))))
+    try:
+        interval = AngularInterval(theta, delta)
+    except ValueError:
+        assume(False)
+    return grid, interval
+
+
+# ceil(target / step) overshoots the covering row here, and floor((theta - lo) / step)
+# the centre at or below theta, by one
+_ROUNDING_EDGES = (
+    (CodebookGrid(0.01, 0.006, (-0.9, 0.5), 0.2), AngularInterval(0.0, 0.17400000000017501)),
+    (CodebookGrid(0.1 / 3, 0.02, (-0.9, 0.5), 0.02), AngularInterval(-0.2666666666666668, 0.0)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grid_and_query())
+@example(_ROUNDING_EDGES[0])
+@example(_ROUNDING_EDGES[1])
+def test_lookup_indices_match_grid_scan(case):
+    grid, interval = case
+    try:
+        expected = _scan_lookup_indices(grid, interval)
+    except CodebookRangeError:
+        with pytest.raises(CodebookRangeError):
+            lookup_indices(SimpleNamespace(grid=grid), interval)
+    else:
+        assert lookup_indices(SimpleNamespace(grid=grid), interval) == expected
 
 
 def test_lookup_out_of_range(tiny_build):
@@ -254,7 +334,7 @@ def test_load_missing_file(tmp_path):
 
 def test_entry_optimality_floor(tiny_build):
     # stored omegas stay within 1e-4 relative of a 256-point grid search
-    from thztrack import objective
+    from thztrack import objectives
 
     grid, template, cb = tiny_build
     distance = _template_perpendicular_distance(template)
@@ -262,7 +342,7 @@ def test_entry_optimality_floor(tiny_build):
     for ti, di in [(0, 1), (1, 2), (2, 1)]:
         entry = cb.entries[(ti, di)]
         spec = _cell_spec(template, entry.interval.theta_m, entry.interval.delta, distance)
-        best = max(objective(float(w), spec) for w in np.linspace(lo, hi, 257))
+        best = float(np.max(objectives(np.linspace(lo, hi, 257), spec)))
         assert entry.objective_value >= best * (1.0 - 1e-4)
 
 

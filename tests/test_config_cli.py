@@ -313,6 +313,32 @@ def test_cli_invalid_config_value_exit_code(tmp_path, capsys, key, value):
     assert err.startswith("configuration error: invalid value") and err.count("\n") == 1
 
 
+def _float_keys() -> list[tuple[str, str]]:
+    from dataclasses import fields
+
+    from thztrack.config import _SECTIONS
+
+    return [
+        (section, f.name)
+        for section, cls in _SECTIONS.items()
+        for f in fields(cls)
+        if "float" in str(f.type)
+    ]
+
+
+@pytest.mark.parametrize("section, key", _float_keys())
+def test_cli_non_finite_config_value_exit_code(tmp_path, capsys, section, key):
+    config = small_config_text(tmp_path)
+    text = config.read_text()
+    for value in ("nan", "inf", "-inf", "1e999"):
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in text.splitlines()]
+        config.write_text("\n".join(lines) + "\n")
+        assert main(["simulate", "--config", str(config), "--scheme", "conventional"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: [{section}] {key}: {value!r} is not a finite number\n"
+
+
 def test_cli_run_failure_exit_code(tmp_path, capsys):
     # the small grid cannot cover a 40 m/s path, so the proposed run fails
     config = small_config_text(tmp_path)

@@ -16,6 +16,7 @@ from thztrack import (
     adaptive_precoder,
     bf_gain_direct,
     objective,
+    objectives,
     optimize_omega,
     optimize_omegas,
     penalty,
@@ -23,6 +24,7 @@ from thztrack import (
     predict_pose,
     pso_bounds,
     violation_mass,
+    violation_masses,
 )
 from thztrack.optimizer import SWARM_CHUNK, _PeriodEvaluator
 from conftest import CARRIER_HZ, aligned_rate, make_budget, make_objective_spec, make_scenario
@@ -114,7 +116,7 @@ def test_optimize_beats_grid_search():
     pso = PsoConfig(bounds=pso_bounds(CFG), seed=5)
     result = optimize_omega(spec, pso)
     grid = np.linspace(*pso.bounds, 257)
-    best_grid = max(objective(float(w), spec) for w in grid)
+    best_grid = float(np.max(objectives(grid, spec)))
     assert result.objective_value >= best_grid * (1.0 - 1e-4)
     assert pso.bounds[0] <= result.omega_star <= pso.bounds[1]
 
@@ -200,6 +202,23 @@ def test_evaluator_matches_complex_reference(n_antennas):
             masses.append(violation_mass(float(omega), spec))
             assert masses[-1] == pytest.approx(expected, rel=1e-12, abs=1e-6)
     assert max(masses) > 0.0
+
+
+@pytest.mark.parametrize("n_antennas", [16, 33, 128])
+def test_batch_entry_points_match_scalar_calls(n_antennas):
+    rng = np.random.default_rng(100 + n_antennas)
+    cfg = ArrayConfig(n_antennas, CARRIER_HZ)
+    full = (n_antennas - 1) * math.pi
+    omegas = np.array([0.0, math.pi, full / 2.0, full] + list(rng.uniform(0.0, full, 12)))
+    for spec in _mixed_specs(cfg, 3, rng):
+        batch_values = objectives(omegas, spec)
+        batch_masses = violation_masses(omegas, spec)
+        assert batch_values.shape == batch_masses.shape == omegas.shape
+        for omega, value, mass in zip(omegas, batch_values, batch_masses):
+            assert value == pytest.approx(objective(float(omega), spec), rel=1e-12, abs=0.0)
+            assert mass == pytest.approx(violation_mass(float(omega), spec), rel=1e-12, abs=1e-6)
+    with pytest.raises(ValueError):
+        objectives([1.0, math.nan], spec)
 
 
 def test_optimize_omegas_bit_equal_to_per_spec_runs():

@@ -19,7 +19,7 @@ from thztrack import (
     sample_fn,
 )
 from conftest import CARRIER_HZ
-from gain_reference import bf_gain_closed_form, g_coeff
+from gain_reference import bf_gain_closed_form, bf_gain_profile_outer, g_coeff
 
 CFG128 = ArrayConfig(128, CARRIER_HZ)
 
@@ -189,6 +189,29 @@ def test_gain_profile_matches_pointwise():
     profile = bf_gain_profile(dirs, p, CFG128)
     for s, g in zip(dirs, profile):
         assert g == pytest.approx(bf_gain_direct(float(s), p, CFG128), rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_antennas", [2, 16, 33, 128])
+def test_gain_profile_matches_outer_product_reference(n_antennas):
+    cfg = ArrayConfig(n_antennas, CARRIER_HZ)
+    rng = np.random.default_rng(n_antennas)
+    interval = AngularInterval(0.3, 0.1)
+    full = (n_antennas - 1) * math.pi
+    beams = [mrt_precoder(s, cfg) for s in (-1.0, 0.0, 0.3, 1.0)]
+    beams += [adaptive_precoder(interval, w, cfg) for w in (0.0, full / 2.0, full, rng.uniform(0.0, full))]
+    for beam in beams:
+        # MRT nulls of this beam: sines 2k/N away from its centre
+        nulls = beam.theta_m + 2.0 * np.arange(-n_antennas, n_antennas + 1) / n_antennas
+        dirs = np.concatenate(
+            [[-1.0, 0.0, 1.0, interval.lo, interval.hi], nulls[np.abs(nulls) <= 1.0], rng.uniform(-1, 1, 64)]
+        )
+        got = bf_gain_profile(dirs, beam, cfg)
+        assert np.allclose(got, bf_gain_profile_outer(dirs, beam, cfg), rtol=0.0, atol=1e-12 * n_antennas)
+
+
+def test_gain_profile_rejects_length_mismatch():
+    with pytest.raises(ValueError):
+        bf_gain_profile(np.array([0.0, 0.1]), mrt_precoder(0.0, ArrayConfig(16, CARRIER_HZ)), CFG128)
 
 
 def test_integral_definition_oracle_small():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from thztrack import (
+    BsGeometry,
     CodebookGrid,
     EventBasedParams,
     Scenario,
@@ -21,12 +22,16 @@ from thztrack import (
     compute_metrics,
     mean_realignment_slots,
     optimize_omega,
+    pose_to_direction,
+    positions_to_directions,
     run_conventional,
     run_event_based,
     run_sensing_assisted,
     run_sensing_assisted_direct,
     sweep,
 )
+from thztrack.exports import SWEEP_COLUMNS, TRACE_COLUMNS, write_sweep, write_trace
+from thztrack.geometry import TargetPose
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
 from conftest import aligned_rate, make_objective_spec, make_scenario
@@ -334,3 +339,98 @@ def test_trace_export_round_trip(small_scenario, tmp_path):
     assert float(first[0]) == rec.times[0]
     assert first[1] == rec.scheme
     assert float(first[5]) == rec.rates[0]
+
+
+def _within_ulps(got: np.ndarray, expected: np.ndarray, ulps: int) -> bool:
+    return bool(np.all(np.abs(got - expected) <= ulps * np.spacing(np.abs(expected))))
+
+
+def test_directions_at_matches_scalar_kinematics(small_cfg, small_budget):
+    tilted = BsGeometry(origin=(3.0, -2.0), boresight=(0.6, 0.8))
+    for velocity, start, end, geom in (
+        (20.0, 0.0, 0.3, BsGeometry()),
+        (100.0, -0.6, 0.5, BsGeometry()),
+        (55.0, -0.2, 0.4, tilted),
+        (0.0, 0.2, 0.3, tilted),
+    ):
+        sc = replace(
+            make_scenario(small_cfg, small_budget, velocity=velocity),
+            start_angle=start, end_angle=end, geom=geom,
+        )
+        times = np.concatenate([np.linspace(0.0, sc.duration, 257), [sc.tau, 2.0 * sc.tau]])
+        sins, dists = sc.directions_at(times)
+        expected = np.array([sc.direction_at(float(t)) for t in times])
+        assert _within_ulps(sins, expected[:, 0], 2) and _within_ulps(dists, expected[:, 1], 2)
+
+
+def test_positions_to_directions_matches_pose_to_direction():
+    rng = np.random.default_rng(8)
+    geom = BsGeometry(origin=(1.0, 2.0), boresight=(0.8, -0.6))
+    xs, ys = rng.uniform(-300.0, 300.0, (2, 500))
+    sins, dists = positions_to_directions(xs, ys, geom)
+    expected = np.array(
+        [pose_to_direction(TargetPose((float(x), float(y)), 0.0), geom) for x, y in zip(xs, ys)]
+    )
+    assert _within_ulps(sins, expected[:, 0], 2) and _within_ulps(dists, expected[:, 1], 2)
+    with pytest.raises(ValueError):
+        positions_to_directions(np.array([5.0, 1.0]), np.array([0.0, 2.0]), geom)
+
+
+def _quote(field: str, delimiter: str) -> str:
+    return '"' + field.replace('"', '""') + '"' if delimiter in field or '"' in field else field
+
+
+def _reference_lines(header, rows, delimiter: str) -> str:
+    """Row-by-row writer: every field formatted and quoted on its own."""
+    lines = [delimiter.join(header)]
+    lines += [delimiter.join(_quote(field, delimiter) for field in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_trace_text(rec: TrackRecord, delimiter: str) -> str:
+    rows = [
+        (
+            repr(float(rec.times[i])),
+            rec.scheme,
+            repr(float(rec.sin_dirs[i])),
+            repr(float(rec.distances[i])),
+            repr(float(rec.bf_gains[i])),
+            repr(float(rec.rates[i])),
+            str(int(rec.outages[i])),
+            rec.beam_ids[i],
+        )
+        for i in range(len(rec.times))
+    ]
+    return _reference_lines(TRACE_COLUMNS, rows, delimiter)
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "\t"])
+def test_exports_match_row_by_row_reference(small_scenario, small_codebook, delimiter):
+    import io
+
+    records = [
+        run_sensing_assisted(small_scenario, small_codebook),
+        run_conventional(small_scenario),
+        run_event_based(small_scenario, EventBasedParams()),
+    ]
+    records.append(replace(records[1], scheme='mrt "quoted"; tab\there'))
+    for rec in records:
+        sink = io.StringIO()
+        write_trace(rec, sink, delimiter)
+        assert sink.getvalue() == _reference_trace_text(rec, delimiter)
+
+    rows = sweep(small_scenario, "velocity", [10.0, 20.0], ["conventional", "event"], None)
+    rows.append(replace(rows[0], scheme='x,"y"'))
+    expected = [
+        (
+            repr(float(r.value)),
+            r.scheme,
+            repr(float(r.metrics.avg_rate)),
+            repr(float(r.metrics.outage_prob)),
+            str(r.metrics.realignment_count),
+        )
+        for r in rows
+    ]
+    sink = io.StringIO()
+    write_sweep(rows, sink, delimiter)
+    assert sink.getvalue() == _reference_lines(SWEEP_COLUMNS, expected, delimiter)
