@@ -12,12 +12,10 @@ from .channel import (
     FarFieldWarning,
     LinkBudget,
     achievable_rate,
-    array_response,
     channel_gain,
     dbm_to_watt,
     fraunhofer_distance,
     response_matrix,
-    watt_to_dbm,
 )
 from .codebook import (
     Codebook,
@@ -32,7 +30,6 @@ from .codebook import (
     build_codebook,
     entry_precoder,
     load,
-    lookup,
     lookup_indices,
     save,
     scenario_fingerprint,
@@ -68,20 +65,17 @@ from .optimizer import (
     ObjectiveSpec,
     OptResult,
     PsoConfig,
-    objective,
     objectives,
     optimize_omega,
     optimize_omegas,
     penalty,
     pso_bounds,
-    violation_mass,
     violation_masses,
 )
 from .precoder import (
     Precoder,
     adaptive_precoder,
     beta_coeff,
-    bf_gain_direct,
     bf_gain_profile,
     mrt_precoder,
     sample_fn,

@@ -1,4 +1,4 @@
-"""Far-field ULA physics: array response, Fraunhofer range, THz channel gain, rate.
+"""Far-field ULA physics: array responses, Fraunhofer range, THz channel gain, rate.
 
 The array has half-wavelength spacing, so the phase progression per element is
 pi * sin(angle) and every direction maps to a point of the sine-space domain
@@ -24,12 +24,6 @@ class FarFieldWarning(UserWarning):
 
 def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(watt: float) -> float:
-    if watt <= 0.0:
-        raise ValueError(f"power must be positive, got {watt!r}")
-    return 10.0 * math.log10(watt) + 30.0
 
 
 @dataclass(frozen=True)
@@ -97,27 +91,16 @@ class LinkBudget:
         )
 
 
-def array_response(sin_dir: float, cfg: ArrayConfig) -> np.ndarray:
-    """Array response vector for a direction given as sin(angle).
+def response_matrix(sin_dirs, cfg: ArrayConfig) -> np.ndarray:
+    """Array response vectors, one row per direction given as sin(angle).
 
-    Element n (0-based) is exp(-j * n * pi * sin_dir); every element has unit
-    modulus and element 0 is exactly 1.
-    """
-    if not -1.0 <= sin_dir <= 1.0:
-        raise ValueError(f"sine direction must lie in [-1, 1], got {sin_dir!r}")
-    n = np.arange(cfg.n_antennas)
-    return np.exp(-1j * np.pi * sin_dir * n)
-
-
-def response_matrix(sin_dirs: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Stack of array response vectors, one row per direction.
-
-    Row elements are the powers z^n of z = exp(-j * pi * sin_dir), formed by a
-    running product: one complex exponential per direction instead of one per
-    element. Element n then carries a rounding error of about n ulps.
+    Element n (0-based) of a row is z^n with z = exp(-j * pi * sin_dir), formed
+    by a running product: one complex exponential per direction instead of one
+    per element. Element 0 is exactly 1 and element n carries a rounding error
+    of about n ulps.
     """
     s = np.asarray(sin_dirs, dtype=float).reshape(-1)
-    if np.any(np.abs(s) > 1.0):
+    if not (np.abs(s) <= 1.0).all():  # also rejects NaN
         raise ValueError("sine directions must lie in [-1, 1]")
     rows = np.empty((len(s), cfg.n_antennas), dtype=complex)
     rows[:, 0] = 1.0
@@ -158,12 +141,14 @@ def achievable_rate(bf_gain, distance, budget: LinkBudget, cfg: ArrayConfig):
 
     rate = B * log2(1 + P_t * h0^2 * bf_gain / (N_0 * B))
 
-    Vectorises over matching arrays of gains and distances.
+    The logarithm is taken as log1p(snr) / ln 2, which keeps full relative
+    precision where the snr is tiny (side-lobe nulls). Vectorises over matching
+    arrays of gains and distances.
     """
     g = np.asarray(bf_gain, dtype=float)
     if np.any(g < 0.0):
         raise ValueError("beamforming gain must be non-negative")
     h0 = np.asarray(channel_gain(distance, budget, cfg))
     snr = budget.tx_power * h0 * h0 * g / (budget.noise_psd * budget.bandwidth)
-    rate = budget.bandwidth * np.log2(1.0 + snr)
+    rate = budget.bandwidth * np.log1p(snr) / math.log(2)
     return float(rate) if (np.isscalar(bf_gain) and np.isscalar(distance)) else rate

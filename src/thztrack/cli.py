@@ -1,7 +1,8 @@
 """Command-line entry points: codebook-build, simulate, sweep, pattern.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 codebook error
-(missing file, version, fingerprint, corrupt payload), 4 run or build failure.
+(missing file, version, fingerprint, corrupt payload), 4 run or build failure,
+including an output directory or file that cannot be created or written.
 """
 
 from __future__ import annotations
@@ -72,11 +73,11 @@ def cmd_codebook_build(args) -> int:
     grid = build_grid(config)
     template = build_objective_template(config)
     pso = build_pso(config, seed=args.seed)
+    out_path = Path(args.out) if args.out else Path(config.codebook.path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)  # fail before the build, not after
     started = time.perf_counter()
     cb = build_codebook(grid, template, pso, jobs=_default_jobs(args))
     elapsed = time.perf_counter() - started
-    out_path = Path(args.out) if args.out else Path(config.codebook.path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     cbmod.save(cb, out_path)
     print(f"cells={len(cb.entries)} seed={cb.base_seed} fingerprint={cb.fingerprint}")
     print(f"written {out_path} in {elapsed:.1f} s")
@@ -113,6 +114,7 @@ def cmd_sweep(args) -> int:
         if key not in SCHEMES:
             raise ConfigError(f"unknown scheme {key!r}; choose from {sorted(SCHEMES)}")
     cb = _load_codebook(args, config, template) if "proposed" in keys else None
+    out = _out_dir(args, config)
     rows = sweep(
         template,
         args.axis,
@@ -122,7 +124,6 @@ def cmd_sweep(args) -> int:
         event_params=build_event_params(config),
         jobs=_default_jobs(args),
     )
-    out = _out_dir(args, config)
     table_path = out / "sweep.csv"
     write_sweep(rows, table_path, config.output.delimiter)
     print(f"{len(rows)} rows -> {table_path}")
@@ -164,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thztrack",
         description="Sensing-assisted THz beam tracking simulator",
-        epilog="exit codes: 0 ok, 2 config/usage, 3 codebook, 4 run failure",
+        epilog="exit codes: 0 ok, 2 config/usage, 3 codebook, 4 run failure or unwritable output",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -221,6 +222,9 @@ def main(argv=None) -> int:
     except CodebookError as exc:
         print(f"codebook error: {exc}", file=sys.stderr)
         return EXIT_CODEBOOK
+    except OSError as exc:  # an unwritable output; config and codebook reads raise the above
+        print(f"run error: {exc}", file=sys.stderr)
+        return EXIT_RUN
 
 
 if __name__ == "__main__":

@@ -282,11 +282,6 @@ def lookup_indices(cb: Codebook, interval: AngularInterval) -> tuple[int, int]:
     return ti, di
 
 
-def lookup(cb: Codebook, interval: AngularInterval) -> CodebookEntry:
-    """Entry whose beam covers the queried interval (coverage-preserving round-up)."""
-    return cb.entries[lookup_indices(cb, interval)]
-
-
 def entry_precoder(entry: CodebookEntry, cfg) -> Precoder:
     """Reconstruct the stored beam; parameters are the canonical representation."""
     return adaptive_precoder(entry.interval, entry.omega, cfg)
@@ -351,14 +346,19 @@ def _finite(text: str) -> float:
 
 
 def _check_cells(cb: Codebook, rows: int) -> None:
-    """Every grid cell is stored once, at its own grid interval, with the payload's n_quad."""
+    """Each grid cell stored once, at its grid interval, with the n_quad and an in-bounds omega."""
     thetas, deltas = cb.grid.theta_values(), cb.grid.delta_values()
     grid = {(ti, di): (t, d) for ti, t in enumerate(thetas) for di, d in enumerate(deltas)}
+    lo, hi = cb.pso.bounds
     for key, entry in cb.entries.items():
         if grid.get(key) != (entry.interval.theta_m, entry.interval.delta):
             raise CodebookCorruptError(f"codebook cell {key} does not match its grid interval")
         if entry.n_quad != cb.n_quad:
             raise CodebookCorruptError(f"codebook cell {key} has n_quad {entry.n_quad!r}")
+        if not lo <= entry.omega <= hi:
+            raise CodebookCorruptError(
+                f"codebook cell {key} has omega {entry.omega!r} outside the bounds {cb.pso.bounds}"
+            )
     if not rows == len(cb.entries) == len(grid):
         raise CodebookCorruptError(f"{rows} rows cover {len(cb.entries)} of {len(grid)} cells")
 
@@ -366,8 +366,9 @@ def _check_cells(cb: Codebook, rows: int) -> None:
 def load(source, expected_fingerprint: str | None = None) -> Codebook:
     """Read a codebook from a path or file object, validating version and payload.
 
-    Non-finite numbers and missing, duplicate or misplaced cells are rejected. A given
-    ``expected_fingerprint`` must match the stored one, tying it to the active scenario.
+    Non-finite numbers, missing, duplicate or misplaced cells and omegas outside the stored
+    search bounds are rejected. A given ``expected_fingerprint`` must match the stored one,
+    tying it to the active scenario.
     """
     if hasattr(source, "read"):
         text = source.read()

@@ -3,7 +3,8 @@
 Sections mirror the simulation parameter table: [array], [link], [scenario],
 [optimizer], [codebook], [event_based], [output]. Fields carrying dB units are
 suffixed _dbm / _dbmhz. Unknown sections or keys are rejected, every known key
-is required, and parse(render(config)) reproduces the configuration exactly.
+is required, and parse(render(config)) reproduces the configuration exactly;
+render refuses a string that INI cannot hold (surrounding spaces, line breaks).
 """
 
 from __future__ import annotations
@@ -170,6 +171,8 @@ def _render_value(value) -> str:
         return "auto"
     if isinstance(value, bool):
         raise ConfigError("boolean config values are not supported")
+    if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
+        raise ConfigError(f"{value!r} cannot be written: INI values lose edge spaces and breaks")
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -111,34 +111,26 @@ def predict_pose(state: SensedState, t: float, tau: float) -> TargetPose:
     return TargetPose(position=position, elapsed=t)
 
 
-def pose_to_direction(pose: TargetPose, geom: BsGeometry) -> tuple[float, float]:
-    """Convert a Cartesian pose into (signed sine of boresight angle, distance).
+def positions_to_directions(xs, ys, geom: BsGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """(signed sines of the boresight angle, distances) of Cartesian positions (xs, ys).
 
     The sine is positive towards the geometry's lateral direction. For a target
     at lateral offset x on a line at perpendicular distance D this reduces to
     sin = x / sqrt(x^2 + D^2) and distance = sqrt(x^2 + D^2).
     """
-    rx = pose.position[0] - geom.origin[0]
-    ry = pose.position[1] - geom.origin[1]
-    distance = math.hypot(rx, ry)
-    if distance <= 0.0:
-        raise ValueError("target position coincides with the base station origin")
-    bx, by = geom.boresight
-    sin_dir = (bx * ry - by * rx) / distance
-    return max(-1.0, min(1.0, sin_dir)), distance
-
-
-def positions_to_directions(
-    xs: np.ndarray, ys: np.ndarray, geom: BsGeometry
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`pose_to_direction`: (sines, distances) of positions (xs, ys)."""
     rx = np.asarray(xs, dtype=float) - geom.origin[0]
     ry = np.asarray(ys, dtype=float) - geom.origin[1]
     distances = np.hypot(rx, ry)
-    if np.any(distances <= 0.0):
+    if (distances <= 0.0).any():
         raise ValueError("target position coincides with the base station origin")
     bx, by = geom.boresight
-    return np.clip((bx * ry - by * rx) / distances, -1.0, 1.0), distances
+    return ((bx * ry - by * rx) / distances).clip(-1.0, 1.0), distances
+
+
+def pose_to_direction(pose: TargetPose, geom: BsGeometry) -> tuple[float, float]:
+    """One-pose call of :func:`positions_to_directions`: (sine, distance)."""
+    sin_dir, distance = positions_to_directions(*pose.position, geom)
+    return float(sin_dir), float(distance)
 
 
 def path_to_interval(state: SensedState, tau: float, geom: BsGeometry) -> AngularInterval:

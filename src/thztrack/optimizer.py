@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ArrayConfig, LinkBudget, channel_gain
-from .geometry import AngularInterval, BsGeometry, SensedState, pose_to_direction, predict_pose
+from .geometry import AngularInterval, BsGeometry, SensedState, positions_to_directions
+from .precoder import sample_fn
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,9 @@ class _PeriodEvaluator:
         self.grid = np.pi * np.arange(specs[0].cfg.n_antennas)
         steer, snr = [], []
         for spec in specs:
-            poses = [predict_pose(spec.state, float(t), spec.tau) for t in spec.tau * unit]
-            sins, dists = np.array([pose_to_direction(p, spec.geom) for p in poses]).T
+            t = spec.tau * unit  # predicted path p0 + v0 * t at the nodes
+            (x0, y0), (vx, vy) = spec.state.position, spec.state.velocity
+            sins, dists = positions_to_directions(x0 + vx * t, y0 + vy * t, spec.geom)
             phase = np.outer(sins - spec.interval.theta_m, self.grid)
             steer.append(np.vstack([np.cos(phase), np.sin(phase)]))
             b, h0 = spec.budget, channel_gain(dists, spec.budget, spec.cfg)
@@ -135,15 +137,14 @@ class _PeriodEvaluator:
 
     def rates(self, omegas: np.ndarray) -> np.ndarray:
         """Rate at every node (specs x nodes x omegas) for omegas given as specs x omegas."""
-        x = self.delta * (omegas[:, None, :] - self.grid[:, None])
-        g = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+        g = sample_fn(self.delta * (omegas[:, None, :] - self.grid[:, None]))
         norm2 = np.sum(g * g, axis=1, keepdims=True)
         if np.any(norm2 <= 1e-300):
             raise ValueError("degenerate taper normalisation")
         amp = self.steer @ g
         q = self.snr.shape[1]
         gains = (amp[:, :q] ** 2 + amp[:, q:] ** 2) / norm2
-        return self.bandwidth * np.log2(1.0 + self.snr * gains)
+        return self.bandwidth * np.log1p(self.snr * gains) / math.log(2)
 
     def values(self, omegas: np.ndarray) -> np.ndarray:
         """Period objective (specs x omegas) for omegas given as specs x omegas."""
@@ -159,25 +160,15 @@ def _omega_row(omegas) -> np.ndarray:
 
 
 def objectives(omegas, spec: ObjectiveSpec) -> np.ndarray:
-    """:func:`objective` at each of many omegas, from one evaluator of ``spec``."""
+    """Penalised average rate over one sensing period at each of many omegas."""
     return _PeriodEvaluator([spec]).values(_omega_row(omegas))[0]
 
 
 def violation_masses(omegas, spec: ObjectiveSpec) -> np.ndarray:
-    """:func:`violation_mass` at each of many omegas, from one evaluator of ``spec``."""
+    """Integral of the rate shortfall max(0, r_min - R(t)) over the period, per omega."""
     ev = _PeriodEvaluator([spec])
     rates = ev.rates(_omega_row(omegas))[0]  # nodes x omegas
     return spec.tau * (ev.weights @ np.maximum(0.0, spec.r_min - rates))
-
-
-def objective(omega: float, spec: ObjectiveSpec) -> float:
-    """Penalised average rate over one sensing period for the given omega."""
-    return float(objectives([omega], spec)[0])
-
-
-def violation_mass(omega: float, spec: ObjectiveSpec) -> float:
-    """Integral of the rate shortfall max(0, r_min - R(t)) over the period."""
-    return float(violation_masses([omega], spec)[0])
 
 
 def _incumbent(x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,9 +182,10 @@ def optimize_omega(spec: ObjectiveSpec, pso: PsoConfig) -> OptResult:
 
     Particles start uniformly over the bounds, velocities are clamped to 20%
     of the bound span, and positions reflect at the bounds. The returned
-    incumbent is the best omega visited by any particle, with ties broken
-    towards the smallest omega. Identical inputs (including the seed) yield
-    identical results.
+    incumbent is the best omega visited by any particle or at either bound,
+    with ties broken towards the smallest omega; a bound taken as the
+    incumbent reports convergence at iteration 0. Identical inputs (including
+    the seed) yield identical results.
     """
     return optimize_omegas([spec], pso, [pso.seed])[0]
 
@@ -267,7 +259,19 @@ def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
         best_f[better] = cand_f[better]
         converged_iteration[better] = it
 
-    evaluations = pso.n_particles * (pso.n_iterations + 1)
+    # Both bounds are fixed candidates: reflection keeps particles from settling
+    # on an optimum at a bound. They are evaluated at the swarm's batch width, as
+    # a narrower product can round differently, so a flat objective ties exactly.
+    edges = np.full_like(x, lo)
+    edges[:, 1] = hi
+    swarm_x = best_x
+    best_x, best_f = _incumbent(
+        np.column_stack([swarm_x, edges[:, :2]]),
+        np.column_stack([best_f, evaluator.values(edges)[:, :2]]),
+    )
+    converged_iteration[best_x != swarm_x] = 0
+
+    evaluations = pso.n_particles * (pso.n_iterations + 1) + 2
     return [
         OptResult(float(bx), float(bf), evaluations, int(it))
         for bx, bf, it in zip(best_x, best_f, converged_iteration)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, array_response, response_matrix
+from .channel import ArrayConfig, response_matrix
 from .geometry import AngularInterval
 
 _UNIT_POWER_TOL = 1e-9
@@ -45,38 +45,30 @@ class Precoder:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def as_record(self, include_weights: bool = False) -> dict:
-        """Export record: generating parameters, optionally the explicit weights.
-
-        Weights are reconstructible from the parameters, which remain the
-        canonical representation.
-        """
-        record = {
+    def as_record(self) -> dict:
+        """Export record: the generating parameters, from which the weights are rebuilt."""
+        return {
             "theta_m": self.theta_m,
             "delta": self.delta,
             "omega": self.omega,
             "beta": self.beta,
         }
-        if include_weights:
-            record["weights"] = [(float(w.real), float(w.imag)) for w in self.weights]
-        return record
 
 
 def sample_fn(x):
-    """Sampling kernel Sa(x) = sin(x)/x with Sa(0) = 1. Accepts arrays."""
-    return np.sinc(np.asarray(x) / np.pi)
+    """Sampling kernel Sa(x) = sin(x)/x, exactly 1 where x == 0. Accepts arrays.
 
-
-def _g_vector(omega: float, delta: float, n_antennas: int) -> np.ndarray:
-    n = np.arange(n_antennas)
-    return np.asarray(sample_fn(delta * (omega - n * np.pi)), dtype=float)
+    Dividing sin(x) by x directly keeps full relative accuracy as x -> 0.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def beta_coeff(omega: float, delta: float, n_antennas: int) -> float:
     """Power-normalisation coefficient 1 / sqrt(sum_n g_n(omega)^2)."""
     if n_antennas < 2:
         raise ValueError(f"need at least 2 antennas, got {n_antennas!r}")
-    g = _g_vector(omega, delta, n_antennas)
+    g = sample_fn(delta * (omega - np.pi * np.arange(n_antennas)))
     total = float(np.dot(g, g))
     if total <= _DEGENERATE_SUM:
         raise ValueError("taper coefficients sum to zero; degenerate parameters")
@@ -86,7 +78,7 @@ def beta_coeff(omega: float, delta: float, n_antennas: int) -> float:
 def adaptive_precoder(interval: AngularInterval, omega: float, cfg: ArrayConfig) -> Precoder:
     """Construct the unit-power precoder covering ``interval`` with shape ``omega``."""
     n = np.arange(cfg.n_antennas)
-    g = _g_vector(omega, interval.delta, cfg.n_antennas)
+    g = sample_fn(interval.delta * (omega - np.pi * n))
     beta = beta_coeff(omega, interval.delta, cfg.n_antennas)
     weights = beta * np.exp(-1j * np.pi * interval.theta_m * n) * g
     return Precoder(
@@ -101,7 +93,7 @@ def adaptive_precoder(interval: AngularInterval, omega: float, cfg: ArrayConfig)
 
 def mrt_precoder(sin_dir: float, cfg: ArrayConfig) -> Precoder:
     """Maximum ratio transmission beam towards ``sin_dir``: a(s) / sqrt(N)."""
-    weights = array_response(sin_dir, cfg) / np.sqrt(cfg.n_antennas)
+    weights = response_matrix([sin_dir], cfg)[0] / np.sqrt(cfg.n_antennas)
     return Precoder(
         weights=weights,
         theta_m=sin_dir,
@@ -112,19 +104,8 @@ def mrt_precoder(sin_dir: float, cfg: ArrayConfig) -> Precoder:
     )
 
 
-def bf_gain_direct(sin_dir: float, precoder: Precoder, cfg: ArrayConfig) -> float:
-    """Beamforming gain |a(sin_dir)^H f|^2, in [0, N]."""
-    if len(precoder.weights) != cfg.n_antennas:
-        raise ValueError(
-            f"precoder length {len(precoder.weights)} does not match "
-            f"{cfg.n_antennas} antennas"
-        )
-    a = array_response(sin_dir, cfg)
-    return float(np.abs(np.vdot(a, precoder.weights)) ** 2)
-
-
-def bf_gain_profile(sin_dirs: np.ndarray, precoder: Precoder, cfg: ArrayConfig) -> np.ndarray:
-    """Vectorised beamforming gain |sum_n a_n(s) conj(f_n)|^2 over many directions.
+def bf_gain_profile(sin_dirs, precoder: Precoder, cfg: ArrayConfig) -> np.ndarray:
+    """Beamforming gain |a(s)^H f|^2 = |sum_n a_n(s) conj(f_n)|^2, in [0, N], at each direction.
 
     The sum runs in ``np.einsum``'s own loop rather than a BLAS product, so a
     trace never wakes the BLAS thread pool.

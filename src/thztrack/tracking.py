@@ -40,9 +40,7 @@ from .geometry import (
     AngularInterval,
     BsGeometry,
     SensedState,
-    TargetPose,
     path_to_interval,
-    pose_to_direction,
     positions_to_directions,
 )
 from .optimizer import ObjectiveSpec, PsoConfig, optimize_omegas
@@ -146,12 +144,8 @@ class Scenario:
             epoch=t,
         )
 
-    def direction_at(self, t: float) -> tuple[float, float]:
-        pose = TargetPose(position=self.position_at(t), elapsed=0.0)
-        return pose_to_direction(pose, self.geom)
-
-    def directions_at(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Array form of :meth:`direction_at`: (sines, distances) at every time in ``times``."""
+    def directions_at(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """(sines, distances) of the target at every time in ``times``."""
         xs, ys = self.position_at(np.asarray(times, dtype=float))
         return positions_to_directions(xs, ys, self.geom)
 
@@ -301,11 +295,10 @@ def run_sensing_assisted(sc: Scenario, cb: Codebook) -> TrackRecord:
 def run_conventional(sc: Scenario) -> TrackRecord:
     """Baseline: per-period MRT beam at the target's direction at each epoch."""
     builder = _TraceBuilder(sc, SCHEME_CONVENTIONAL, sc.tau)
-    for k in range(builder.n_segments):
-        epoch = k * sc.tau
-        sin_dir, _ = sc.direction_at(epoch)
-        beam = mrt_precoder(sin_dir, sc.cfg)
-        builder.add_segment(k, beam, f"mrt[{k}]")
+    epochs = np.arange(builder.n_segments) * sc.tau
+    sins, _ = sc.directions_at(epochs)
+    for k, (epoch, sin_dir) in enumerate(zip(epochs.tolist(), sins.tolist())):
+        builder.add_segment(k, mrt_precoder(sin_dir, sc.cfg), f"mrt[{k}]")
         builder.realignments.append(epoch)
     return builder.record()
 
@@ -351,7 +344,7 @@ def run_event_based(sc: Scenario, params: EventBasedParams) -> TrackRecord:
     weight * rw_var per slot.
     """
     builder = _TraceBuilder(sc, SCHEME_EVENT, params.slot)
-    estimate, _ = sc.direction_at(0.0)
+    (estimate,), _ = sc.directions_at([0.0])
     variance = 0.0
     growth = params.weight * params.rw_var * EVENT_VARIANCE_UNIT
     segment = 0
@@ -363,7 +356,7 @@ def run_event_based(sc: Scenario, params: EventBasedParams) -> TrackRecord:
         had_outage = builder.add_segment(k, beam, f"event[{segment}]")
         boundary = (k + 1) * params.slot
         if had_outage and boundary < sc.duration:
-            estimate, _ = sc.direction_at(boundary)
+            (estimate,), _ = sc.directions_at([boundary])
             variance = 0.0
             segment += 1
             builder.realignments.append(boundary)

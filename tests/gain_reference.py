@@ -1,4 +1,5 @@
-"""Reference forms of the gain and period objective that the tests check the package against.
+"""Reference forms of the kinematics, array response, gain and period objective that the
+tests check the package against: scalar or per-element forms of its array paths.
 
 Not named ``oracles``: ``perfbench/test_oracles.py`` imports its own
 ``oracles`` module, and both test directories sit on ``sys.path`` in one
@@ -7,20 +8,50 @@ pytest session.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from thztrack import (
     AngularInterval,
     ArrayConfig,
+    BsGeometry,
     ObjectiveSpec,
     Precoder,
     beta_coeff,
     channel_gain,
     penalty,
-    pose_to_direction,
     predict_pose,
     sample_fn,
 )
+
+
+def direction_of(position, geom: BsGeometry) -> tuple[float, float]:
+    """(signed sine of the boresight angle, distance) of one position, in scalar math."""
+    rx = position[0] - geom.origin[0]
+    ry = position[1] - geom.origin[1]
+    distance = math.hypot(rx, ry)
+    if distance <= 0.0:
+        raise ValueError("target position coincides with the base station origin")
+    bx, by = geom.boresight
+    return max(-1.0, min(1.0, (bx * ry - by * rx) / distance)), distance
+
+
+def array_response(sin_dir: float, cfg: ArrayConfig) -> np.ndarray:
+    """Array response with element n (0-based) exp(-j * n * pi * sin_dir): one exponential each."""
+    if not -1.0 <= sin_dir <= 1.0:
+        raise ValueError(f"sine direction must lie in [-1, 1], got {sin_dir!r}")
+    return np.exp(-1j * np.pi * sin_dir * np.arange(cfg.n_antennas))
+
+
+def bf_gain_direct(sin_dir: float, precoder: Precoder, cfg: ArrayConfig) -> float:
+    """Beamforming gain |a(sin_dir)^H f|^2 towards one direction, in [0, N]."""
+    if len(precoder.weights) != cfg.n_antennas:
+        raise ValueError(
+            f"precoder length {len(precoder.weights)} does not match {cfg.n_antennas} antennas"
+        )
+    a = array_response(sin_dir, cfg)
+    return float(np.abs(np.vdot(a, precoder.weights)) ** 2)
 
 
 def g_coeff(n: int, omega: float, delta: float) -> float:
@@ -74,7 +105,7 @@ def period_rates(spec: ObjectiveSpec, omegas) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(spec.n_quad)
     t = 0.5 * spec.tau * (nodes + 1.0)
     directions = [
-        pose_to_direction(predict_pose(spec.state, float(tk), spec.tau), spec.geom) for tk in t
+        direction_of(predict_pose(spec.state, float(tk), spec.tau).position, spec.geom) for tk in t
     ]
     sins, dists = (np.array(v) for v in zip(*directions))
     h0 = channel_gain(dists, spec.budget, spec.cfg)
@@ -86,7 +117,8 @@ def period_rates(spec: ObjectiveSpec, omegas) -> tuple[np.ndarray, np.ndarray]:
     precoders /= np.sqrt(np.sum(g * g, axis=0))[None, :]
     amp = np.exp(1j * np.pi * np.outer(sins, n)) @ precoders
     gains = amp.real**2 + amp.imag**2
-    return 0.5 * spec.tau * weights, spec.budget.bandwidth * np.log2(1.0 + snr[:, None] * gains)
+    rates = spec.budget.bandwidth * np.log1p(snr[:, None] * gains) / math.log(2)
+    return 0.5 * spec.tau * weights, rates
 
 
 def period_objective(spec: ObjectiveSpec, omegas) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a verdict.
 
-Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 6 and 7 share a
-session-scoped default codebook build (about 13 s on two cores).
+Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 6 and 7 and the
+grid-floor check of every cell share a session-scoped default codebook build
+(about 13 s on two cores).
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ from thztrack import (
     PsoConfig,
     adaptive_precoder,
     beta_coeff,
-    bf_gain_direct,
     bf_gain_profile,
     build_codebook,
     compute_metrics,
     load,
     mean_realignment_slots,
-    objective,
     objectives,
     optimize_omega,
     pso_bounds,
@@ -46,8 +45,9 @@ from thztrack.config import (
     parse_config,
     render_config,
 )
+from thztrack.codebook import _cell_spec, _template_perpendicular_distance
 from conftest import CARRIER_HZ, make_budget, make_objective_spec, make_scenario
-from gain_reference import bf_gain_closed_form, g_coeff
+from gain_reference import bf_gain_closed_form, bf_gain_direct, g_coeff
 
 VELOCITIES = [float(v) for v in range(10, 101, 10)]
 
@@ -143,10 +143,9 @@ def test_criterion_3_symmetry_suite():
         sc = make_scenario(cfg, budget, velocity=40.0)
         spec = make_objective_spec(sc, n_quad=32)
         full = (n - 1) * math.pi
-        for omega in np.linspace(0.0, full, 51):
-            v1 = objective(float(omega), spec)
-            v2 = objective(full - float(omega), spec)
-            worst_obj = max(worst_obj, abs(v1 - v2) / abs(v1))
+        omegas = np.linspace(0.0, full, 51)
+        v1, v2 = objectives(omegas, spec), objectives(full - omegas, spec)
+        worst_obj = max(worst_obj, float(np.max(np.abs(v1 - v2) / np.abs(v1))))
     assert worst_obj < 1e-8
 
     # taper energy sum_m g_m^2 shares the symmetry axis (dense grid, even N)
@@ -253,6 +252,20 @@ def test_criterion_5_pso_quality_floor():
             assert results[0].objective_value >= grid_best * (1.0 - 1e-4)
     elapsed = time.perf_counter() - started
     _report(5, f"worst grid shortfall = {worst_gap:.2e} over 20 scenarios, {elapsed:.1f} s")
+
+
+def test_default_codebook_meets_grid_floor(default_codebook):
+    """Every default-grid cell is within 1e-4 relative of a 257-point grid search."""
+    template = build_objective_template(default_config())
+    distance = _template_perpendicular_distance(template)
+    grid = np.linspace(*default_codebook.pso.bounds, 257)
+    short = []
+    for key, entry in sorted(default_codebook.entries.items()):
+        spec = _cell_spec(template, entry.interval.theta_m, entry.interval.delta, distance)
+        best = float(np.max(objectives(grid, spec)))
+        if entry.objective_value < best * (1.0 - 1e-4):
+            short.append((key, entry.objective_value, best))
+    assert not short, f"{len(short)} cells below the grid floor: {short[:5]}"
 
 
 def test_criterion_6_outage_at_100ms(default_codebook):

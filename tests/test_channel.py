@@ -12,38 +12,38 @@ from thztrack import (
     FarFieldWarning,
     LinkBudget,
     achievable_rate,
-    array_response,
     channel_gain,
     dbm_to_watt,
     fraunhofer_distance,
     response_matrix,
-    watt_to_dbm,
 )
 from conftest import CARRIER_HZ, aligned_rate, make_budget
+from gain_reference import array_response
 
 C = 299_792_458.0
 
 
 def test_array_response_broadside_is_ones():
     cfg = ArrayConfig(8, CARRIER_HZ)
-    assert np.allclose(array_response(0.0, cfg), np.ones(8))
+    assert np.allclose(response_matrix([0.0], cfg)[0], np.ones(8))
 
 
 def test_array_response_endfire_alternates():
     cfg = ArrayConfig(4, CARRIER_HZ)
-    assert np.allclose(array_response(1.0, cfg), [1, -1, 1, -1], atol=1e-12)
+    assert np.allclose(response_matrix([1.0], cfg)[0], [1, -1, 1, -1], atol=1e-12)
 
 
 def test_array_response_half_sine():
     # phase steps of -pi/2: [1, -j, -1]
     cfg = ArrayConfig(3, CARRIER_HZ)
-    assert np.allclose(array_response(0.5, cfg), [1.0, -1.0j, -1.0], atol=1e-12)
+    assert np.allclose(response_matrix([0.5], cfg)[0], [1.0, -1.0j, -1.0], atol=1e-12)
 
 
 def test_array_response_rejects_out_of_range():
     cfg = ArrayConfig(4, CARRIER_HZ)
-    with pytest.raises(ValueError):
-        array_response(1.0001, cfg)
+    for bad in (1.0001, math.nan):
+        with pytest.raises(ValueError):
+            response_matrix([bad], cfg)
 
 
 def test_response_matrix_rows_are_array_responses():
@@ -69,9 +69,9 @@ def test_array_response_norm_and_conjugate():
         n = int(rng.integers(2, 129))
         cfg = ArrayConfig(n, CARRIER_HZ)
         s = rng.uniform(-1, 1)
-        a = array_response(s, cfg)
+        a, a_mirror = response_matrix([s, -s], cfg)
         assert abs(np.vdot(a, a)) == pytest.approx(n, rel=1e-12)
-        assert np.allclose(array_response(-s, cfg), np.conj(a), atol=1e-12)
+        assert np.allclose(a_mirror, np.conj(a), atol=1e-12)
 
 
 def test_fraunhofer_small_arrays():
@@ -153,6 +153,19 @@ def test_rate_reference_aligned_order_of_magnitude():
     assert 1e10 < rate < 1e12
 
 
+def test_rate_keeps_precision_at_tiny_snr():
+    # a side-lobe null: log2(1 + snr) would round 1 + snr and lose ~1e-10 relative
+    cfg = ArrayConfig(16, CARRIER_HZ)
+    budget = make_budget()
+    h0 = channel_gain(100.0, budget, cfg)
+    unit_gain = budget.noise_psd * budget.bandwidth / (budget.tx_power * h0 * h0)
+    gain = 1e-6 * unit_gain
+    snr = budget.tx_power * h0 * h0 * gain / (budget.noise_psd * budget.bandwidth)
+    assert snr == pytest.approx(1e-6, rel=1e-12)
+    series = budget.bandwidth * (snr - snr**2 / 2.0 + snr**3 / 3.0) / math.log(2.0)
+    assert achievable_rate(gain, 100.0, budget, cfg) == pytest.approx(series, rel=1e-15, abs=0.0)
+
+
 def test_rate_monotone_in_gain():
     cfg = ArrayConfig(64, CARRIER_HZ)
     budget = make_budget()
@@ -174,7 +187,7 @@ def test_rate_monotone_in_tx_power():
 def test_dbm_conversions():
     assert dbm_to_watt(40.0) == pytest.approx(10.0, rel=1e-12)
     assert dbm_to_watt(-174.0) == pytest.approx(10.0 ** (-20.4), rel=1e-12)
-    assert watt_to_dbm(dbm_to_watt(7.5)) == pytest.approx(7.5, abs=1e-12)
+    assert 10.0 * math.log10(dbm_to_watt(7.5)) + 30.0 == pytest.approx(7.5, abs=1e-12)
 
 
 def test_budget_validation():

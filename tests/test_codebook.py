@@ -24,7 +24,6 @@ from thztrack import (
     build_codebook,
     entry_precoder,
     load,
-    lookup,
     lookup_indices,
     mrt_precoder,
     optimize_omega,
@@ -110,7 +109,7 @@ def test_lookup_exact_and_round_up(tiny_build):
     assert lookup_indices(cb, AngularInterval(0.06, 0.011)) == (1, 2)
     # exact halfway centre resolves to the smaller index
     assert lookup_indices(cb, AngularInterval(0.025, 0.0))[0] == 0
-    entry = lookup(cb, AngularInterval(0.04, 0.015))
+    entry = cb.entries[lookup_indices(cb, AngularInterval(0.04, 0.015))]
     assert entry.interval.delta >= 0.015
 
 
@@ -119,7 +118,7 @@ def test_lookup_coverage_soundness(tiny_build):
     rng = np.random.default_rng(15)
     for _ in range(300):
         q = AngularInterval(rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.02))
-        entry = lookup(cb, q)
+        entry = cb.entries[lookup_indices(cb, q)]
         assert entry.interval.delta >= q.delta - 1e-12
 
 
@@ -202,9 +201,9 @@ def test_lookup_indices_match_grid_scan(case):
 def test_lookup_out_of_range(tiny_build):
     _, _, cb = tiny_build
     with pytest.raises(CodebookRangeError):
-        lookup(cb, AngularInterval(0.2, 0.0))
+        lookup_indices(cb, AngularInterval(0.2, 0.0))
     with pytest.raises(CodebookRangeError):
-        lookup(cb, AngularInterval(0.05, 0.05))
+        lookup_indices(cb, AngularInterval(0.05, 0.05))
 
 
 def test_save_load_round_trip(tiny_build, tmp_path):
@@ -284,6 +283,10 @@ def _bump_n_quad(rows) -> None:
     rows[3][7] += 1
 
 
+def _negative_omega(rows) -> None:
+    rows[2][4] = -1e-9
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -291,8 +294,9 @@ def _bump_n_quad(rows) -> None:
         (lambda rows: rows.append(list(rows[0])), "rows cover"),
         (_swap_indices, "does not match its grid interval"),
         (_bump_n_quad, "n_quad"),
+        (_negative_omega, "outside the bounds"),
     ],
-    ids=["missing", "duplicate", "mismatched-index", "mismatched-n_quad"],
+    ids=["missing", "duplicate", "mismatched-index", "mismatched-n_quad", "omega-below-bounds"],
 )
 def test_load_rejects_incomplete_or_inconsistent_cells(tiny_build, tmp_path, edit, message):
     _, _, cb = tiny_build

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thztrack import (
     ConfigError,
+    RunConfig,
     achievable_rate,
     build_array,
     build_budget,
@@ -19,14 +24,13 @@ from thztrack import (
     resolve_r_min,
 )
 from thztrack.cli import _build_parser, main
+from thztrack.config import _SECTIONS
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "table1.ini"
 
 
 def small_config_text(tmp_path: Path) -> Path:
     """Fast 16-antenna configuration for CLI round trips."""
-    from dataclasses import replace
-
     rc = default_config()
     rc = replace(
         rc,
@@ -77,11 +81,41 @@ def test_round_trip_exact():
 
 
 def test_round_trip_explicit_r_min():
-    from dataclasses import replace
-
     rc = default_config()
     rc = replace(rc, optimizer=replace(rc.optimizer, r_min_bps=3.21e9))
     assert parse_config(render_config(rc)) == rc
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FIELD = {
+    "int": st.integers(-(2**63), 2**63),
+    "float": _FINITE,
+    "float | None": st.none() | _FINITE,
+    # what render_config can write: one line without surrounding whitespace
+    "str": st.text(max_size=12).filter(lambda s: s == s.strip() and len(s.splitlines()) <= 1),
+}
+_RUN_CONFIGS = st.builds(
+    RunConfig,
+    **{
+        section: st.builds(cls, **{f.name: _FIELD[f.type] for f in fields(cls)})
+        for section, cls in _SECTIONS.items()
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RUN_CONFIGS)
+def test_round_trip_arbitrary_config(rc):
+    assert parse_config(render_config(rc)) == rc
+
+
+@pytest.mark.parametrize("field, value", [("delimiter", "\t"), ("path", "a\nb"), ("directory", "out ")])
+def test_render_refuses_strings_ini_cannot_hold(field, value):
+    rc = default_config()
+    section = "output" if field in ("delimiter", "directory") else "codebook"
+    rc = replace(rc, **{section: replace(getattr(rc, section), **{field: value})})
+    with pytest.raises(ConfigError, match="cannot be written"):
+        render_config(rc)
 
 
 def test_unknown_key_rejected():
@@ -219,11 +253,11 @@ def test_cli_pattern_matches_direct_gain(tmp_path):
     # pattern integral over sine space stays at the unit-power value of 2
     import numpy as np
 
-    from thztrack import adaptive_precoder, bf_gain_direct
+    from gain_reference import bf_gain_direct
+    from thztrack import adaptive_precoder
     from thztrack.config import build_pso, parse_config_file
     from thztrack.optimizer import optimize_omega
     from thztrack.seeding import derive_seed
-    from dataclasses import replace
 
     config = small_config_text(tmp_path)
     assert main(["pattern", "--config", str(config), "--velocities", "30"]) == 0
@@ -264,8 +298,6 @@ def test_cli_missing_codebook_exit_code(tmp_path):
 
 
 def test_cli_incomplete_codebook_exit_code(tmp_path, capsys):
-    import json
-
     config = small_config_text(tmp_path)
     assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
     path = tmp_path / "cb.json"
@@ -275,6 +307,68 @@ def test_cli_incomplete_codebook_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--scheme", "proposed"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("codebook error:") and err.count("\n") == 1
+
+
+def _omega_above_bounds(payload) -> None:
+    payload["entries"][3][4] = 2.0 * payload["pso"]["bounds"][1]
+
+
+def _future_version(payload) -> None:
+    payload["format_version"] = 999
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_omega_above_bounds, "outside the bounds"), (_future_version, "unsupported codebook format")],
+    ids=["omega-outside-bounds", "version-mismatch"],
+)
+def test_cli_rejected_codebook_exit_code(tmp_path, capsys, edit, message):
+    config = small_config_text(tmp_path)
+    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
+    path = tmp_path / "cb.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    assert main(["simulate", "--config", str(config), "--scheme", "proposed"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("codebook error:") and message in err and err.count("\n") == 1
+
+
+def _blocked_output(tmp_path: Path) -> Path:
+    """Config whose output directory lies under a regular file, so it cannot be created."""
+    config = small_config_text(tmp_path)
+    (tmp_path / "blocker").write_text("a regular file\n")
+    text = config.read_text().replace(str(tmp_path / "out"), str(tmp_path / "blocker" / "out"))
+    config.write_text(text)
+    return config
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", ["--scheme", "conventional"]),
+        ("sweep", ["--axis", "velocity", "--values", "10", "--schemes", "conventional"]),
+        ("pattern", ["--velocities", "10"]),
+    ],
+)
+def test_cli_unwritable_output_exit_code(tmp_path, capsys, command, extra):
+    config = _blocked_output(tmp_path)
+    assert main([command, "--config", str(config), "--jobs", "1", *extra]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("run error:") and "blocker" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_codebook_build_unwritable_output_fails_before_building(tmp_path, capsys, monkeypatch):
+    config = _blocked_output(tmp_path)
+    builds = []
+    monkeypatch.setattr("thztrack.cli.build_codebook", lambda *args, **kw: builds.append(args))
+    out = tmp_path / "blocker" / "cb.json"
+    assert main(["codebook-build", "--config", str(config), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("run error:") and "blocker" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert builds == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -314,10 +408,6 @@ def test_cli_invalid_config_value_exit_code(tmp_path, capsys, key, value):
 
 
 def _float_keys() -> list[tuple[str, str]]:
-    from dataclasses import fields
-
-    from thztrack.config import _SECTIONS
-
     return [
         (section, f.name)
         for section, cls in _SECTIONS.items()

@@ -14,21 +14,17 @@ from thztrack import (
     PsoConfig,
     achievable_rate,
     adaptive_precoder,
-    bf_gain_direct,
-    objective,
     objectives,
     optimize_omega,
     optimize_omegas,
     penalty,
-    pose_to_direction,
     predict_pose,
     pso_bounds,
-    violation_mass,
     violation_masses,
 )
 from thztrack.optimizer import SWARM_CHUNK, _PeriodEvaluator
 from conftest import CARRIER_HZ, aligned_rate, make_budget, make_objective_spec, make_scenario
-from gain_reference import period_objective, period_rates
+from gain_reference import bf_gain_direct, direction_of, period_objective, period_rates
 
 CFG = ArrayConfig(128, CARRIER_HZ)
 BUDGET = make_budget()
@@ -51,7 +47,7 @@ def test_objective_static_target_equals_aligned_rate():
     spec = spec_for_velocity(0.0)
     expected = aligned_rate(CFG, BUDGET)
     for omega in (0.0, 17.0, 150.0):
-        assert objective(omega, spec) == pytest.approx(expected, rel=1e-12)
+        assert objectives([omega], spec)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_objective_zero_alpha_matches_manual_quadrature():
@@ -64,25 +60,25 @@ def test_objective_zero_alpha_matches_manual_quadrature():
     beam = adaptive_precoder(spec.interval, omega, spec.cfg)
     total = 0.0
     for tk, wk in zip(t, w):
-        sin_dir, dist = pose_to_direction(predict_pose(spec.state, float(tk), spec.tau), spec.geom)
+        sin_dir, dist = direction_of(predict_pose(spec.state, float(tk), spec.tau).position, spec.geom)
         rate = achievable_rate(bf_gain_direct(sin_dir, beam, spec.cfg), dist, spec.budget, spec.cfg)
         total += wk * rate
-    assert objective(omega, spec) == pytest.approx(total / spec.tau, rel=1e-10)
+    assert objectives([omega], spec)[0] == pytest.approx(total / spec.tau, rel=1e-10)
 
 
 def test_objective_penalty_disabled_vs_enabled():
     spec_pen = spec_for_velocity(80.0, alpha=10.0)
     spec_off = replace(spec_pen, alpha=0.0)
     omega = 5.0  # poor shape: rates dip below the threshold somewhere
-    assert objective(omega, spec_pen) <= objective(omega, spec_off) + 1e-6
+    assert objectives([omega], spec_pen)[0] <= objectives([omega], spec_off)[0] + 1e-6
 
 
 def test_objective_quadrature_refinement():
     spec64 = spec_for_velocity(50.0, n_quad=64)
     spec128 = replace(spec64, n_quad=128)
     omega = 120.0
-    v64 = objective(omega, spec64)
-    v128 = objective(omega, spec128)
+    v64 = objectives([omega], spec64)[0]
+    v128 = objectives([omega], spec128)[0]
     assert abs(v128 - v64) / abs(v128) < 1e-6
 
 
@@ -94,8 +90,8 @@ def test_objective_reflection_symmetry():
         full = (n - 1) * math.pi
         for _ in range(10):
             omega = rng.uniform(0.0, full)
-            v1 = objective(omega, spec)
-            v2 = objective(full - omega, spec)
+            v1 = objectives([omega], spec)[0]
+            v2 = objectives([full - omega], spec)[0]
             assert abs(v1 - v2) <= 1e-8 * abs(v1)
 
 
@@ -119,6 +115,20 @@ def test_optimize_beats_grid_search():
     best_grid = float(np.max(objectives(grid, spec)))
     assert result.objective_value >= best_grid * (1.0 - 1e-4)
     assert pso.bounds[0] <= result.omega_star <= pso.bounds[1]
+
+
+def test_optimize_takes_a_bound_the_swarm_misses():
+    # one particle pair, one step: the swarm alone falls short of the upper bound
+    pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=2, n_iterations=1, seed=3)
+    spec = spec_for_velocity(50.0)
+    result = optimize_omega(spec, pso)
+    edges = objectives(list(pso.bounds), spec)
+    assert edges[1] > edges[0]
+    assert (result.omega_star, result.objective_value) == (pso.bounds[1], edges[1])
+    assert (result.evaluations, result.converged_iteration) == (2 * 2 + 2, 0)
+    # a flat objective ties everywhere, and the tie goes to the lower bound
+    static = optimize_omega(spec_for_velocity(0.0), pso)
+    assert (static.omega_star, static.converged_iteration) == (pso.bounds[0], 0)
 
 
 def test_optimize_static_interval_objective_is_flat():
@@ -152,7 +162,7 @@ def test_violation_mass_non_increasing_in_alpha():
     for alpha in (0.0, 1.0, 10.0, 100.0):
         spec = replace(base, r_min=r_min, alpha=alpha)
         result = optimize_omega(spec, PsoConfig(bounds=pso_bounds(CFG), seed=77))
-        masses.append(violation_mass(result.omega_star, spec))
+        masses.append(float(violation_masses([result.omega_star], spec)[0]))
     assert masses[0] > 0.0
     for lo, hi in zip(masses[1:], masses[:-1]):
         assert lo <= hi * (1.0 + 1e-6) + 1e-9
@@ -196,10 +206,10 @@ def test_evaluator_matches_complex_reference(n_antennas):
         assert np.allclose(got, period_objective(spec, row), rtol=1e-12, atol=0.0)
         # one omega at a time takes a matrix-vector product, so compare to the reference
         single = period_objective(spec, row[3:4])[0]
-        assert objective(float(row[3]), spec) == pytest.approx(single, rel=1e-12)
+        assert objectives([float(row[3])], spec)[0] == pytest.approx(single, rel=1e-12)
         weights, rates = period_rates(spec, row[:5])
         for omega, expected in zip(row, weights @ np.maximum(0.0, spec.r_min - rates)):
-            masses.append(violation_mass(float(omega), spec))
+            masses.append(float(violation_masses([omega], spec)[0]))
             assert masses[-1] == pytest.approx(expected, rel=1e-12, abs=1e-6)
     assert max(masses) > 0.0
 
@@ -214,9 +224,14 @@ def test_batch_entry_points_match_scalar_calls(n_antennas):
         batch_values = objectives(omegas, spec)
         batch_masses = violation_masses(omegas, spec)
         assert batch_values.shape == batch_masses.shape == omegas.shape
-        for omega, value, mass in zip(omegas, batch_values, batch_masses):
-            assert value == pytest.approx(objective(float(omega), spec), rel=1e-12, abs=0.0)
-            assert mass == pytest.approx(violation_mass(float(omega), spec), rel=1e-12, abs=1e-6)
+        weights, rates = period_rates(spec, omegas)
+        expected_masses = weights @ np.maximum(0.0, spec.r_min - rates)
+        for omega, value, mass, expected_value, expected_mass in zip(
+            omegas, batch_values, batch_masses, period_objective(spec, omegas), expected_masses
+        ):
+            assert value == pytest.approx(expected_value, rel=1e-12, abs=0.0)
+            assert value == pytest.approx(objectives([float(omega)], spec)[0], rel=1e-12, abs=0.0)
+            assert mass == pytest.approx(expected_mass, rel=1e-12, abs=1e-6)
     with pytest.raises(ValueError):
         objectives([1.0, math.nan], spec)
 

@@ -11,15 +11,19 @@ from thztrack import (
     AngularInterval,
     ArrayConfig,
     adaptive_precoder,
-    array_response,
     beta_coeff,
-    bf_gain_direct,
     bf_gain_profile,
     mrt_precoder,
     sample_fn,
 )
 from conftest import CARRIER_HZ
-from gain_reference import bf_gain_closed_form, bf_gain_profile_outer, g_coeff
+from gain_reference import (
+    array_response,
+    bf_gain_closed_form,
+    bf_gain_direct,
+    bf_gain_profile_outer,
+    g_coeff,
+)
 
 CFG128 = ArrayConfig(128, CARRIER_HZ)
 
@@ -36,6 +40,9 @@ def test_sample_fn_values():
     assert sample_fn(math.pi / 2.0) == pytest.approx(2.0 / math.pi, rel=1e-12)
     x = np.linspace(-10, 10, 101)
     assert np.allclose(sample_fn(x), sample_fn(-x))
+    # full relative accuracy near 0, where sin(x)/x = 1 - x^2/6 + x^4/120
+    tiny = np.array([1e-9, 1e-5, 1e-3])
+    assert np.allclose(sample_fn(tiny), 1.0 - tiny**2 / 6.0 + tiny**4 / 120.0, rtol=1e-15, atol=0.0)
 
 
 def test_g_coeff_values():
@@ -269,6 +276,3 @@ def test_export_record_reconstructs_weights():
     )
     assert rebuilt.beta == record["beta"]
     assert np.array_equal(rebuilt.weights, p.weights)
-    with_weights = p.as_record(include_weights=True)
-    assert len(with_weights["weights"]) == 128
-    assert with_weights["weights"][0] == (p.weights[0].real, p.weights[0].imag)

@@ -35,6 +35,7 @@ from thztrack.geometry import TargetPose
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
 from conftest import aligned_rate, make_objective_spec, make_scenario
+from gain_reference import direction_of
 
 TAU = 0.165
 
@@ -359,7 +360,7 @@ def test_directions_at_matches_scalar_kinematics(small_cfg, small_budget):
         )
         times = np.concatenate([np.linspace(0.0, sc.duration, 257), [sc.tau, 2.0 * sc.tau]])
         sins, dists = sc.directions_at(times)
-        expected = np.array([sc.direction_at(float(t)) for t in times])
+        expected = np.array([direction_of(sc.position_at(float(t)), sc.geom) for t in times])
         assert _within_ulps(sins, expected[:, 0], 2) and _within_ulps(dists, expected[:, 1], 2)
 
 
@@ -368,10 +369,10 @@ def test_positions_to_directions_matches_pose_to_direction():
     geom = BsGeometry(origin=(1.0, 2.0), boresight=(0.8, -0.6))
     xs, ys = rng.uniform(-300.0, 300.0, (2, 500))
     sins, dists = positions_to_directions(xs, ys, geom)
-    expected = np.array(
-        [pose_to_direction(TargetPose((float(x), float(y)), 0.0), geom) for x, y in zip(xs, ys)]
-    )
+    expected = np.array([direction_of((float(x), float(y)), geom) for x, y in zip(xs, ys)])
     assert _within_ulps(sins, expected[:, 0], 2) and _within_ulps(dists, expected[:, 1], 2)
+    # the one-pose form is the one-element call
+    assert pose_to_direction(TargetPose((float(xs[7]), float(ys[7])), 0.0), geom) == (sins[7], dists[7])
     with pytest.raises(ValueError):
         positions_to_directions(np.array([5.0, 1.0]), np.array([0.0, 2.0]), geom)
 
