@@ -68,7 +68,6 @@ from .optimizer import (
     objectives,
     optimize_omega,
     optimize_omegas,
-    penalty,
     pso_bounds,
     violation_masses,
 )

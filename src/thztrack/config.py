@@ -115,6 +115,8 @@ def _parse_value(section: str, key: str, raw: str):
     raw = raw.strip()
     if key == "r_min_bps" and raw == "auto":
         return None
+    if key == "delimiter" and (len(raw) != 1 or raw == '"'):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not one character other than '\"'")
     if key in _STR_KEYS:
         return raw
     try:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import ArrayConfig, LinkBudget, channel_gain
 from .geometry import AngularInterval, BsGeometry, SensedState, positions_to_directions
-from .precoder import sample_fn
+from .precoder import taper, taper_table
 
 
 @dataclass(frozen=True)
@@ -94,25 +94,16 @@ def pso_bounds(cfg: ArrayConfig) -> tuple[float, float]:
     return (0.0, half) if cfg.n_antennas % 2 == 0 else (0.0, 2.0 * half)
 
 
-def penalty(rate, r_min: float, alpha: float):
-    """Linear shortfall penalty: -alpha * (r_min - rate) when rate <= r_min, else 0.
-
-    Continuous at rate = r_min and non-positive everywhere. Accepts arrays.
-    """
-    r = np.asarray(rate, dtype=float)
-    value = np.where(r <= r_min, -alpha * (r_min - r), 0.0)
-    return float(value) if np.isscalar(rate) else value
-
-
-# Specs per lockstep batch; each batched spec holds about 0.35 MB of temporaries.
+# Specs per lockstep batch; each spec peaks at about 0.35 MB, steering and stream included.
 SWARM_CHUNK = 8
 
 
 class _PeriodEvaluator:
     """Period objectives of specs sharing the antenna count and ``n_quad``, batched.
 
-    With the centre phase folded into a real ``[cos; sin]`` steering matrix, a node's
-    gain is ``|steer @ g|^2 / ||g||^2`` for the real taper ``g``; tau cancels in the average.
+    With the centre phase folded into a real ``[cos | sin]`` steering matrix, a node's
+    gain is ``|g @ steer|^2 / ||g||^2`` for the real taper ``g``; tau cancels in the average.
+    The antenna axis comes last, so every elementwise pass runs along it.
     """
 
     def __init__(self, specs: list[ObjectiveSpec]):
@@ -120,36 +111,38 @@ class _PeriodEvaluator:
             raise ValueError("batched specs must share the antenna count and n_quad")
         nodes, weights = np.polynomial.legendre.leggauss(specs[0].n_quad)
         self.weights, unit = 0.5 * weights, 0.5 * (nodes + 1.0)  # weights sum to 1
-        self.grid = np.pi * np.arange(specs[0].cfg.n_antennas)
+        grid = np.pi * np.arange(specs[0].cfg.n_antennas)
         steer, snr = [], []
         for spec in specs:
             t = spec.tau * unit  # predicted path p0 + v0 * t at the nodes
             (x0, y0), (vx, vy) = spec.state.position, spec.state.velocity
             sins, dists = positions_to_directions(x0 + vx * t, y0 + vy * t, spec.geom)
-            phase = np.outer(sins - spec.interval.theta_m, self.grid)
-            steer.append(np.vstack([np.cos(phase), np.sin(phase)]))
+            phase = np.outer(grid, sins - spec.interval.theta_m)
+            steer.append(np.hstack([np.cos(phase), np.sin(phase)]))
             b, h0 = spec.budget, channel_gain(dists, spec.budget, spec.cfg)
             snr.append(b.tx_power * h0 * h0 / (b.noise_psd * b.bandwidth))
-        self.steer = np.stack(steer)  # specs x 2 nodes x antennas
-        self.snr = np.stack(snr)[:, :, None]
+        self.steer = np.stack(steer)  # specs x antennas x 2 nodes
+        self.snr = np.stack(snr)[:, None, :]
         per_spec = [(s.interval.delta, s.budget.bandwidth, s.r_min, s.alpha) for s in specs]
         self.delta, self.bandwidth, self.r_min, self.alpha = np.array(per_spec).T[:, :, None, None]
+        self.table = taper_table(self.delta[:, 0, 0], len(grid))
 
     def rates(self, omegas: np.ndarray) -> np.ndarray:
-        """Rate at every node (specs x nodes x omegas) for omegas given as specs x omegas."""
-        g = sample_fn(self.delta * (omegas[:, None, :] - self.grid[:, None]))
-        norm2 = np.sum(g * g, axis=1, keepdims=True)
+        """Rate at every node (specs x omegas x nodes) for omegas given as specs x omegas."""
+        g = taper(self.delta[:, 0] * omegas, *self.table)  # specs x omegas x antennas
+        norm2 = np.einsum("ijk,ijk->ij", g, g)[:, :, None]
         if np.any(norm2 <= 1e-300):
             raise ValueError("degenerate taper normalisation")
-        amp = self.steer @ g
-        q = self.snr.shape[1]
-        gains = (amp[:, :q] ** 2 + amp[:, q:] ** 2) / norm2
+        amp = g @ self.steer
+        q = self.snr.shape[2]
+        gains = (amp[:, :, :q] ** 2 + amp[:, :, q:] ** 2) / norm2
         return self.bandwidth * np.log1p(self.snr * gains) / math.log(2)
 
     def values(self, omegas: np.ndarray) -> np.ndarray:
         """Period objective (specs x omegas) for omegas given as specs x omegas."""
         rates = self.rates(omegas)
-        return self.weights @ (rates + penalty(rates, self.r_min, self.alpha))
+        rates += self.alpha * np.minimum(rates - self.r_min, 0.0)  # the penalty F_p
+        return rates @ self.weights
 
 
 def _omega_row(omegas) -> np.ndarray:
@@ -167,14 +160,14 @@ def objectives(omegas, spec: ObjectiveSpec) -> np.ndarray:
 def violation_masses(omegas, spec: ObjectiveSpec) -> np.ndarray:
     """Integral of the rate shortfall max(0, r_min - R(t)) over the period, per omega."""
     ev = _PeriodEvaluator([spec])
-    rates = ev.rates(_omega_row(omegas))[0]  # nodes x omegas
-    return spec.tau * (ev.weights @ np.maximum(0.0, spec.r_min - rates))
+    rates = ev.rates(_omega_row(omegas))[0]  # omegas x nodes
+    return spec.tau * (np.maximum(0.0, spec.r_min - rates) @ ev.weights)
 
 
 def _incumbent(x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # per row: best objective first, ties broken towards the smallest omega
-    rows, i = np.arange(len(x)), np.lexsort((x, -fx), axis=-1)[:, 0]
-    return x[rows, i], fx[rows, i]
+    best = fx.max(axis=1)
+    return np.where(fx == best[:, None], x, np.inf).min(axis=1), best
 
 
 def optimize_omega(spec: ObjectiveSpec, pso: PsoConfig) -> OptResult:
@@ -212,16 +205,15 @@ def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
     if lo < 0.0:
         raise ValueError(f"omega domain starts at 0, got lower bound {lo!r}")
     evaluator = _PeriodEvaluator(specs)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-
-    def draw() -> np.ndarray:
-        return np.stack([rng.random(pso.n_particles) for rng in rngs])
+    # each swarm's whole stream, drawn in the order of one random(n_particles) per use
+    shape = (2 * pso.n_iterations + 2, pso.n_particles)
+    draws = np.stack([np.random.default_rng(seed).random(shape) for seed in seeds], axis=1)
 
     span = hi - lo
     v_max = 0.2 * span
 
-    x = lo + draw() * span
-    v = (2.0 * draw() - 1.0) * v_max
+    x = lo + draws[0] * span
+    v = (2.0 * draws[1] - 1.0) * v_max
     fx = evaluator.values(x)
 
     pbest_x, pbest_f = x.copy(), fx.copy()
@@ -229,7 +221,7 @@ def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
     converged_iteration = np.zeros(len(specs), dtype=int)
 
     for it in range(1, pso.n_iterations + 1):
-        r_cog, r_soc = draw(), draw()
+        r_cog, r_soc = draws[2 * it], draws[2 * it + 1]
         v = (
             pso.inertia * v
             + pso.cognitive * r_cog * (pbest_x - x)
@@ -239,12 +231,9 @@ def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
         x = x + v
 
         # reflect at the bounds; a single reflection suffices with the clamp
-        below = x < lo
-        x[below] = 2.0 * lo - x[below]
-        v[below] = -v[below]
-        above = x > hi
-        x[above] = 2.0 * hi - x[above]
-        v[above] = -v[above]
+        outside = (x < lo) | (x > hi)
+        x = np.where(x < lo, 2.0 * lo - x, np.where(x > hi, 2.0 * hi - x, x))
+        v[outside] = -v[outside]
         np.clip(x, lo, hi, out=x)
 
         fx = evaluator.values(x)

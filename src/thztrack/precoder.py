@@ -64,23 +64,58 @@ def sample_fn(x):
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
-def beta_coeff(omega: float, delta: float, n_antennas: int) -> float:
-    """Power-normalisation coefficient 1 / sqrt(sum_n g_n(omega)^2)."""
+TAPER_DIRECT = 0.25
+
+
+def taper_table(delta, n_antennas: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arguments b and rot of :func:`taper` for ``delta`` given as (...), built once per beam:
+    b_n = delta * pi * n as (..., 1, N) and [cos b; -sin b] as (..., 2, N)."""
+    b = np.asarray(delta, dtype=float)[..., None, None] * (np.pi * np.arange(n_antennas))
+    return b, np.concatenate([np.cos(b), -np.sin(b)], axis=-2)
+
+
+def taper(a: np.ndarray, b: np.ndarray, rot: np.ndarray | None = None) -> np.ndarray:
+    """Tapers g_n = Sa(a - b_n) as (..., P, N) for a = delta * omega given as (..., P).
+
+    With ``rot``, sin(a - b_n) = [sin a, cos a] @ [cos b_n; -sin b_n] takes two
+    trig calls per a instead of one per antenna. Where |a - b_n| < TAPER_DIRECT
+    that difference loses relative accuracy, so Sa takes a - b_n directly, which
+    is exact where a and b_n are that close. Without ``rot``, as for a single a,
+    whose table would cost more trig calls than it saves, every n takes Sa directly.
+    """
+    x = a[..., None] - b
+    if rot is None:
+        return sample_fn(x)
+    near = np.abs(x) < TAPER_DIRECT
+    trig = np.empty(a.shape + (2,))
+    np.sin(a, out=trig[..., 0])
+    np.cos(a, out=trig[..., 1])
+    g = trig @ rot
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g /= x  # x == 0 only where near
+    g[near] = sample_fn(x[near])
+    return g
+
+
+def _taper_and_beta(omega: float, delta: float, n_antennas: int) -> tuple[np.ndarray, float]:
     if n_antennas < 2:
         raise ValueError(f"need at least 2 antennas, got {n_antennas!r}")
-    g = sample_fn(delta * (omega - np.pi * np.arange(n_antennas)))
+    g = taper(np.asarray(delta * omega), delta * (np.pi * np.arange(n_antennas)))
     total = float(np.dot(g, g))
     if total <= _DEGENERATE_SUM:
         raise ValueError("taper coefficients sum to zero; degenerate parameters")
-    return 1.0 / np.sqrt(total)
+    return g, 1.0 / np.sqrt(total)
+
+
+def beta_coeff(omega: float, delta: float, n_antennas: int) -> float:
+    """Power-normalisation coefficient 1 / sqrt(sum_n g_n(omega)^2)."""
+    return _taper_and_beta(omega, delta, n_antennas)[1]
 
 
 def adaptive_precoder(interval: AngularInterval, omega: float, cfg: ArrayConfig) -> Precoder:
     """Construct the unit-power precoder covering ``interval`` with shape ``omega``."""
-    n = np.arange(cfg.n_antennas)
-    g = sample_fn(interval.delta * (omega - np.pi * n))
-    beta = beta_coeff(omega, interval.delta, cfg.n_antennas)
-    weights = beta * np.exp(-1j * np.pi * interval.theta_m * n) * g
+    g, beta = _taper_and_beta(omega, interval.delta, cfg.n_antennas)
+    weights = beta * np.exp(-1j * np.pi * interval.theta_m * np.arange(cfg.n_antennas)) * g
     return Precoder(
         weights=weights,
         theta_m=interval.theta_m,

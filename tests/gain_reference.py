@@ -20,7 +20,6 @@ from thztrack import (
     Precoder,
     beta_coeff,
     channel_gain,
-    penalty,
     predict_pose,
     sample_fn,
 )
@@ -52,6 +51,16 @@ def bf_gain_direct(sin_dir: float, precoder: Precoder, cfg: ArrayConfig) -> floa
         )
     a = array_response(sin_dir, cfg)
     return float(np.abs(np.vdot(a, precoder.weights)) ** 2)
+
+
+def penalty(rate, r_min: float, alpha: float):
+    """Linear shortfall penalty: -alpha * (r_min - rate) when rate <= r_min, else 0.
+
+    Continuous at rate = r_min and non-positive everywhere. Accepts arrays.
+    """
+    r = np.asarray(rate, dtype=float)
+    value = np.where(r <= r_min, -alpha * (r_min - r), 0.0)
+    return float(value) if np.isscalar(rate) else value
 
 
 def g_coeff(n: int, omega: float, delta: float) -> float:

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 6 and 7 and the
 grid-floor check of every cell share a session-scoped default codebook build
-(about 13 s on two cores).
+(about 15 s on two cores).
 """
 
 from __future__ import annotations

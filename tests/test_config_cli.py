@@ -93,11 +93,13 @@ _FIELD = {
     "float | None": st.none() | _FINITE,
     # what render_config can write: one line without surrounding whitespace
     "str": st.text(max_size=12).filter(lambda s: s == s.strip() and len(s.splitlines()) <= 1),
+    # a delimiter is one character other than a double quote
+    "delimiter": st.characters(exclude_characters='"').filter(lambda c: c.isprintable() and c != " "),
 }
 _RUN_CONFIGS = st.builds(
     RunConfig,
     **{
-        section: st.builds(cls, **{f.name: _FIELD[f.type] for f in fields(cls)})
+        section: st.builds(cls, **{f.name: _FIELD.get(f.name, _FIELD[f.type]) for f in fields(cls)})
         for section, cls in _SECTIONS.items()
     },
 )
@@ -437,3 +439,30 @@ def test_cli_run_failure_exit_code(tmp_path, capsys):
     config.write_text(text)
     assert main(["simulate", "--config", str(config), "--scheme", "proposed"]) == 4
     assert "epoch" in capsys.readouterr().err
+
+
+def test_cli_codebook_build_failure_names_cell(tmp_path, capsys):
+    # theta 0.95 +- 0.05 already reaches past sine-space edge 1: the third cell fails
+    config = small_config_text(tmp_path)
+    text = config.read_text()
+    edge = {"theta_lo": "0.9", "theta_hi": "0.95", "delta_max": "0.1", "delta_step": "0.05"}
+    for key, value in edge.items():
+        text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                         for line in text.splitlines())
+    config.write_text(text + "\n")
+    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("run error: cell (0, 2) at theta=0.9 delta=0.1 failed:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "cb.json").exists()
+
+
+@pytest.mark.parametrize("value", ["", ";;", '"'])
+def test_cli_rejects_unusable_delimiter(tmp_path, capsys, value):
+    config = small_config_text(tmp_path)
+    lines = [f"delimiter = {value}" if line.startswith("delimiter =") else line
+             for line in config.read_text().splitlines()]
+    config.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--config", str(config), "--scheme", "conventional"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: [output] delimiter:") and err.count("\n") == 1

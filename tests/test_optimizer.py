@@ -17,14 +17,13 @@ from thztrack import (
     objectives,
     optimize_omega,
     optimize_omegas,
-    penalty,
     predict_pose,
     pso_bounds,
     violation_masses,
 )
 from thztrack.optimizer import SWARM_CHUNK, _PeriodEvaluator
 from conftest import CARRIER_HZ, aligned_rate, make_budget, make_objective_spec, make_scenario
-from gain_reference import bf_gain_direct, direction_of, period_objective, period_rates
+from gain_reference import bf_gain_direct, direction_of, penalty, period_objective, period_rates
 
 CFG = ArrayConfig(128, CARRIER_HZ)
 BUDGET = make_budget()

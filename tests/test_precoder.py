@@ -14,8 +14,10 @@ from thztrack import (
     beta_coeff,
     bf_gain_profile,
     mrt_precoder,
+    pso_bounds,
     sample_fn,
 )
+from thztrack.precoder import TAPER_DIRECT, taper, taper_table
 from conftest import CARRIER_HZ
 from gain_reference import (
     array_response,
@@ -43,6 +45,39 @@ def test_sample_fn_values():
     # full relative accuracy near 0, where sin(x)/x = 1 - x^2/6 + x^4/120
     tiny = np.array([1e-9, 1e-5, 1e-3])
     assert np.allclose(sample_fn(tiny), 1.0 - tiny**2 / 6.0 + tiny**4 / 120.0, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n_antennas", [16, 33, 128])
+def test_taper_against_mpmath(n_antennas):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(n_antennas)
+    lo, hi = pso_bounds(ArrayConfig(n_antennas, CARRIER_HZ))
+    grid_points = list(math.pi * np.arange(n_antennas))  # omega = pi * n zeroes one argument
+    fixed = [0.0, lo, hi, (n_antennas - 1) * math.pi] + grid_points[:: max(1, n_antennas // 8)]
+    cases = [(0.0, [0.0, hi, 17.3])]
+    cases += [(float(d), fixed + list(rng.uniform(lo, hi, 24))) for d in (0.002, 0.084, 0.3)]
+    cases += [(float(rng.uniform(0.0, 0.5)), list(rng.uniform(0.0, 2.0 * hi, 24))) for _ in range(2)]
+    near_sides = set()
+    with mpmath.workdps(40):
+        for delta, omegas in cases:
+            table = taper_table(delta, n_antennas)
+            b = table[0][0]
+            args = [delta * w for w in omegas]
+            # one ulp either side of the branch point, around b_0 = 0 and an interior b_n
+            for b_n in (b[0], b[n_antennas // 2]):
+                edge = b_n + TAPER_DIRECT
+                args += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+            a = np.array(args)
+            # with the table (difference form) and without it (Sa directly everywhere)
+            for got in (taper(a, *table), taper(a, table[0])):
+                for a_k, row in zip(a, got):
+                    for b_n, g in zip(b, row):
+                        x = mpmath.mpf(float(a_k)) - mpmath.mpf(float(b_n))
+                        expected = mpmath.sin(x) / x if x != 0 else mpmath.mpf(1)
+                        assert abs(g - float(expected)) <= 1e-15, (delta, a_k, b_n)
+                        if abs(x - TAPER_DIRECT) < 1e-12:
+                            near_sides.add(bool(x < TAPER_DIRECT))
+    assert near_sides == {True, False}
 
 
 def test_g_coeff_values():
@@ -97,6 +132,16 @@ def test_adaptive_unit_power_fuzz():
         omega = rng.uniform(0.0, (n - 1) * math.pi)
         p = adaptive_precoder(interval, omega, cfg)
         assert abs(np.sum(np.abs(p.weights) ** 2) - 1.0) < 1e-9
+
+
+def test_adaptive_beta_is_beta_coeff_bit_for_bit():
+    rng = np.random.default_rng(37)
+    for n in (2, 16, 33, 128):
+        cfg = ArrayConfig(n, CARRIER_HZ)
+        for _ in range(20):
+            interval = random_interval(rng)
+            omega = float(rng.uniform(0.0, (n - 1) * math.pi))
+            assert adaptive_precoder(interval, omega, cfg).beta == beta_coeff(omega, interval.delta, n)
 
 
 def test_adaptive_rejects_nan_omega():
