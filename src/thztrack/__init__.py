@@ -65,6 +65,7 @@ from .optimizer import (
     ObjectiveSpec,
     OptResult,
     PsoConfig,
+    SwarmError,
     objectives,
     optimize_omega,
     optimize_omegas,

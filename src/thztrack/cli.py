@@ -51,12 +51,6 @@ def _parse_values(raw: str) -> list[float]:
         raise ConfigError(f"cannot parse value list {raw!r}") from exc
 
 
-def _default_jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    return max(1, os.cpu_count() or 1)
-
-
 def _out_dir(args, config: RunConfig) -> Path:
     out = Path(args.out) if args.out else Path(config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -76,7 +70,7 @@ def cmd_codebook_build(args) -> int:
     out_path = Path(args.out) if args.out else Path(config.codebook.path)
     out_path.parent.mkdir(parents=True, exist_ok=True)  # fail before the build, not after
     started = time.perf_counter()
-    cb = build_codebook(grid, template, pso, jobs=_default_jobs(args))
+    cb = build_codebook(grid, template, pso, jobs=args.jobs)
     elapsed = time.perf_counter() - started
     cbmod.save(cb, out_path)
     print(f"cells={len(cb.entries)} seed={cb.base_seed} fingerprint={cb.fingerprint}")
@@ -122,7 +116,7 @@ def cmd_sweep(args) -> int:
         keys,
         cb,
         event_params=build_event_params(config),
-        jobs=_default_jobs(args),
+        jobs=args.jobs,
     )
     table_path = out / "sweep.csv"
     write_sweep(rows, table_path, config.output.delimiter)
@@ -172,7 +166,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, codebook=False):
         p.add_argument("--config", required=True, help="run configuration (INI)")
         p.add_argument("--out", help="output directory or file")
-        p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+        p.add_argument(
+            "--jobs", type=int, default=os.cpu_count() or 1, help="worker processes (default: all cores)"
+        )
         if codebook:
             p.add_argument("--codebook", help="codebook file (default from config)")
         else:  # the commands that run the swarm
@@ -212,6 +208,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -30,12 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .geometry import AngularInterval, SensedState, point_at_direction
-from .optimizer import SWARM_CHUNK, ObjectiveSpec, PsoConfig, optimize_omegas
+from .optimizer import ObjectiveSpec, PsoConfig, SwarmError, optimize_omegas
 from .precoder import Precoder, adaptive_precoder
 from .seeding import derive_seed
 
@@ -156,14 +155,13 @@ def check_fingerprint(cb: Codebook, expected: str) -> None:
 
 
 def _template_perpendicular_distance(template: ObjectiveSpec) -> float:
-    """Perpendicular distance from the BS to the template's motion line."""
-    ox, oy = template.geom.origin
-    px, py = template.state.position
-    vx, vy = template.state.velocity
-    speed = math.hypot(vx, vy)
-    if speed > 0.0:
-        return abs(vx * (py - oy) - vy * (px - ox)) / speed
-    return math.hypot(px - ox, py - oy)
+    """Distance from the BS to the template's position along boresight.
+
+    Cell paths run parallel to the array, so this holds for a static target too.
+    """
+    (ox, oy), (px, py) = template.geom.origin, template.state.position
+    bx, by = template.geom.boresight
+    return (px - ox) * bx + (py - oy) * by
 
 
 def _cell_spec(
@@ -175,60 +173,49 @@ def _cell_spec(
     perpendicular distance, so the cell-centre range follows that geometry.
     """
     interval = AngularInterval(theta_m, delta)
-    s0, s1 = interval.lo, interval.hi
-    p0 = point_at_direction(
-        template.geom, s0, distance_scale / math.sqrt(1.0 - s0 * s0)
-    )
-    p1 = point_at_direction(
-        template.geom, s1, distance_scale / math.sqrt(1.0 - s1 * s1)
+    p0, p1 = (
+        point_at_direction(template.geom, s, distance_scale / math.sqrt(1.0 - s * s))
+        for s in (interval.lo, interval.hi)
     )
     velocity = ((p1[0] - p0[0]) / template.tau, (p1[1] - p0[1]) / template.tau)
     state = SensedState(position=p0, velocity=velocity, epoch=0.0)
     return replace(template, state=state, interval=interval)
 
 
-def _build_cells(args) -> list[tuple[int, int, CodebookEntry]]:
-    """Optimise a chunk of cells in lockstep swarms; a failure names its cell."""
-    template, pso, cells, distance = args
-    seeds = [derive_seed("cell", pso.seed, ti, di) for ti, di, _, _ in cells]
-    try:
-        specs = [_cell_spec(template, theta_m, delta, distance) for _, _, theta_m, delta in cells]
-        results = optimize_omegas(specs, pso, seeds)
-    except Exception as exc:
-        for cell in cells if len(cells) > 1 else ():
-            _build_cells((template, pso, [cell], distance))  # raises naming the failing cell
-        ti, di, theta_m, delta = cells[0]
-        raise CodebookBuildError(
-            f"cell ({ti}, {di}) at theta={theta_m!r} delta={delta!r} failed: {exc}"
-        ) from exc
-    return [
-        (ti, di, CodebookEntry(spec.interval, r.omega_star, r.objective_value, seed, spec.n_quad))
-        for (ti, di, _, _), spec, seed, r in zip(cells, specs, seeds, results)
-    ]
+def _cell_error(cell, exc: Exception) -> CodebookBuildError:
+    ti, di, theta_m, delta = cell
+    return CodebookBuildError(
+        f"cell ({ti}, {di}) at theta={theta_m!r} delta={delta!r} failed: {exc}"
+    )
 
 
 def build_codebook(
-    grid: CodebookGrid,
-    template: ObjectiveSpec,
-    pso: PsoConfig,
-    jobs: int = 1,
+    grid: CodebookGrid, template: ObjectiveSpec, pso: PsoConfig, jobs: int = 1
 ) -> Codebook:
     """Optimise every grid cell on a canonical scenario derived from the template.
 
     Cells are independent; each gets a deterministic seed derived from the PSO
     seed and its grid indices, so builds are reproducible for any job count.
+    A failure raises :class:`CodebookBuildError` naming the failing cell.
     """
     distance = _template_perpendicular_distance(template)
     deltas = list(enumerate(grid.delta_values()))
     cells = [(ti, di, t, d) for ti, t in enumerate(grid.theta_values()) for di, d in deltas]
-    step = SWARM_CHUNK
-    tasks = [(template, pso, cells[i : i + step], distance) for i in range(0, len(cells), step)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_build_cells, tasks))
-    else:
-        chunks = [_build_cells(task) for task in tasks]
-    entries = {(ti, di): entry for chunk in chunks for ti, di, entry in chunk}
+    specs = []
+    for cell in cells:
+        try:
+            specs.append(_cell_spec(template, cell[2], cell[3], distance))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _cell_error(cell, exc) from exc
+    seeds = [derive_seed("cell", pso.seed, ti, di) for ti, di, _, _ in cells]
+    try:
+        results = optimize_omegas(specs, pso, seeds, jobs)
+    except SwarmError as exc:
+        raise _cell_error(cells[exc.index], exc.__cause__) from exc
+    entries = {
+        (ti, di): CodebookEntry(spec.interval, r.omega_star, r.objective_value, seed, spec.n_quad)
+        for (ti, di, _, _), spec, seed, r in zip(cells, specs, seeds, results)
+    }
 
     fingerprint = scenario_fingerprint(
         template.cfg, template.budget, template.tau, template.alpha, template.r_min

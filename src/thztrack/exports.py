@@ -26,11 +26,6 @@ PATTERN_COLUMNS = ("sin_dir", "gain_db")
 PATTERN_FLOOR_DB = -120.0
 
 
-def _require_finite(name: str, values) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"refusing to export non-finite values in column {name!r}")
-
-
 def _quoted(column: list[str], delimiter: str) -> list[str]:
     """The column with every field that holds the delimiter or a double quote quoted CSV-style."""
     text = "\n".join(column)
@@ -39,20 +34,19 @@ def _quoted(column: list[str], delimiter: str) -> list[str]:
     return ['"' + v.replace('"', '""') + '"' if delimiter in v or '"' in v else v for v in column]
 
 
-def _reprs(values) -> list[str]:
-    """Shortest round-trip text of each value as a float."""
-    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
+def _reprs(name: str, values) -> list[str]:
+    """Shortest round-trip text of each value of column ``name`` as a float, all finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"refusing to export non-finite values in column {name!r}")
+    return [repr(v) for v in values.tolist()]
 
 
 def _write_rows(sink, header: tuple[str, ...], columns: list[list[str]], delimiter: str) -> None:
     """Write the header and the rows formed by ``columns``, quoting fields column by column."""
     quoted = [_quoted(column, delimiter) for column in columns]
-    lines = [delimiter.join(header)]
+    lines = [delimiter.join(_quoted(list(header), delimiter))]
     lines.extend(delimiter.join(row) for row in zip(*quoted))
-    _write_lines(sink, lines)
-
-
-def _write_lines(sink, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if hasattr(sink, "write"):
         sink.write(text)
@@ -61,21 +55,13 @@ def _write_lines(sink, lines: list[str]) -> None:
 
 
 def write_trace(rec: TrackRecord, sink, delimiter: str = ",") -> None:
-    for name, column in (
-        ("time_s", rec.times),
-        ("sin_dir", rec.sin_dirs),
-        ("distance_m", rec.distances),
-        ("bf_gain", rec.bf_gains),
-        ("rate_bps", rec.rates),
-    ):
-        _require_finite(name, column)
     columns = [
-        _reprs(rec.times),
+        _reprs("time_s", rec.times),
         [rec.scheme] * len(rec.times),
-        _reprs(rec.sin_dirs),
-        _reprs(rec.distances),
-        _reprs(rec.bf_gains),
-        _reprs(rec.rates),
+        _reprs("sin_dir", rec.sin_dirs),
+        _reprs("distance_m", rec.distances),
+        _reprs("bf_gain", rec.bf_gains),
+        _reprs("rate_bps", rec.rates),
         [str(v) for v in np.asarray(rec.outages, dtype=int).tolist()],
         rec.beam_ids,
     ]
@@ -83,14 +69,11 @@ def write_trace(rec: TrackRecord, sink, delimiter: str = ",") -> None:
 
 
 def write_sweep(rows: list[SweepRow], sink, delimiter: str = ",") -> None:
-    for row in rows:
-        _require_finite("avg_rate_bps", [row.metrics.avg_rate])
-        _require_finite("outage_prob", [row.metrics.outage_prob])
     columns = [
-        _reprs([row.value for row in rows]),
+        _reprs("value", [row.value for row in rows]),
         [row.scheme for row in rows],
-        _reprs([row.metrics.avg_rate for row in rows]),
-        _reprs([row.metrics.outage_prob for row in rows]),
+        _reprs("avg_rate_bps", [row.metrics.avg_rate for row in rows]),
+        _reprs("outage_prob", [row.metrics.outage_prob for row in rows]),
         [str(row.metrics.realignment_count) for row in rows],
     ]
     _write_rows(sink, SWEEP_COLUMNS, columns, delimiter)
@@ -103,9 +86,5 @@ def pattern_gain_db(gains: np.ndarray) -> np.ndarray:
 
 
 def write_pattern(sin_dirs: np.ndarray, gains_db: np.ndarray, sink, delimiter: str = ",") -> None:
-    _require_finite("sin_dir", sin_dirs)
-    _require_finite("gain_db", gains_db)
-    lines = [delimiter.join(PATTERN_COLUMNS)]
-    for s, g in zip(sin_dirs, gains_db):
-        lines.append(delimiter.join((repr(float(s)), repr(float(g)))))
-    _write_lines(sink, lines)
+    columns = [_reprs("sin_dir", sin_dirs), _reprs("gain_db", gains_db)]
+    _write_rows(sink, PATTERN_COLUMNS, columns, delimiter)

@@ -16,7 +16,10 @@ bounds, deterministic bit-for-bit for a fixed seed, also when swarms step in loc
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -183,20 +186,47 @@ def optimize_omega(spec: ObjectiveSpec, pso: PsoConfig) -> OptResult:
     return optimize_omegas([spec], pso, [pso.seed])[0]
 
 
+class SwarmError(ValueError):
+    """The swarm of spec ``index`` failed; the failure is chained as the cause."""
+
+    def __init__(self, index: int, cause: Exception):
+        super().__init__(f"spec {index}: {cause}")
+        self.index = index
+
+
 def optimize_omegas(
-    specs: list[ObjectiveSpec], pso: PsoConfig, seeds: list[int]
+    specs: list[ObjectiveSpec], pso: PsoConfig, seeds: list[int], jobs: int = 1
 ) -> list[OptResult]:
     """:func:`optimize_omega` for each spec with its own seed (``pso.seed`` is unused).
 
     The swarms of :data:`SWARM_CHUNK` specs step in lockstep, one batched
     evaluation per iteration; each keeps its own random stream, so every
-    result is bit-identical to the one-spec run.
+    result is bit-identical to the one-spec run. With ``jobs > 1`` and more
+    than one chunk, the chunks run in a pool of up to ``jobs`` worker
+    processes. A spec whose swarm fails raises :class:`SwarmError` naming it.
     """
     if len(specs) != len(seeds):
         raise ValueError(f"{len(specs)} specs but {len(seeds)} seeds")
+    starts = range(0, len(specs), SWARM_CHUNK)
+    chunks = [specs[i : i + SWARM_CHUNK] for i in starts]
+    seed_chunks = [seeds[i : i + SWARM_CHUNK] for i in starts]
     results: list[OptResult] = []
-    for i in range(0, len(specs), SWARM_CHUNK):
-        results += _lockstep_swarms(specs[i : i + SWARM_CHUNK], pso, seeds[i : i + SWARM_CHUNK])
+    with ExitStack() as stack:
+        run = map
+        if jobs > 1 and len(chunks) > 1:
+            run = stack.enter_context(ProcessPoolExecutor(min(jobs, len(chunks)))).map
+        try:
+            for part in run(_lockstep_swarms, chunks, repeat(pso), seed_chunks):
+                results += part
+        except Exception:
+            # rerun the failed chunk spec by spec to name the failing one
+            start = len(results)
+            for i in range(start, min(start + SWARM_CHUNK, len(specs))):
+                try:
+                    _lockstep_swarms([specs[i]], pso, [seeds[i]])
+                except Exception as exc:
+                    raise SwarmError(i, exc) from exc
+            raise  # the chunk fails only as a whole, so no spec is to blame
     return results
 
 

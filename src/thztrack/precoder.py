@@ -33,17 +33,11 @@ class Precoder:
     delta: float
     omega: float
     beta: float
-    kind: str = "adaptive"
 
     def __post_init__(self):
         power = float(np.sum(np.abs(self.weights) ** 2))
         if not abs(power - 1.0) <= _UNIT_POWER_TOL:  # also rejects NaN weights
             raise ValueError(f"precoder power {power!r} violates the unit constraint")
-        if self.kind not in ("adaptive", "mrt"):
-            raise ValueError(f"unknown precoder kind {self.kind!r}")
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
     def as_record(self) -> dict:
         """Export record: the generating parameters, from which the weights are rebuilt."""
@@ -122,7 +116,6 @@ def adaptive_precoder(interval: AngularInterval, omega: float, cfg: ArrayConfig)
         delta=interval.delta,
         omega=omega,
         beta=beta,
-        kind="adaptive",
     )
 
 
@@ -135,7 +128,6 @@ def mrt_precoder(sin_dir: float, cfg: ArrayConfig) -> Precoder:
         delta=0.0,
         omega=0.0,
         beta=1.0 / np.sqrt(cfg.n_antennas),
-        kind="mrt",
     )
 
 

@@ -22,7 +22,6 @@ minimum-rate threshold.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,7 +42,7 @@ from .geometry import (
     path_to_interval,
     positions_to_directions,
 )
-from .optimizer import ObjectiveSpec, PsoConfig, optimize_omegas
+from .optimizer import ObjectiveSpec, PsoConfig, SwarmError, optimize_omegas
 from .precoder import Precoder, adaptive_precoder, bf_gain_profile, mrt_precoder
 from .seeding import derive_seed
 
@@ -304,10 +303,7 @@ def run_conventional(sc: Scenario) -> TrackRecord:
 
 
 def run_sensing_assisted_direct(
-    sc: Scenario,
-    pso: PsoConfig,
-    alpha: float,
-    n_quad: int = 64,
+    sc: Scenario, pso: PsoConfig, alpha: float, n_quad: int = 64
 ) -> TrackRecord:
     """Proposed scheme with per-period re-optimisation instead of a codebook.
 
@@ -315,14 +311,29 @@ def run_sensing_assisted_direct(
     the stored fingerprint binds the build power, so each power point
     re-optimises its period beams directly on the unquantised intervals.
     """
-    builder = _TraceBuilder(sc, SCHEME_PROPOSED, sc.tau)
-    specs = [sc.period_spec(k * sc.tau, alpha, n_quad) for k in range(builder.n_segments)]
-    seeds = [derive_seed("direct", pso.seed, k) for k in range(builder.n_segments)]
-    for k, (spec, result) in enumerate(zip(specs, optimize_omegas(specs, pso, seeds))):
-        beam = adaptive_precoder(spec.interval, result.omega_star, sc.cfg)
-        builder.add_segment(k, beam, f"opt[{k}]")
-        builder.realignments.append(k * sc.tau)
-    return builder.record()
+    return _run_direct([sc], pso, alpha, n_quad)[0]
+
+
+def _run_direct(
+    scenarios: list[Scenario], pso: PsoConfig, alpha: float, n_quad: int, jobs: int = 1
+) -> list[TrackRecord]:
+    """:func:`run_sensing_assisted_direct` for each scenario, all periods in one optimisation.
+
+    A failed swarm raises :class:`SwarmError` naming the index of its scenario.
+    """
+    builders = [_TraceBuilder(sc, SCHEME_PROPOSED, sc.tau) for sc in scenarios]
+    periods = [(i, k) for i, b in enumerate(builders) for k in range(b.n_segments)]
+    specs = [scenarios[i].period_spec(k * scenarios[i].tau, alpha, n_quad) for i, k in periods]
+    seeds = [derive_seed("direct", pso.seed, k) for _, k in periods]
+    try:
+        results = optimize_omegas(specs, pso, seeds, jobs)
+    except SwarmError as exc:
+        raise SwarmError(periods[exc.index][0], exc.__cause__) from exc.__cause__
+    for (i, k), spec, result in zip(periods, specs, results):
+        beam = adaptive_precoder(spec.interval, result.omega_star, scenarios[i].cfg)
+        builders[i].add_segment(k, beam, f"opt[{k}]")
+        builders[i].realignments.append(k * scenarios[i].tau)
+    return [b.record() for b in builders]
 
 
 def _event_beam(sc: Scenario, centre: float, half_width: float) -> Precoder:
@@ -401,18 +412,12 @@ def mean_realignment_slots(rec: TrackRecord, slot: float) -> float | None:
 
 
 def run_scheme(
-    scheme: str,
-    sc: Scenario,
-    cb: Codebook | None,
-    event_params: EventBasedParams,
-    direct: bool = False,
+    scheme: str, sc: Scenario, cb: Codebook | None, event_params: EventBasedParams
 ) -> TrackRecord:
-    """One episode of a :data:`SCHEMES` key; ``direct`` re-optimises proposed beams per period."""
+    """One episode of a :data:`SCHEMES` key."""
     if scheme == "proposed":
         if cb is None:
             raise TrackingRunError("the proposed scheme requires a codebook")
-        if direct:
-            return run_sensing_assisted_direct(sc, cb.pso, cb.alpha, cb.n_quad)
         return run_sensing_assisted(sc, cb)
     if scheme == "conventional":
         return run_conventional(sc)
@@ -421,14 +426,8 @@ def run_scheme(
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
 
 
-def _sweep_task(args) -> SweepRow:
-    sc, scheme, value, cb, event_params, direct, window = args
-    try:
-        rec = run_scheme(scheme, sc, cb, event_params, direct)
-        metrics = compute_metrics(rec, window)
-    except Exception as exc:
-        raise TrackingRunError(f"sweep point (value={value!r}, scheme={scheme!r}): {exc}") from exc
-    return SweepRow(value=value, scheme=rec.scheme, metrics=metrics)
+def _point_error(value: float, scheme: str, exc: Exception) -> TrackingRunError:
+    return TrackingRunError(f"sweep point (value={value!r}, scheme={scheme!r}): {exc}")
 
 
 def sweep(
@@ -444,35 +443,45 @@ def sweep(
 
     ``axis`` is "velocity" (m/s) or "tx_power" (dBm). On the power axis the
     proposed scheme re-optimises beams per period because the codebook is
-    fingerprinted to its build power. Rows come back in input order regardless
-    of the worker count.
+    fingerprinted to its build power; only this optimisation, one call for every
+    period of every power, uses up to ``jobs`` worker processes. Rows come back
+    in input order.
     """
-    values = list(values)
+    values = [float(v) for v in values]
     if not values:
         raise ValueError("sweep requires at least one axis value")
     schemes = list(schemes)
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
-    if event_params is None:
-        event_params = EventBasedParams()
+    event_params = event_params or EventBasedParams()
     window = (template.start_angle, template.end_angle)
 
-    tasks = []
-    for value in values:
-        if axis == "velocity":
-            sc = replace(template, velocity=float(value))
-            direct = False
-        elif axis == "tx_power":
-            budget = replace(template.budget, tx_power=dbm_to_watt(float(value)))
-            sc = replace(template, budget=budget)
-            direct = True
-        else:
-            raise ValueError(f"unknown sweep axis {axis!r}")
-        for scheme in schemes:
-            tasks.append((sc, scheme, float(value), cb, event_params, direct, window))
+    if axis == "velocity":
+        scenarios = [replace(template, velocity=v) for v in values]
+    elif axis == "tx_power":
+        budgets = (replace(template.budget, tx_power=dbm_to_watt(v)) for v in values)
+        scenarios = [replace(template, budget=budget) for budget in budgets]
+    else:
+        raise ValueError(f"unknown sweep axis {axis!r}")
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_task, tasks))
-    return [_sweep_task(task) for task in tasks]
+    direct = None
+    if axis == "tx_power" and "proposed" in schemes and cb is not None:
+        try:
+            direct = _run_direct(scenarios, cb.pso, cb.alpha, cb.n_quad, jobs)
+        except SwarmError as exc:
+            raise _point_error(values[exc.index], "proposed", exc.__cause__) from exc
+        except ValueError as exc:  # a period spec that cannot be built, alike at every power
+            raise _point_error(values[0], "proposed", exc) from exc
+
+    rows = []
+    for i, (value, sc) in enumerate(zip(values, scenarios)):
+        for scheme in schemes:
+            try:
+                use_direct = direct is not None and scheme == "proposed"
+                rec = direct[i] if use_direct else run_scheme(scheme, sc, cb, event_params)
+                metrics = compute_metrics(rec, window)
+            except Exception as exc:
+                raise _point_error(value, scheme, exc) from exc
+            rows.append(SweepRow(value=value, scheme=rec.scheme, metrics=metrics))
+    return rows

@@ -350,6 +350,21 @@ def test_entry_optimality_floor(tiny_build):
         assert entry.objective_value >= best * (1.0 - 1e-4)
 
 
+def test_static_template_builds_at_the_moving_template_distance(small_cfg, small_budget, small_pso):
+    # cell paths run parallel to the array, so the target's speed must not move them
+    grid = CodebookGrid(theta_step=0.05, delta_step=0.01, theta_range=(0.0, 0.05), delta_max=0.02)
+    distances, books = [], []
+    for velocity in (0.0, 20.0):
+        sc = replace(make_scenario(small_cfg, small_budget, velocity=velocity), start_angle=0.2)
+        template = make_objective_spec(sc, n_quad=16)
+        distances.append(_template_perpendicular_distance(template))
+        sink = io.StringIO()
+        save(build_codebook(grid, template, small_pso), sink)
+        books.append(sink.getvalue())
+    assert distances[0] == distances[1] == pytest.approx(100.0, rel=1e-12)
+    assert books[0] == books[1]
+
+
 def test_cell_seeds_distinct_and_stable():
     seeds = {derive_seed("cell", 42, ti, di) for ti in range(10) for di in range(10)}
     assert len(seeds) == 100

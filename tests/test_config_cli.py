@@ -441,6 +441,22 @@ def test_cli_run_failure_exit_code(tmp_path, capsys):
     assert "epoch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["codebook-build", "--jobs", "0"],
+        ["simulate", "--jobs", "-3"],
+        ["sweep", "--axis", "velocity", "--values", "10", "--jobs", "0"],
+    ],
+)
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, argv):
+    config = small_config_text(tmp_path)
+    assert main([*argv, "--config", str(config)]) == 2
+    jobs = argv[argv.index("--jobs") + 1]
+    assert capsys.readouterr().err == f"configuration error: --jobs must be at least 1, got {jobs}\n"
+    assert not (tmp_path / "cb.json").exists()
+
+
 def test_cli_codebook_build_failure_names_cell(tmp_path, capsys):
     # theta 0.95 +- 0.05 already reaches past sine-space edge 1: the third cell fails
     config = small_config_text(tmp_path)

@@ -12,6 +12,8 @@ from thztrack import (
     ArrayConfig,
     ObjectiveSpec,
     PsoConfig,
+    SensedState,
+    SwarmError,
     achievable_rate,
     adaptive_precoder,
     objectives,
@@ -243,6 +245,25 @@ def test_optimize_omegas_bit_equal_to_per_spec_runs():
     batched = optimize_omegas(specs, pso, seeds)
     single = [optimize_omega(spec, replace(pso, seed=seed)) for spec, seed in zip(specs, seeds)]
     assert batched == single  # OptResult equality compares every float bit for bit
+
+
+def test_optimize_omegas_pool_bit_equal_to_serial():
+    specs = _mixed_specs(CFG, 19, np.random.default_rng(19))
+    pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=16, n_iterations=25)
+    seeds = [500 + 3 * i for i in range(len(specs))]
+    assert optimize_omegas(specs, pso, seeds, jobs=2) == optimize_omegas(specs, pso, seeds, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_optimize_omegas_names_failing_spec(jobs):
+    # a target at the BS origin has no direction; its chunk reruns spec by spec to name it
+    specs = _mixed_specs(CFG, 12, np.random.default_rng(12))
+    at_origin = SensedState(position=specs[10].geom.origin, velocity=(0.0, 0.0), epoch=0.0)
+    specs[10] = replace(specs[10], state=at_origin)
+    pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=8, n_iterations=5)
+    with pytest.raises(SwarmError, match="origin") as info:
+        optimize_omegas(specs, pso, list(range(len(specs))), jobs=jobs)
+    assert info.value.index == 10
 
 
 def test_evaluator_rejects_mixed_shapes():

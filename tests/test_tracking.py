@@ -21,6 +21,7 @@ from thztrack import (
     build_codebook,
     compute_metrics,
     mean_realignment_slots,
+    mrt_precoder,
     optimize_omega,
     pose_to_direction,
     positions_to_directions,
@@ -30,7 +31,15 @@ from thztrack import (
     run_sensing_assisted_direct,
     sweep,
 )
-from thztrack.exports import SWEEP_COLUMNS, TRACE_COLUMNS, write_sweep, write_trace
+from thztrack.exports import (
+    PATTERN_COLUMNS,
+    SWEEP_COLUMNS,
+    TRACE_COLUMNS,
+    pattern_gain_db,
+    write_pattern,
+    write_sweep,
+    write_trace,
+)
 from thztrack.geometry import TargetPose
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
@@ -235,6 +244,13 @@ def test_sweep_error_annotated_with_point(small_cfg, small_budget, small_codeboo
         sweep(sc, "velocity", [80.0], ["proposed"], small_codebook)
 
 
+def test_power_sweep_error_names_its_point(small_scenario, small_codebook):
+    # the swarms of every power point fail in one batched optimisation; the first point is named
+    cb = replace(small_codebook, pso=replace(small_codebook.pso, bounds=(-1.0, 10.0)))
+    with pytest.raises(TrackingRunError, match=r"value=30\.0, scheme='proposed'.*lower bound -1"):
+        sweep(small_scenario, "tx_power", [30.0, 40.0], ["proposed"], cb, jobs=2)
+
+
 def test_direct_run_trace_symmetry(small_scenario, small_pso):
     # rate trace within each full period correlates with its own reversal
     rec = run_sensing_assisted_direct(small_scenario, small_pso, alpha=10.0, n_quad=16)
@@ -388,8 +404,8 @@ def _reference_lines(header, rows, delimiter: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reference_trace_text(rec: TrackRecord, delimiter: str) -> str:
-    rows = [
+def _trace_fields(rec: TrackRecord) -> list[tuple[str, ...]]:
+    return [
         (
             repr(float(rec.times[i])),
             rec.scheme,
@@ -402,7 +418,23 @@ def _reference_trace_text(rec: TrackRecord, delimiter: str) -> str:
         )
         for i in range(len(rec.times))
     ]
-    return _reference_lines(TRACE_COLUMNS, rows, delimiter)
+
+
+def _sweep_fields(rows) -> list[tuple[str, ...]]:
+    return [
+        (
+            repr(float(r.value)),
+            r.scheme,
+            repr(float(r.metrics.avg_rate)),
+            repr(float(r.metrics.outage_prob)),
+            str(r.metrics.realignment_count),
+        )
+        for r in rows
+    ]
+
+
+def _reference_trace_text(rec: TrackRecord, delimiter: str) -> str:
+    return _reference_lines(TRACE_COLUMNS, _trace_fields(rec), delimiter)
 
 
 @pytest.mark.parametrize("delimiter", [",", ";", "\t"])
@@ -422,16 +454,28 @@ def test_exports_match_row_by_row_reference(small_scenario, small_codebook, deli
 
     rows = sweep(small_scenario, "velocity", [10.0, 20.0], ["conventional", "event"], None)
     rows.append(replace(rows[0], scheme='x,"y"'))
-    expected = [
-        (
-            repr(float(r.value)),
-            r.scheme,
-            repr(float(r.metrics.avg_rate)),
-            repr(float(r.metrics.outage_prob)),
-            str(r.metrics.realignment_count),
-        )
-        for r in rows
-    ]
     sink = io.StringIO()
     write_sweep(rows, sink, delimiter)
-    assert sink.getvalue() == _reference_lines(SWEEP_COLUMNS, expected, delimiter)
+    assert sink.getvalue() == _reference_lines(SWEEP_COLUMNS, _sweep_fields(rows), delimiter)
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "_", "-", ".", "e", "|"])
+def test_every_writer_parses_back_with_csv(small_scenario, small_codebook, delimiter):
+    # headers ("time_s") and values ("-0.5", "1e-05") can hold the delimiter
+    import csv
+    import io
+
+    def parsed(write, *data):
+        sink = io.StringIO()
+        write(*data, sink, delimiter)
+        return [tuple(row) for row in csv.reader(io.StringIO(sink.getvalue()), delimiter=delimiter)]
+
+    rec = run_sensing_assisted(small_scenario, small_codebook)
+    assert parsed(write_trace, rec) == [TRACE_COLUMNS, *_trace_fields(rec)]
+    rows = sweep(small_scenario, "velocity", [10.0, 20.0], ["conventional", "event"], None)
+    assert parsed(write_sweep, rows) == [SWEEP_COLUMNS, *_sweep_fields(rows)]
+    cfg = small_scenario.cfg
+    sins = np.linspace(-1.0, 1.0, 41)
+    gains_db = pattern_gain_db(bf_gain_profile(sins, mrt_precoder(0.3, cfg), cfg))
+    pattern = [(repr(float(s)), repr(float(g))) for s, g in zip(sins, gains_db)]
+    assert parsed(write_pattern, sins, gains_db) == [PATTERN_COLUMNS, *pattern]
