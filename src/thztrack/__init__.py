@@ -65,7 +65,6 @@ from .optimizer import (
     ObjectiveSpec,
     OptResult,
     PsoConfig,
-    SwarmError,
     objectives,
     optimize_omega,
     optimize_omegas,

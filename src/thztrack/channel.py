@@ -49,10 +49,6 @@ class ArrayConfig:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq
 
-    @property
-    def spacing(self) -> float:
-        return self.wavelength / 2.0
-
 
 @dataclass(frozen=True)
 class LinkBudget:

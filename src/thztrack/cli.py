@@ -163,19 +163,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, codebook=False):
+    def common(p, codebook=False, pooled=False):
         p.add_argument("--config", required=True, help="run configuration (INI)")
         p.add_argument("--out", help="output directory or file")
-        p.add_argument(
-            "--jobs", type=int, default=os.cpu_count() or 1, help="worker processes (default: all cores)"
-        )
+        if pooled:  # the commands whose swarms run in a worker pool
+            jobs_help = "worker processes (default: all cores)"
+            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help=jobs_help)
         if codebook:
             p.add_argument("--codebook", help="codebook file (default from config)")
         else:  # the commands that run the swarm
             p.add_argument("--seed", type=int, help="override the configured master seed")
 
     p_build = sub.add_parser("codebook-build", help="optimise and save the beam codebook")
-    common(p_build)
+    common(p_build, pooled=True)
     p_build.set_defaults(func=cmd_codebook_build)
 
     p_sim = sub.add_parser("simulate", help="run one tracking episode per scheme")
@@ -188,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="metrics over a velocity or power axis")
-    common(p_sweep, codebook=True)
+    common(p_sweep, codebook=True, pooled=True)
     p_sweep.add_argument("--axis", required=True, choices=["velocity", "tx_power"])
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument(
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except ConfigError as exc:

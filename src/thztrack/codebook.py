@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .geometry import AngularInterval, SensedState, point_at_direction
-from .optimizer import ObjectiveSpec, PsoConfig, SwarmError, optimize_omegas
+from .optimizer import MIN_QUAD_NODES, ObjectiveSpec, PsoConfig, optimize_omegas
 from .precoder import Precoder, adaptive_precoder
 from .seeding import derive_seed
 
@@ -62,7 +62,7 @@ class CodebookFingerprintError(CodebookError):
 
 
 class CodebookCorruptError(CodebookError):
-    """Serialised codebook payload is unreadable or incomplete."""
+    """Serialised codebook payload is unreadable, incomplete or invalid."""
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def _cell_spec(
         for s in (interval.lo, interval.hi)
     )
     velocity = ((p1[0] - p0[0]) / template.tau, (p1[1] - p0[1]) / template.tau)
-    state = SensedState(position=p0, velocity=velocity, epoch=0.0)
+    state = SensedState(position=p0, velocity=velocity)
     return replace(template, state=state, interval=interval)
 
 
@@ -196,7 +196,7 @@ def build_codebook(
 
     Cells are independent; each gets a deterministic seed derived from the PSO
     seed and its grid indices, so builds are reproducible for any job count.
-    A failure raises :class:`CodebookBuildError` naming the failing cell.
+    A cell whose spec cannot be built raises :class:`CodebookBuildError` naming it.
     """
     distance = _template_perpendicular_distance(template)
     deltas = list(enumerate(grid.delta_values()))
@@ -208,10 +208,7 @@ def build_codebook(
         except (ValueError, ZeroDivisionError) as exc:
             raise _cell_error(cell, exc) from exc
     seeds = [derive_seed("cell", pso.seed, ti, di) for ti, di, _, _ in cells]
-    try:
-        results = optimize_omegas(specs, pso, seeds, jobs)
-    except SwarmError as exc:
-        raise _cell_error(cells[exc.index], exc.__cause__) from exc
+    results = optimize_omegas(specs, pso, seeds, jobs)
     entries = {
         (ti, di): CodebookEntry(spec.interval, r.omega_star, r.objective_value, seed, spec.n_quad)
         for (ti, di, _, _), spec, seed, r in zip(cells, specs, seeds, results)
@@ -334,6 +331,8 @@ def _finite(text: str) -> float:
 
 def _check_cells(cb: Codebook, rows: int) -> None:
     """Each grid cell stored once, at its grid interval, with the n_quad and an in-bounds omega."""
+    if cb.n_quad < MIN_QUAD_NODES:
+        raise CodebookCorruptError(f"codebook n_quad {cb.n_quad!r} is below {MIN_QUAD_NODES}")
     thetas, deltas = cb.grid.theta_values(), cb.grid.delta_values()
     grid = {(ti, di): (t, d) for ti, t in enumerate(thetas) for di, d in enumerate(deltas)}
     lo, hi = cb.pso.bounds
@@ -353,9 +352,9 @@ def _check_cells(cb: Codebook, rows: int) -> None:
 def load(source, expected_fingerprint: str | None = None) -> Codebook:
     """Read a codebook from a path or file object, validating version and payload.
 
-    Non-finite numbers, missing, duplicate or misplaced cells and omegas outside the stored
-    search bounds are rejected. A given ``expected_fingerprint`` must match the stored one,
-    tying it to the active scenario.
+    Non-finite numbers, invalid settings, missing, duplicate or misplaced cells and omegas outside
+    the stored search bounds are rejected. A given ``expected_fingerprint`` must match the stored
+    one, tying it to the active scenario.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -418,7 +417,7 @@ def load(source, expected_fingerprint: str | None = None) -> Codebook:
         )
         _check_cells(cb, len(payload["entries"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise CodebookCorruptError(f"codebook payload incomplete: {exc}") from exc
+        raise CodebookCorruptError(f"codebook payload incomplete or invalid: {exc}") from exc
 
     if expected_fingerprint is not None:
         check_fingerprint(cb, expected_fingerprint)

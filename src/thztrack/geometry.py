@@ -23,15 +23,13 @@ class SensedState:
     ----------
     position : (x, y) in metres
     velocity : (vx, vy) in metres per second
-    epoch : seconds since simulation start at which the state was sensed
     """
 
     position: Point
     velocity: Point
-    epoch: float = 0.0
 
     def __post_init__(self):
-        values = (*self.position, *self.velocity, self.epoch)
+        values = (*self.position, *self.velocity)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("sensed state fields must be finite")
 

@@ -28,6 +28,9 @@ from .geometry import AngularInterval, BsGeometry, SensedState, positions_to_dir
 from .precoder import taper, taper_table
 
 
+MIN_QUAD_NODES = 8
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Everything needed to evaluate the per-period objective for one interval.
@@ -52,13 +55,13 @@ class ObjectiveSpec:
             raise ValueError(f"minimum rate must be >= 0, got {self.r_min!r}")
         if self.alpha < 0.0:
             raise ValueError(f"penalty weight must be >= 0, got {self.alpha!r}")
-        if self.n_quad < 8:
-            raise ValueError(f"need at least 8 quadrature nodes, got {self.n_quad!r}")
+        if self.n_quad < MIN_QUAD_NODES:
+            raise ValueError(f"need at least {MIN_QUAD_NODES} quadrature nodes, got {self.n_quad!r}")
 
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm settings. Defaults are standard constriction-factor values."""
+    """Swarm settings over omega bounds 0 <= lo < hi; defaults are constriction-factor values."""
 
     bounds: tuple[float, float]
     n_particles: int = 40
@@ -70,8 +73,8 @@ class PsoConfig:
 
     def __post_init__(self):
         lo, hi = self.bounds
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"invalid search bounds {self.bounds!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
+            raise ValueError(f"invalid search bounds {self.bounds!r}; need 0 <= lo < hi")
         if self.n_particles < 2:
             raise ValueError(f"need at least 2 particles, got {self.n_particles!r}")
         if self.n_iterations < 1:
@@ -186,14 +189,6 @@ def optimize_omega(spec: ObjectiveSpec, pso: PsoConfig) -> OptResult:
     return optimize_omegas([spec], pso, [pso.seed])[0]
 
 
-class SwarmError(ValueError):
-    """The swarm of spec ``index`` failed; the failure is chained as the cause."""
-
-    def __init__(self, index: int, cause: Exception):
-        super().__init__(f"spec {index}: {cause}")
-        self.index = index
-
-
 def optimize_omegas(
     specs: list[ObjectiveSpec], pso: PsoConfig, seeds: list[int], jobs: int = 1
 ) -> list[OptResult]:
@@ -203,7 +198,7 @@ def optimize_omegas(
     evaluation per iteration; each keeps its own random stream, so every
     result is bit-identical to the one-spec run. With ``jobs > 1`` and more
     than one chunk, the chunks run in a pool of up to ``jobs`` worker
-    processes. A spec whose swarm fails raises :class:`SwarmError` naming it.
+    processes.
     """
     if len(specs) != len(seeds):
         raise ValueError(f"{len(specs)} specs but {len(seeds)} seeds")
@@ -215,25 +210,13 @@ def optimize_omegas(
         run = map
         if jobs > 1 and len(chunks) > 1:
             run = stack.enter_context(ProcessPoolExecutor(min(jobs, len(chunks)))).map
-        try:
-            for part in run(_lockstep_swarms, chunks, repeat(pso), seed_chunks):
-                results += part
-        except Exception:
-            # rerun the failed chunk spec by spec to name the failing one
-            start = len(results)
-            for i in range(start, min(start + SWARM_CHUNK, len(specs))):
-                try:
-                    _lockstep_swarms([specs[i]], pso, [seeds[i]])
-                except Exception as exc:
-                    raise SwarmError(i, exc) from exc
-            raise  # the chunk fails only as a whole, so no spec is to blame
+        for part in run(_lockstep_swarms, chunks, repeat(pso), seed_chunks):
+            results += part
     return results
 
 
 def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
     lo, hi = pso.bounds
-    if lo < 0.0:
-        raise ValueError(f"omega domain starts at 0, got lower bound {lo!r}")
     evaluator = _PeriodEvaluator(specs)
     # each swarm's whole stream, drawn in the order of one random(n_particles) per use
     shape = (2 * pso.n_iterations + 2, pso.n_particles)

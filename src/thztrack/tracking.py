@@ -42,7 +42,7 @@ from .geometry import (
     path_to_interval,
     positions_to_directions,
 )
-from .optimizer import ObjectiveSpec, PsoConfig, SwarmError, optimize_omegas
+from .optimizer import ObjectiveSpec, PsoConfig, optimize_omegas
 from .precoder import Precoder, adaptive_precoder, bf_gain_profile, mrt_precoder
 from .seeding import derive_seed
 
@@ -140,7 +140,6 @@ class Scenario:
         return SensedState(
             position=self.position_at(t),
             velocity=(self.velocity * px, self.velocity * py),
-            epoch=t,
         )
 
     def directions_at(self, times) -> tuple[np.ndarray, np.ndarray]:
@@ -317,18 +316,12 @@ def run_sensing_assisted_direct(
 def _run_direct(
     scenarios: list[Scenario], pso: PsoConfig, alpha: float, n_quad: int, jobs: int = 1
 ) -> list[TrackRecord]:
-    """:func:`run_sensing_assisted_direct` for each scenario, all periods in one optimisation.
-
-    A failed swarm raises :class:`SwarmError` naming the index of its scenario.
-    """
+    """:func:`run_sensing_assisted_direct` for each scenario, all periods in one optimisation."""
     builders = [_TraceBuilder(sc, SCHEME_PROPOSED, sc.tau) for sc in scenarios]
     periods = [(i, k) for i, b in enumerate(builders) for k in range(b.n_segments)]
     specs = [scenarios[i].period_spec(k * scenarios[i].tau, alpha, n_quad) for i, k in periods]
     seeds = [derive_seed("direct", pso.seed, k) for _, k in periods]
-    try:
-        results = optimize_omegas(specs, pso, seeds, jobs)
-    except SwarmError as exc:
-        raise SwarmError(periods[exc.index][0], exc.__cause__) from exc.__cause__
+    results = optimize_omegas(specs, pso, seeds, jobs)
     for (i, k), spec, result in zip(periods, specs, results):
         beam = adaptive_precoder(spec.interval, result.omega_star, scenarios[i].cfg)
         builders[i].add_segment(k, beam, f"opt[{k}]")
@@ -469,9 +462,7 @@ def sweep(
     if axis == "tx_power" and "proposed" in schemes and cb is not None:
         try:
             direct = _run_direct(scenarios, cb.pso, cb.alpha, cb.n_quad, jobs)
-        except SwarmError as exc:
-            raise _point_error(values[exc.index], "proposed", exc.__cause__) from exc
-        except ValueError as exc:  # a period spec that cannot be built, alike at every power
+        except ValueError as exc:  # no check on a period spec or its swarm depends on the power
             raise _point_error(values[0], "proposed", exc) from exc
 
     rows = []

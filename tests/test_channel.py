@@ -202,5 +202,3 @@ def test_array_config_validation():
         ArrayConfig(1, CARRIER_HZ)
     with pytest.raises(ValueError):
         ArrayConfig(8, 0.0)
-    cfg = ArrayConfig(8, CARRIER_HZ)
-    assert cfg.spacing == cfg.wavelength / 2.0

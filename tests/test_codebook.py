@@ -311,9 +311,9 @@ def test_load_rejects_incomplete_or_inconsistent_cells(tiny_build, tmp_path, edi
 
 def test_build_error_names_failing_cell(tiny_build, small_pso):
     grid, template, _ = tiny_build
-    # every cell fails on a negative lower bound; the first of the chunk is named
-    with pytest.raises(CodebookBuildError, match=r"cell \(0, 0\) at theta=0\.0 delta=0\.0"):
-        build_codebook(grid, template, replace(small_pso, bounds=(-1.0, 10.0)))
+    # a negative lower bound cannot reach a build: the config itself is rejected
+    with pytest.raises(ValueError, match="need 0 <= lo < hi"):
+        replace(small_pso, bounds=(-1.0, 10.0))
     # the third cell of the chunk is the first to reach sine-space edge 1; it is named
     wide = replace(grid, theta_range=(0.9, 0.95), delta_max=0.1, delta_step=0.05)
     with pytest.raises(CodebookBuildError, match=r"cell \(0, 2\) at theta=0\.9 delta=0\.1"):

@@ -336,6 +336,36 @@ def test_cli_rejected_codebook_exit_code(tmp_path, capsys, edit, message):
     assert err.startswith("codebook error:") and message in err and err.count("\n") == 1
 
 
+def _negative_lower_bound(payload) -> None:
+    payload["pso"]["bounds"][0] = -1.0
+
+
+def _four_quad_nodes(payload) -> None:
+    payload["n_quad"] = 4
+    for row in payload["entries"]:
+        row[7] = 4
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_negative_lower_bound, "need 0 <= lo < hi"), (_four_quad_nodes, "n_quad 4 is below 8")],
+    ids=["negative-lower-bound", "n_quad-4"],
+)
+def test_cli_power_sweep_rejects_invalid_codebook(tmp_path, capsys, edit, message):
+    # the power axis re-optimises with the stored settings, so load must reject bad ones
+    config = small_config_text(tmp_path)
+    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
+    path = tmp_path / "cb.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    argv = ["sweep", "--config", str(config), "--axis", "tx_power", "--values", "30,40"]
+    assert main([*argv, "--schemes", "proposed", "--jobs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("codebook error:") and message in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _blocked_output(tmp_path: Path) -> Path:
     """Config whose output directory lies under a regular file, so it cannot be created."""
     config = small_config_text(tmp_path)
@@ -355,7 +385,7 @@ def _blocked_output(tmp_path: Path) -> Path:
 )
 def test_cli_unwritable_output_exit_code(tmp_path, capsys, command, extra):
     config = _blocked_output(tmp_path)
-    assert main([command, "--config", str(config), "--jobs", "1", *extra]) == 4
+    assert main([command, "--config", str(config), *extra]) == 4
     err = capsys.readouterr().err
     assert err.startswith("run error:") and "blocker" in err and err.count("\n") == 1
     assert "Traceback" not in err
@@ -445,7 +475,7 @@ def test_cli_run_failure_exit_code(tmp_path, capsys):
     "argv",
     [
         ["codebook-build", "--jobs", "0"],
-        ["simulate", "--jobs", "-3"],
+        ["sweep", "--axis", "tx_power", "--values", "30", "--jobs", "-3"],
         ["sweep", "--axis", "velocity", "--values", "10", "--jobs", "0"],
     ],
 )
@@ -455,6 +485,15 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys, argv):
     jobs = argv[argv.index("--jobs") + 1]
     assert capsys.readouterr().err == f"configuration error: --jobs must be at least 1, got {jobs}\n"
     assert not (tmp_path / "cb.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "pattern"])
+def test_cli_jobs_only_where_workers_run(tmp_path, command):
+    config = small_config_text(tmp_path)
+    extra = ["--velocities", "10"] if command == "pattern" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), "--jobs", "2", *extra])
+    assert exc.value.code == 2
 
 
 def test_cli_codebook_build_failure_names_cell(tmp_path, capsys):

@@ -245,9 +245,9 @@ def test_sweep_error_annotated_with_point(small_cfg, small_budget, small_codeboo
 
 
 def test_power_sweep_error_names_its_point(small_scenario, small_codebook):
-    # the swarms of every power point fail in one batched optimisation; the first point is named
-    cb = replace(small_codebook, pso=replace(small_codebook.pso, bounds=(-1.0, 10.0)))
-    with pytest.raises(TrackingRunError, match=r"value=30\.0, scheme='proposed'.*lower bound -1"):
+    # a period spec that cannot be built fails alike at every power point; the first is named
+    cb = replace(small_codebook, n_quad=4)
+    with pytest.raises(TrackingRunError, match=r"value=30\.0, scheme='proposed'.*quadrature nodes"):
         sweep(small_scenario, "tx_power", [30.0, 40.0], ["proposed"], cb, jobs=2)
 
 
