@@ -19,7 +19,6 @@ from .channel import (
 )
 from .codebook import (
     Codebook,
-    CodebookBuildError,
     CodebookCorruptError,
     CodebookEntry,
     CodebookError,
@@ -44,7 +43,6 @@ from .config import (
     build_objective_template,
     build_pso,
     build_scenario,
-    default_config,
     parse_config,
     parse_config_file,
     render_config,
@@ -54,7 +52,6 @@ from .geometry import (
     AngularInterval,
     BsGeometry,
     SensedState,
-    TargetPose,
     path_to_interval,
     point_at_direction,
     pose_to_direction,
@@ -74,7 +71,6 @@ from .optimizer import (
 from .precoder import (
     Precoder,
     adaptive_precoder,
-    beta_coeff,
     bf_gain_profile,
     mrt_precoder,
     sample_fn,
@@ -90,7 +86,6 @@ from .tracking import (
     TrackRecord,
     TrackingRunError,
     compute_metrics,
-    mean_realignment_slots,
     run_conventional,
     run_event_based,
     run_sensing_assisted,

@@ -23,7 +23,10 @@ class FarFieldWarning(UserWarning):
 
 
 def dbm_to_watt(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{dbm!r} dBm is too large for a float in watts") from None
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Command-line entry points: codebook-build, simulate, sweep, pattern.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 codebook error
-(missing file, version, fingerprint, corrupt payload), 4 run or build failure,
+(missing file, version, fingerprint, corrupt payload), 4 run failure,
 including an output directory or file that cannot be created or written.
 """
 
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codebook as cbmod
-from .codebook import CodebookBuildError, CodebookError, build_codebook
+from .codebook import CodebookError, build_codebook
 from .config import (
     ConfigError,
     RunConfig,
@@ -46,9 +46,12 @@ def _parse_values(raw: str) -> list[float]:
     if not values:
         raise ConfigError("no values given; expected a comma-separated list")
     try:
-        return [float(v) for v in values]
+        numbers = [float(v) for v in values]
     except ValueError as exc:
         raise ConfigError(f"cannot parse value list {raw!r}") from exc
+    if not all(math.isfinite(v) for v in numbers):
+        raise ConfigError(f"value list {raw!r} holds a non-finite number")
+    return numbers
 
 
 def _out_dir(args, config: RunConfig) -> Path:
@@ -73,7 +76,7 @@ def cmd_codebook_build(args) -> int:
     cb = build_codebook(grid, template, pso, jobs=args.jobs)
     elapsed = time.perf_counter() - started
     cbmod.save(cb, out_path)
-    print(f"cells={len(cb.entries)} seed={cb.base_seed} fingerprint={cb.fingerprint}")
+    print(f"cells={len(cb.entries)} seed={cb.pso.seed} fingerprint={cb.fingerprint}")
     print(f"written {out_path} in {elapsed:.1f} s")
     return EXIT_OK
 
@@ -109,15 +112,10 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"unknown scheme {key!r}; choose from {sorted(SCHEMES)}")
     cb = _load_codebook(args, config, template) if "proposed" in keys else None
     out = _out_dir(args, config)
-    rows = sweep(
-        template,
-        args.axis,
-        values,
-        keys,
-        cb,
-        event_params=build_event_params(config),
-        jobs=args.jobs,
-    )
+    try:
+        rows = sweep(template, args.axis, values, keys, cb, build_event_params(config), args.jobs)
+    except ValueError as exc:  # an axis value no scenario accepts; a run raises TrackingRunError
+        raise ConfigError(str(exc)) from exc
     table_path = out / "sweep.csv"
     write_sweep(rows, table_path, config.output.delimiter)
     print(f"{len(rows)} rows -> {table_path}")
@@ -146,10 +144,9 @@ def cmd_pattern(args) -> int:
         gains = bf_gain_profile(sin_grid, beam, scenario.cfg)
         path = out / f"pattern_v{velocity:g}.csv"
         write_pattern(sin_grid, pattern_gain_db(gains), path, config.output.delimiter)
-        params = beam.as_record()
         print(
-            f"v={velocity:g} m/s: theta_m={params['theta_m']:.6f} delta={params['delta']:.6f} "
-            f"omega={params['omega']:.6f} beta={params['beta']:.6e} "
+            f"v={velocity:g} m/s: theta_m={beam.theta_m:.6f} delta={beam.delta:.6f} "
+            f"omega={beam.omega:.6f} beta={beam.beta:.6e} "
             f"peak={10 * math.log10(max(gains)):.2f} dB -> {path}"
         )
     return EXIT_OK
@@ -214,7 +211,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CodebookBuildError, TrackingRunError) as exc:
+    except TrackingRunError as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return EXIT_RUN
     except CodebookError as exc:

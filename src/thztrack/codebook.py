@@ -45,10 +45,6 @@ class CodebookError(Exception):
     """Base class for codebook failures."""
 
 
-class CodebookBuildError(CodebookError):
-    """A cell optimisation failed during the build."""
-
-
 class CodebookRangeError(CodebookError):
     """A queried interval falls outside the grid coverage."""
 
@@ -71,7 +67,7 @@ class CodebookGrid:
 
     Centres run from theta_range[0] to at least theta_range[1] in steps of
     theta_step; half-width rows run from 0 to at least delta_max in steps of
-    delta_step.
+    delta_step. Every cell's interval lies strictly inside sine space (-1, 1).
     """
 
     theta_step: float
@@ -87,6 +83,11 @@ class CodebookGrid:
             raise ValueError(f"theta range {self.theta_range!r} outside (-1, 1)")
         if self.delta_max < 0.0:
             raise ValueError(f"delta_max must be >= 0, got {self.delta_max!r}")
+        # float addition is monotone, so the outermost cells bound every cell's edges
+        reach = self.delta_values()[-1]
+        for theta in (self.theta_values()[0], self.theta_values()[-1]):
+            if not abs(theta) + reach < 1.0:
+                raise ValueError(f"cell theta={theta!r} delta={reach!r} reaches sine-space edge")
 
     @property
     def theta_count(self) -> int:
@@ -118,8 +119,6 @@ class CodebookEntry:
     interval: AngularInterval
     omega: float
     objective_value: float
-    seed: int
-    n_quad: int
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,6 @@ class Codebook:
     alpha: float
     r_min: float
     n_quad: int
-    base_seed: int
     pso: PsoConfig
 
 
@@ -182,13 +180,6 @@ def _cell_spec(
     return replace(template, state=state, interval=interval)
 
 
-def _cell_error(cell, exc: Exception) -> CodebookBuildError:
-    ti, di, theta_m, delta = cell
-    return CodebookBuildError(
-        f"cell ({ti}, {di}) at theta={theta_m!r} delta={delta!r} failed: {exc}"
-    )
-
-
 def build_codebook(
     grid: CodebookGrid, template: ObjectiveSpec, pso: PsoConfig, jobs: int = 1
 ) -> Codebook:
@@ -196,22 +187,16 @@ def build_codebook(
 
     Cells are independent; each gets a deterministic seed derived from the PSO
     seed and its grid indices, so builds are reproducible for any job count.
-    A cell whose spec cannot be built raises :class:`CodebookBuildError` naming it.
     """
     distance = _template_perpendicular_distance(template)
     deltas = list(enumerate(grid.delta_values()))
     cells = [(ti, di, t, d) for ti, t in enumerate(grid.theta_values()) for di, d in deltas]
-    specs = []
-    for cell in cells:
-        try:
-            specs.append(_cell_spec(template, cell[2], cell[3], distance))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _cell_error(cell, exc) from exc
+    specs = [_cell_spec(template, t, d, distance) for _, _, t, d in cells]
     seeds = [derive_seed("cell", pso.seed, ti, di) for ti, di, _, _ in cells]
     results = optimize_omegas(specs, pso, seeds, jobs)
     entries = {
-        (ti, di): CodebookEntry(spec.interval, r.omega_star, r.objective_value, seed, spec.n_quad)
-        for (ti, di, _, _), spec, seed, r in zip(cells, specs, seeds, results)
+        (ti, di): CodebookEntry(spec.interval, r.omega_star, r.objective_value)
+        for (ti, di, _, _), spec, r in zip(cells, specs, results)
     }
 
     fingerprint = scenario_fingerprint(
@@ -225,7 +210,6 @@ def build_codebook(
         alpha=template.alpha,
         r_min=template.r_min,
         n_quad=template.n_quad,
-        base_seed=pso.seed,
         pso=pso,
     )
 
@@ -281,8 +265,8 @@ def _to_payload(cb: Codebook) -> dict:
             entry.interval.delta,
             entry.omega,
             entry.objective_value,
-            entry.seed,
-            entry.n_quad,
+            derive_seed("cell", cb.pso.seed, ti, di),
+            cb.n_quad,
         ]
         for (ti, di), entry in sorted(cb.entries.items())
     ]
@@ -300,7 +284,7 @@ def _to_payload(cb: Codebook) -> dict:
         "alpha": cb.alpha,
         "r_min": cb.r_min,
         "n_quad": cb.n_quad,
-        "base_seed": cb.base_seed,
+        "base_seed": cb.pso.seed,
         "pso": {
             "bounds": list(cb.pso.bounds),
             "n_particles": cb.pso.n_particles,
@@ -329,32 +313,35 @@ def _finite(text: str) -> float:
     return value
 
 
-def _check_cells(cb: Codebook, rows: int) -> None:
-    """Each grid cell stored once, at its grid interval, with the n_quad and an in-bounds omega."""
+def _check_cells(cb: Codebook, rows: list) -> None:
+    """Every grid cell once, at its interval and seed, with the n_quad and an in-bounds omega."""
     if cb.n_quad < MIN_QUAD_NODES:
         raise CodebookCorruptError(f"codebook n_quad {cb.n_quad!r} is below {MIN_QUAD_NODES}")
     thetas, deltas = cb.grid.theta_values(), cb.grid.delta_values()
     grid = {(ti, di): (t, d) for ti, t in enumerate(thetas) for di, d in enumerate(deltas)}
     lo, hi = cb.pso.bounds
-    for key, entry in cb.entries.items():
-        if grid.get(key) != (entry.interval.theta_m, entry.interval.delta):
+    for ti, di, theta_m, delta, omega, _, seed, n_quad in rows:
+        key = (ti, di)
+        if grid.get(key) != (theta_m, delta):
             raise CodebookCorruptError(f"codebook cell {key} does not match its grid interval")
-        if entry.n_quad != cb.n_quad:
-            raise CodebookCorruptError(f"codebook cell {key} has n_quad {entry.n_quad!r}")
-        if not lo <= entry.omega <= hi:
+        if seed != derive_seed("cell", cb.pso.seed, ti, di):
+            raise CodebookCorruptError(f"codebook cell {key} has seed {seed!r}, not its own")
+        if n_quad != cb.n_quad:
+            raise CodebookCorruptError(f"codebook cell {key} has n_quad {n_quad!r}")
+        if not lo <= omega <= hi:
             raise CodebookCorruptError(
-                f"codebook cell {key} has omega {entry.omega!r} outside the bounds {cb.pso.bounds}"
+                f"codebook cell {key} has omega {omega!r} outside the bounds {cb.pso.bounds}"
             )
-    if not rows == len(cb.entries) == len(grid):
-        raise CodebookCorruptError(f"{rows} rows cover {len(cb.entries)} of {len(grid)} cells")
+    if not len(rows) == len(cb.entries) == len(grid):
+        raise CodebookCorruptError(f"{len(rows)} rows cover {len(cb.entries)} of {len(grid)} cells")
 
 
 def load(source, expected_fingerprint: str | None = None) -> Codebook:
     """Read a codebook from a path or file object, validating version and payload.
 
-    Non-finite numbers, invalid settings, missing, duplicate or misplaced cells and omegas outside
-    the stored search bounds are rejected. A given ``expected_fingerprint`` must match the stored
-    one, tying it to the active scenario.
+    Non-finite numbers, invalid settings, missing, duplicate or misplaced cells, seeds or n_quad
+    that differ from the codebook's and out-of-bounds omegas are rejected. A given
+    ``expected_fingerprint`` must match the stored one, tying it to the active scenario.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -396,13 +383,11 @@ def load(source, expected_fingerprint: str | None = None) -> Codebook:
         )
         entries = {}
         for row in payload["entries"]:
-            ti, di, theta_m, delta, omega, value, seed, n_quad = row
+            ti, di, theta_m, delta, omega, value, _, _ = row
             entries[(ti, di)] = CodebookEntry(
                 interval=AngularInterval(theta_m, delta),
                 omega=omega,
                 objective_value=value,
-                seed=seed,
-                n_quad=n_quad,
             )
         cb = Codebook(
             grid=grid,
@@ -412,10 +397,9 @@ def load(source, expected_fingerprint: str | None = None) -> Codebook:
             alpha=payload["alpha"],
             r_min=payload["r_min"],
             n_quad=payload["n_quad"],
-            base_seed=payload["base_seed"],
             pso=pso,
         )
-        _check_cells(cb, len(payload["entries"]))
+        _check_cells(cb, payload["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CodebookCorruptError(f"codebook payload incomplete or invalid: {exc}") from exc
 

@@ -101,11 +101,6 @@ class RunConfig:
 _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
-def default_config() -> RunConfig:
-    """The shipped defaults: the reference simulation parameter set."""
-    return RunConfig()
-
-
 # keys not listed here parse as float; r_min_bps also accepts the word "auto"
 _INT_KEYS = {"n_antennas", "n_quad", "n_particles", "n_iterations", "seed"}
 _STR_KEYS = {"path", "directory", "delimiter"}

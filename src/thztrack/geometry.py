@@ -35,18 +35,6 @@ class SensedState:
 
 
 @dataclass(frozen=True)
-class TargetPose:
-    """Predicted target position at elapsed time ``elapsed`` within a period."""
-
-    position: Point
-    elapsed: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.elapsed) and self.elapsed >= 0.0):
-            raise ValueError("elapsed time must be finite and non-negative")
-
-
-@dataclass(frozen=True)
 class BsGeometry:
     """Base-station placement: array centre and unit broadside direction."""
 
@@ -91,22 +79,21 @@ class AngularInterval:
         return self.theta_m + self.delta
 
 
-def predict_pose(state: SensedState, t: float, tau: float) -> TargetPose:
-    """Extrapolate the sensed state by ``t`` seconds within a period of length ``tau``.
+def predict_pose(state: SensedState, t: float, tau: float) -> Point:
+    """Position of the sensed state extrapolated by ``t`` seconds within a period of length ``tau``.
 
     The target moves in a straight line at its sensed velocity, p(t) = p0 + v0 * t;
     no sensing or prediction noise is injected. Raises ValueError when ``t`` falls
-    outside [0, tau].
+    outside [0, tau] or is NaN.
     """
     if tau <= 0.0:
         raise ValueError(f"sensing period must be positive, got {tau!r}")
-    if t < 0.0 or t > tau * (1.0 + 1e-12):
+    if not 0.0 <= t <= tau * (1.0 + 1e-12):
         raise ValueError(f"elapsed time {t!r} outside the sensing period [0, {tau!r}]")
-    position = (
+    return (
         state.position[0] + state.velocity[0] * t,
         state.position[1] + state.velocity[1] * t,
     )
-    return TargetPose(position=position, elapsed=t)
 
 
 def positions_to_directions(xs, ys, geom: BsGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -125,9 +112,9 @@ def positions_to_directions(xs, ys, geom: BsGeometry) -> tuple[np.ndarray, np.nd
     return ((bx * ry - by * rx) / distances).clip(-1.0, 1.0), distances
 
 
-def pose_to_direction(pose: TargetPose, geom: BsGeometry) -> tuple[float, float]:
-    """One-pose call of :func:`positions_to_directions`: (sine, distance)."""
-    sin_dir, distance = positions_to_directions(*pose.position, geom)
+def pose_to_direction(position: Point, geom: BsGeometry) -> tuple[float, float]:
+    """One-position call of :func:`positions_to_directions`: (sine, distance)."""
+    sin_dir, distance = positions_to_directions(*position, geom)
     return float(sin_dir), float(distance)
 
 

@@ -39,15 +39,6 @@ class Precoder:
         if not abs(power - 1.0) <= _UNIT_POWER_TOL:  # also rejects NaN weights
             raise ValueError(f"precoder power {power!r} violates the unit constraint")
 
-    def as_record(self) -> dict:
-        """Export record: the generating parameters, from which the weights are rebuilt."""
-        return {
-            "theta_m": self.theta_m,
-            "delta": self.delta,
-            "omega": self.omega,
-            "beta": self.beta,
-        }
-
 
 def sample_fn(x):
     """Sampling kernel Sa(x) = sin(x)/x, exactly 1 where x == 0. Accepts arrays.
@@ -91,24 +82,14 @@ def taper(a: np.ndarray, b: np.ndarray, rot: np.ndarray | None = None) -> np.nda
     return g
 
 
-def _taper_and_beta(omega: float, delta: float, n_antennas: int) -> tuple[np.ndarray, float]:
-    if n_antennas < 2:
-        raise ValueError(f"need at least 2 antennas, got {n_antennas!r}")
-    g = taper(np.asarray(delta * omega), delta * (np.pi * np.arange(n_antennas)))
+def adaptive_precoder(interval: AngularInterval, omega: float, cfg: ArrayConfig) -> Precoder:
+    """Construct the unit-power precoder covering ``interval`` with shape ``omega``."""
+    delta = interval.delta
+    g = taper(np.asarray(delta * omega), delta * (np.pi * np.arange(cfg.n_antennas)))
     total = float(np.dot(g, g))
     if total <= _DEGENERATE_SUM:
         raise ValueError("taper coefficients sum to zero; degenerate parameters")
-    return g, 1.0 / np.sqrt(total)
-
-
-def beta_coeff(omega: float, delta: float, n_antennas: int) -> float:
-    """Power-normalisation coefficient 1 / sqrt(sum_n g_n(omega)^2)."""
-    return _taper_and_beta(omega, delta, n_antennas)[1]
-
-
-def adaptive_precoder(interval: AngularInterval, omega: float, cfg: ArrayConfig) -> Precoder:
-    """Construct the unit-power precoder covering ``interval`` with shape ``omega``."""
-    g, beta = _taper_and_beta(omega, interval.delta, cfg.n_antennas)
+    beta = 1.0 / np.sqrt(total)
     weights = beta * np.exp(-1j * np.pi * interval.theta_m * np.arange(cfg.n_antennas)) * g
     return Precoder(
         weights=weights,

@@ -92,21 +92,21 @@ class Scenario:
     geom: BsGeometry = field(default_factory=BsGeometry)
 
     def __post_init__(self):
-        if self.perpendicular_distance <= 0.0:
+        if not self.perpendicular_distance > 0.0:
             raise ValueError("perpendicular distance must be positive")
-        if self.end_angle <= self.start_angle:
+        if not self.end_angle > self.start_angle:
             raise ValueError("end angle must exceed start angle")
         if not -math.pi / 2 < self.start_angle < math.pi / 2:
             raise ValueError("start angle must lie in (-pi/2, pi/2)")
         if not -math.pi / 2 < self.end_angle < math.pi / 2:
             raise ValueError("end angle must lie in (-pi/2, pi/2)")
-        if self.velocity < 0.0:
+        if not self.velocity >= 0.0:
             raise ValueError("velocity must be >= 0")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError("sensing period must be positive")
-        if self.time_step <= 0.0 or self.time_step > self.tau / 10.0 * (1.0 + 1e-12):
+        if not 0.0 < self.time_step <= self.tau / 10.0 * (1.0 + 1e-12):
             raise ValueError("time step must be positive and at most tau/10")
-        if self.r_min < 0.0:
+        if not self.r_min >= 0.0:
             raise ValueError("minimum rate must be >= 0")
 
     @property
@@ -176,9 +176,9 @@ class EventBasedParams:
     weight: float = 0.1
 
     def __post_init__(self):
-        if self.slot <= 0.0:
+        if not self.slot > 0.0:
             raise ValueError("slot duration must be positive")
-        if self.rw_var < 0.0:
+        if not self.rw_var >= 0.0:
             raise ValueError("random-walk variance must be >= 0")
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError("weight must lie in [0, 1]")
@@ -396,14 +396,6 @@ def compute_metrics(
     return Metrics(avg_rate=avg, outage_prob=outage, realignment_count=count)
 
 
-def mean_realignment_slots(rec: TrackRecord, slot: float) -> float | None:
-    """Mean spacing of consecutive realignments in units of the slot duration."""
-    if len(rec.realignment_times) < 2:
-        return None
-    gaps = np.diff(np.asarray(rec.realignment_times))
-    return float(np.mean(gaps) / slot)
-
-
 def run_scheme(
     scheme: str, sc: Scenario, cb: Codebook | None, event_params: EventBasedParams
 ) -> TrackRecord:
@@ -417,6 +409,18 @@ def run_scheme(
     if scheme == "event":
         return run_event_based(sc, event_params)
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
+
+
+def _axis_scenario(template: Scenario, axis: str, value: float) -> Scenario:
+    """The template at one axis value; a value no scenario accepts raises a ValueError naming it."""
+    try:
+        if axis == "velocity":
+            return replace(template, velocity=value)
+        if axis == "tx_power":
+            return replace(template, budget=replace(template.budget, tx_power=dbm_to_watt(value)))
+    except ValueError as exc:
+        raise ValueError(f"{axis} value {value!r}: {exc}") from exc
+    raise ValueError(f"unknown sweep axis {axis!r}")
 
 
 def _point_error(value: float, scheme: str, exc: Exception) -> TrackingRunError:
@@ -450,13 +454,7 @@ def sweep(
     event_params = event_params or EventBasedParams()
     window = (template.start_angle, template.end_angle)
 
-    if axis == "velocity":
-        scenarios = [replace(template, velocity=v) for v in values]
-    elif axis == "tx_power":
-        budgets = (replace(template.budget, tx_power=dbm_to_watt(v)) for v in values)
-        scenarios = [replace(template, budget=budget) for budget in budgets]
-    else:
-        raise ValueError(f"unknown sweep axis {axis!r}")
+    scenarios = [_axis_scenario(template, axis, v) for v in values]
 
     direct = None
     if axis == "tx_power" and "proposed" in schemes and cb is not None:

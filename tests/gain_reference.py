@@ -18,7 +18,7 @@ from thztrack import (
     BsGeometry,
     ObjectiveSpec,
     Precoder,
-    beta_coeff,
+    adaptive_precoder,
     channel_gain,
     predict_pose,
     sample_fn,
@@ -90,7 +90,7 @@ def bf_gain_closed_form(
         raise ValueError(f"sine direction must lie in [-1, 1], got {sin_dir!r}")
     idx = np.arange(cfg.n_antennas)
     g = np.asarray(sample_fn(interval.delta * (omega - idx * np.pi)), dtype=float)
-    beta = beta_coeff(omega, interval.delta, cfg.n_antennas)
+    beta = adaptive_precoder(interval, omega, cfg).beta
     theta = -idx * np.pi * (interval.theta_m - sin_dir)
     diag = float(np.dot(g, g))
     cross_matrix = 2.0 * np.cos(theta[:, None] - theta[None, :]) * np.outer(g, g)
@@ -114,7 +114,7 @@ def period_rates(spec: ObjectiveSpec, omegas) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(spec.n_quad)
     t = 0.5 * spec.tau * (nodes + 1.0)
     directions = [
-        direction_of(predict_pose(spec.state, float(tk), spec.tau).position, spec.geom) for tk in t
+        direction_of(predict_pose(spec.state, float(tk), spec.tau), spec.geom) for tk in t
     ]
     sins, dists = (np.array(v) for v in zip(*directions))
     h0 = channel_gain(dists, spec.budget, spec.cfg)

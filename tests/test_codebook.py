@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from thztrack import (
     AngularInterval,
-    CodebookBuildError,
     CodebookCorruptError,
     CodebookFingerprintError,
     CodebookGrid,
@@ -76,7 +75,9 @@ def test_single_cell_equals_direct_optimization(small_cfg, small_budget, small_p
     direct = optimize_omega(spec, replace(small_pso, seed=cell_seed))
     assert entry.omega == direct.omega_star
     assert entry.objective_value == direct.objective_value
-    assert entry.seed == cell_seed
+    sink = io.StringIO()
+    save(cb, sink)
+    assert json.loads(sink.getvalue())["entries"][0][6] == cell_seed
 
 
 def test_zero_width_row_is_mrt(tiny_build, small_cfg):
@@ -140,13 +141,14 @@ def _scan_lookup_indices(grid: CodebookGrid, interval: AngularInterval) -> tuple
 
 @st.composite
 def _grid_and_query(draw):
-    lo = draw(st.floats(-0.9, 0.9))
-    hi = min(lo + draw(st.floats(0.0, 0.8)), 0.99)
+    # centres lie in [-0.6, 0.5 + 0.2) and rows below 0.18 + 0.1, so no cell reaches sine-space edge
+    lo = draw(st.floats(-0.6, 0.5))
+    hi = min(lo + draw(st.floats(0.0, 0.8)), 0.5)
     grid = CodebookGrid(
         theta_step=draw(st.floats(1e-3, 0.2)),
         delta_step=draw(st.floats(1e-3, 0.1)),
         theta_range=(lo, hi),
-        delta_max=draw(st.floats(0.0, 0.3)),
+        delta_max=draw(st.floats(0.0, 0.18)),
     )
     centres, rows = grid.theta_values(), grid.delta_values()
     i = draw(st.integers(0, len(centres) - 1))
@@ -178,7 +180,7 @@ def _grid_and_query(draw):
 # ceil(target / step) overshoots the covering row here, and floor((theta - lo) / step)
 # the centre at or below theta, by one
 _ROUNDING_EDGES = (
-    (CodebookGrid(0.01, 0.006, (-0.9, 0.5), 0.2), AngularInterval(0.0, 0.17400000000017501)),
+    (CodebookGrid(0.01, 0.006, (-0.5, 0.5), 0.2), AngularInterval(0.0, 0.17400000000017501)),
     (CodebookGrid(0.1 / 3, 0.02, (-0.9, 0.5), 0.02), AngularInterval(-0.2666666666666668, 0.0)),
 )
 
@@ -216,7 +218,6 @@ def test_save_load_round_trip(tiny_build, tmp_path):
     assert loaded.tau == cb.tau
     assert loaded.alpha == cb.alpha
     assert loaded.r_min == cb.r_min
-    assert loaded.base_seed == cb.base_seed
     assert loaded.pso == cb.pso
     assert loaded.entries == cb.entries
 
@@ -279,6 +280,10 @@ def _swap_indices(rows) -> None:
     rows[1][:2], rows[2][:2] = rows[2][:2], rows[1][:2]
 
 
+def _bump_seed(rows) -> None:
+    rows[3][6] += 1
+
+
 def _bump_n_quad(rows) -> None:
     rows[3][7] += 1
 
@@ -293,10 +298,12 @@ def _negative_omega(rows) -> None:
         (lambda rows: rows.pop(4), "rows cover"),
         (lambda rows: rows.append(list(rows[0])), "rows cover"),
         (_swap_indices, "does not match its grid interval"),
-        (_bump_n_quad, "n_quad"),
+        (_bump_seed, r"cell \(1, 0\) has seed"),
+        (_bump_n_quad, r"cell \(1, 0\) has n_quad"),
         (_negative_omega, "outside the bounds"),
     ],
-    ids=["missing", "duplicate", "mismatched-index", "mismatched-n_quad", "omega-below-bounds"],
+    ids=["missing", "duplicate", "mismatched-index", "mismatched-seed", "mismatched-n_quad",
+         "omega-below-bounds"],
 )
 def test_load_rejects_incomplete_or_inconsistent_cells(tiny_build, tmp_path, edit, message):
     _, _, cb = tiny_build
@@ -309,15 +316,27 @@ def test_load_rejects_incomplete_or_inconsistent_cells(tiny_build, tmp_path, edi
         load(path)
 
 
-def test_build_error_names_failing_cell(tiny_build, small_pso):
-    grid, template, _ = tiny_build
-    # a negative lower bound cannot reach a build: the config itself is rejected
-    with pytest.raises(ValueError, match="need 0 <= lo < hi"):
-        replace(small_pso, bounds=(-1.0, 10.0))
-    # the third cell of the chunk is the first to reach sine-space edge 1; it is named
-    wide = replace(grid, theta_range=(0.9, 0.95), delta_max=0.1, delta_step=0.05)
-    with pytest.raises(CodebookBuildError, match=r"cell \(0, 2\) at theta=0\.9 delta=0\.1"):
-        build_codebook(wide, template, small_pso)
+@pytest.mark.parametrize(
+    "theta_range, delta_max",
+    [((0.5, 0.75), 0.25), ((0.5, 0.75), 0.5), ((-0.75, 0.0), 0.25), ((-0.75, 0.0), 0.5)],
+    ids=["at-plus-1", "past-plus-1", "at-minus-1", "past-minus-1"],
+)
+def test_grid_rejects_cells_reaching_sine_edge(tiny_build, tmp_path, theta_range, delta_max):
+    # a cell path that touches sin = +-1 runs to infinity, so no such grid is built or loaded;
+    # steps of 0.25 make the outermost edges exactly +-1 or beyond
+    with pytest.raises(ValueError, match="reaches sine-space edge"):
+        CodebookGrid(0.25, 0.25, theta_range, delta_max)
+    CodebookGrid(0.25, 0.125, theta_range, 0.125)  # one row less stays inside
+    _, _, cb = tiny_build
+    path = tmp_path / "cb.json"
+    save(cb, path)
+    payload = json.loads(path.read_text())
+    lo, hi = theta_range
+    payload["grid"].update(theta_step=0.25, delta_step=0.25, theta_lo=lo, theta_hi=hi,
+                           delta_max=delta_max)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CodebookCorruptError, match="reaches sine-space edge"):
+        load(path)
 
 
 def test_load_version_mismatch(tiny_build, tmp_path):

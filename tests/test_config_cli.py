@@ -18,7 +18,6 @@ from thztrack import (
     build_array,
     build_budget,
     build_scenario,
-    default_config,
     parse_config,
     render_config,
     resolve_r_min,
@@ -31,7 +30,7 @@ REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "table1.ini"
 
 def small_config_text(tmp_path: Path) -> Path:
     """Fast 16-antenna configuration for CLI round trips."""
-    rc = default_config()
+    rc = RunConfig()
     rc = replace(
         rc,
         array=replace(rc.array, n_antennas=16),
@@ -54,7 +53,7 @@ def small_config_text(tmp_path: Path) -> Path:
 
 
 def test_default_config_reference_values():
-    rc = default_config()
+    rc = RunConfig()
     assert rc.array.n_antennas == 128
     assert rc.array.carrier_freq_hz == 220e9
     assert rc.link.tx_power_dbm == 40.0
@@ -70,18 +69,18 @@ def test_default_config_reference_values():
 
 
 def test_shipped_config_matches_defaults():
-    assert parse_config(REPO_CONFIG.read_text()) == default_config()
+    assert parse_config(REPO_CONFIG.read_text()) == RunConfig()
 
 
 def test_round_trip_exact():
-    rc = default_config()
+    rc = RunConfig()
     assert parse_config(render_config(rc)) == rc
     # a second pass is also stable
     assert render_config(parse_config(render_config(rc))) == render_config(rc)
 
 
 def test_round_trip_explicit_r_min():
-    rc = default_config()
+    rc = RunConfig()
     rc = replace(rc, optimizer=replace(rc.optimizer, r_min_bps=3.21e9))
     assert parse_config(render_config(rc)) == rc
 
@@ -113,7 +112,7 @@ def test_round_trip_arbitrary_config(rc):
 
 @pytest.mark.parametrize("field, value", [("delimiter", "\t"), ("path", "a\nb"), ("directory", "out ")])
 def test_render_refuses_strings_ini_cannot_hold(field, value):
-    rc = default_config()
+    rc = RunConfig()
     section = "output" if field in ("delimiter", "directory") else "codebook"
     rc = replace(rc, **{section: replace(getattr(rc, section), **{field: value})})
     with pytest.raises(ConfigError, match="cannot be written"):
@@ -121,31 +120,31 @@ def test_render_refuses_strings_ini_cannot_hold(field, value):
 
 
 def test_unknown_key_rejected():
-    text = render_config(default_config()).replace("alpha = 10.0", "alpha = 10.0\nbogus = 1")
+    text = render_config(RunConfig()).replace("alpha = 10.0", "alpha = 10.0\nbogus = 1")
     with pytest.raises(ConfigError, match="bogus"):
         parse_config(text)
 
 
 def test_unknown_section_rejected():
-    text = render_config(default_config()) + "\n[mystery]\nx = 1\n"
+    text = render_config(RunConfig()) + "\n[mystery]\nx = 1\n"
     with pytest.raises(ConfigError, match="mystery"):
         parse_config(text)
 
 
 def test_missing_key_rejected():
-    text = render_config(default_config()).replace("alpha = 10.0\n", "")
+    text = render_config(RunConfig()).replace("alpha = 10.0\n", "")
     with pytest.raises(ConfigError, match="alpha"):
         parse_config(text)
 
 
 def test_bad_number_named():
-    text = render_config(default_config()).replace("tx_power_dbm = 40.0", "tx_power_dbm = loud")
+    text = render_config(RunConfig()).replace("tx_power_dbm = 40.0", "tx_power_dbm = loud")
     with pytest.raises(ConfigError, match="tx_power_dbm"):
         parse_config(text)
 
 
 def test_r_min_auto_resolution():
-    rc = default_config()
+    rc = RunConfig()
     cfg = build_array(rc)
     budget = build_budget(rc)
     aligned = achievable_rate(float(cfg.n_antennas), 100.0, budget, cfg)
@@ -289,7 +288,7 @@ def test_cli_pattern_matches_direct_gain(tmp_path):
 
 def test_cli_malformed_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
-    bad.write_text(render_config(default_config()).replace("alpha = 10.0", "alpha = ten"))
+    bad.write_text(render_config(RunConfig()).replace("alpha = 10.0", "alpha = ten"))
     assert main(["simulate", "--config", str(bad), "--scheme", "conventional"]) == 2
     assert "alpha" in capsys.readouterr().err
 
@@ -497,7 +496,8 @@ def test_cli_jobs_only_where_workers_run(tmp_path, command):
 
 
 def test_cli_codebook_build_failure_names_cell(tmp_path, capsys):
-    # theta 0.95 +- 0.05 already reaches past sine-space edge 1: the third cell fails
+    # centre 0.9 with half-width 0.1 already reaches sine-space edge 1, so the grid is a
+    # configuration error and nothing is built
     config = small_config_text(tmp_path)
     text = config.read_text()
     edge = {"theta_lo": "0.9", "theta_hi": "0.95", "delta_max": "0.1", "delta_step": "0.05"}
@@ -505,11 +505,33 @@ def test_cli_codebook_build_failure_names_cell(tmp_path, capsys):
         text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
                          for line in text.splitlines())
     config.write_text(text + "\n")
-    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 4
+    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("run error: cell (0, 2) at theta=0.9 delta=0.1 failed:")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    expected = "invalid value: cell theta=0.9 delta=0.1 reaches sine-space edge"
+    assert err == f"configuration error: {expected}\n"
     assert not (tmp_path / "cb.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sweep", "--axis", "velocity", "--values", "-5"], "velocity value -5.0: velocity"),
+        (["sweep", "--axis", "tx_power", "--values", "-4000"], "tx_power value -4000.0: tx_power"),
+        (["sweep", "--axis", "tx_power", "--values", "4000"], "tx_power value 4000.0: 4000.0 dBm"),
+        (["sweep", "--axis", "tx_power", "--values", "30,nan"], "value list '30,nan' holds a"),
+        (["sweep", "--axis", "velocity", "--values", "nan"], "value list 'nan' holds a non-finite"),
+        (["pattern", "--velocities", "nan"], "value list 'nan' holds a non-finite"),
+    ],
+    ids=["velocity-negative", "power-underflow", "power-overflow", "power-nan", "velocity-nan",
+         "pattern-nan"],
+)
+def test_cli_rejects_axis_values_no_scenario_accepts(tmp_path, capsys, argv, named):
+    config = small_config_text(tmp_path)
+    extra = ["--schemes", "conventional", "--jobs", "1"] if argv[0] == "sweep" else []
+    assert main([*argv, *extra, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {named}") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["", ";;", '"'])

@@ -11,7 +11,6 @@ from thztrack import (
     AngularInterval,
     BsGeometry,
     SensedState,
-    TargetPose,
     path_to_interval,
     point_at_direction,
     pose_to_direction,
@@ -24,23 +23,21 @@ TAU = 0.165
 
 def test_predict_pose_zero_elapsed():
     state = SensedState(position=(100.0, 0.0), velocity=(0.0, 20.0))
-    pose = predict_pose(state, 0.0, TAU)
-    assert pose.position == (100.0, 0.0)
-    assert pose.elapsed == 0.0
+    assert predict_pose(state, 0.0, TAU) == (100.0, 0.0)
 
 
 def test_predict_pose_table_velocity():
     # hand evaluation of p0 + v*t with t equal to the sensing period
     state = SensedState(position=(100.0, 0.0), velocity=(0.0, 20.0))
-    pose = predict_pose(state, 0.165, TAU)
-    assert pose.position[0] == pytest.approx(100.0, abs=0.0)
-    assert pose.position[1] == pytest.approx(3.3, abs=1e-12)
+    x, y = predict_pose(state, 0.165, TAU)
+    assert x == pytest.approx(100.0, abs=0.0)
+    assert y == pytest.approx(3.3, abs=1e-12)
 
 
 def test_predict_pose_static():
     state = SensedState(position=(50.0, -7.0), velocity=(0.0, 0.0))
     for t in (0.0, 0.01, TAU):
-        assert predict_pose(state, t, TAU).position == (50.0, -7.0)
+        assert predict_pose(state, t, TAU) == (50.0, -7.0)
 
 
 def test_predict_pose_rejects_out_of_period():
@@ -49,6 +46,8 @@ def test_predict_pose_rejects_out_of_period():
         predict_pose(state, -0.01, TAU)
     with pytest.raises(ValueError):
         predict_pose(state, TAU + 0.01, TAU)
+    with pytest.raises(ValueError, match="outside the sensing period"):
+        predict_pose(state, math.nan, TAU)
 
 
 def test_urm_composition():
@@ -60,20 +59,20 @@ def test_urm_composition():
         t1, t2 = rng.uniform(0, TAU / 2, 2)
         state = SensedState(position=pos, velocity=vel)
         direct = predict_pose(state, t1 + t2, TAU)
-        rebased = SensedState(position=predict_pose(state, t1, TAU).position, velocity=vel)
+        rebased = SensedState(position=predict_pose(state, t1, TAU), velocity=vel)
         composed = predict_pose(rebased, t2, TAU)
-        assert direct.position[0] == pytest.approx(composed.position[0], abs=1e-9)
-        assert direct.position[1] == pytest.approx(composed.position[1], abs=1e-9)
+        assert direct[0] == pytest.approx(composed[0], abs=1e-9)
+        assert direct[1] == pytest.approx(composed[1], abs=1e-9)
 
 
 def test_pose_to_direction_broadside():
-    sin_dir, distance = pose_to_direction(TargetPose((100.0, 0.0), 0.0), GEOM)
+    sin_dir, distance = pose_to_direction((100.0, 0.0), GEOM)
     assert sin_dir == 0.0
     assert distance == 100.0
 
 
 def test_pose_to_direction_diagonal():
-    sin_dir, distance = pose_to_direction(TargetPose((100.0, 100.0), 0.0), GEOM)
+    sin_dir, distance = pose_to_direction((100.0, 100.0), GEOM)
     assert sin_dir == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
     assert distance == pytest.approx(100.0 * math.sqrt(2.0), rel=1e-12)
 
@@ -81,13 +80,13 @@ def test_pose_to_direction_diagonal():
 def test_pose_to_direction_end_of_reference_path():
     # lateral offset x = D * tan(0.3) puts the target at angle 0.3 rad
     x = 100.0 * math.tan(0.3)
-    sin_dir, _ = pose_to_direction(TargetPose((100.0, x), 0.0), GEOM)
+    sin_dir, _ = pose_to_direction((100.0, x), GEOM)
     assert sin_dir == pytest.approx(math.sin(0.3), abs=1e-12)
 
 
 def test_pose_to_direction_rejects_coincident():
     with pytest.raises(ValueError):
-        pose_to_direction(TargetPose((0.0, 0.0), 0.0), GEOM)
+        pose_to_direction((0.0, 0.0), GEOM)
 
 
 def test_sine_direction_in_range():
@@ -96,7 +95,7 @@ def test_sine_direction_in_range():
         pos = tuple(rng.uniform(-200, 200, 2))
         if pos == (0.0, 0.0):
             continue
-        sin_dir, _ = pose_to_direction(TargetPose(pos, 0.0), GEOM)
+        sin_dir, _ = pose_to_direction(pos, GEOM)
         assert -1.0 <= sin_dir <= 1.0
 
 
@@ -161,7 +160,7 @@ def test_point_at_direction_round_trip():
         s = rng.uniform(-0.99, 0.99)
         d = rng.uniform(1.0, 500.0)
         pos = point_at_direction(geom, s, d)
-        sin_dir, dist = pose_to_direction(TargetPose(pos, 0.0), geom)
+        sin_dir, dist = pose_to_direction(pos, geom)
         assert sin_dir == pytest.approx(s, abs=1e-12)
         assert dist == pytest.approx(d, rel=1e-12)
 

@@ -60,7 +60,7 @@ def test_objective_zero_alpha_matches_manual_quadrature():
     beam = adaptive_precoder(spec.interval, omega, spec.cfg)
     total = 0.0
     for tk, wk in zip(t, w):
-        sin_dir, dist = direction_of(predict_pose(spec.state, float(tk), spec.tau).position, spec.geom)
+        sin_dir, dist = direction_of(predict_pose(spec.state, float(tk), spec.tau), spec.geom)
         rate = achievable_rate(bf_gain_direct(sin_dir, beam, spec.cfg), dist, spec.budget, spec.cfg)
         total += wk * rate
     assert objectives([omega], spec)[0] == pytest.approx(total / spec.tau, rel=1e-10)

@@ -11,7 +11,6 @@ from thztrack import (
     AngularInterval,
     ArrayConfig,
     adaptive_precoder,
-    beta_coeff,
     bf_gain_profile,
     mrt_precoder,
     pso_bounds,
@@ -86,13 +85,17 @@ def test_g_coeff_values():
     assert g_coeff(1, math.pi, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
+def _beta(omega: float, delta: float, n: int) -> float:
+    return adaptive_precoder(AngularInterval(0.0, delta), omega, ArrayConfig(n, CARRIER_HZ)).beta
+
+
 def test_beta_flat_taper():
     for n in (2, 16, 128):
-        assert beta_coeff(3.0, 0.0, n) == pytest.approx(1.0 / math.sqrt(n), rel=1e-12)
+        assert _beta(3.0, 0.0, n) == pytest.approx(1.0 / math.sqrt(n), rel=1e-12)
 
 
 def test_beta_two_antennas_null_second_term():
-    assert beta_coeff(0.0, 1.0, 2) == pytest.approx(1.0, rel=1e-12)
+    assert _beta(0.0, 1.0, 2) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_beta_against_direct_summation():
@@ -102,7 +105,7 @@ def test_beta_against_direct_summation():
     for n in range(1, n_t + 1):
         x = delta * (omega - (n - 1) * math.pi)
         total += (math.sin(x) / x) ** 2 if x != 0.0 else 1.0
-    assert beta_coeff(omega, delta, n_t) == pytest.approx(1.0 / math.sqrt(total), rel=1e-12)
+    assert _beta(omega, delta, n_t) == pytest.approx(1.0 / math.sqrt(total), rel=1e-12)
 
 
 def test_adaptive_collapses_to_mrt_at_zero_width():
@@ -132,16 +135,6 @@ def test_adaptive_unit_power_fuzz():
         omega = rng.uniform(0.0, (n - 1) * math.pi)
         p = adaptive_precoder(interval, omega, cfg)
         assert abs(np.sum(np.abs(p.weights) ** 2) - 1.0) < 1e-9
-
-
-def test_adaptive_beta_is_beta_coeff_bit_for_bit():
-    rng = np.random.default_rng(37)
-    for n in (2, 16, 33, 128):
-        cfg = ArrayConfig(n, CARRIER_HZ)
-        for _ in range(20):
-            interval = random_interval(rng)
-            omega = float(rng.uniform(0.0, (n - 1) * math.pi))
-            assert adaptive_precoder(interval, omega, cfg).beta == beta_coeff(omega, interval.delta, n)
 
 
 def test_adaptive_rejects_nan_omega():
@@ -278,7 +271,7 @@ def test_integral_definition_oracle_small():
         omega = rng.uniform(0.0, (n - 1) * math.pi)
         interval = AngularInterval(theta, delta)
         p_grid = np.linspace(-delta, delta, n_nodes)
-        beta = beta_coeff(omega, delta, n)
+        beta = adaptive_precoder(interval, omega, cfg).beta
         idx = np.arange(n)[:, None]
         integrand = np.exp(-1j * math.pi * idx * (p_grid[None, :] + theta)) * np.exp(
             1j * omega * p_grid[None, :]
@@ -311,13 +304,8 @@ def test_array_response_consistency_with_mrt():
     assert np.allclose(mrt.weights * math.sqrt(128.0), array_response(s, CFG128), atol=1e-12)
 
 
-def test_export_record_reconstructs_weights():
-    interval = AngularInterval(0.2, 0.04)
-    p = adaptive_precoder(interval, 55.0, CFG128)
-    record = p.as_record()
-    assert set(record) == {"theta_m", "delta", "omega", "beta"}
-    rebuilt = adaptive_precoder(
-        AngularInterval(record["theta_m"], record["delta"]), record["omega"], CFG128
-    )
-    assert rebuilt.beta == record["beta"]
+def test_precoder_parameters_reconstruct_weights():
+    p = adaptive_precoder(AngularInterval(0.2, 0.04), 55.0, CFG128)
+    rebuilt = adaptive_precoder(AngularInterval(p.theta_m, p.delta), p.omega, CFG128)
+    assert rebuilt.beta == p.beta
     assert np.array_equal(rebuilt.weights, p.weights)

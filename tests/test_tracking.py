@@ -20,7 +20,6 @@ from thztrack import (
     bf_gain_profile,
     build_codebook,
     compute_metrics,
-    mean_realignment_slots,
     mrt_precoder,
     optimize_omega,
     pose_to_direction,
@@ -40,7 +39,6 @@ from thztrack.exports import (
     write_sweep,
     write_trace,
 )
-from thztrack.geometry import TargetPose
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
 from conftest import aligned_rate, make_objective_spec, make_scenario
@@ -143,8 +141,7 @@ def test_event_moving_target_realigns(small_scenario):
     assert len(rec1.realignment_times) > 1
     assert rec1.realignment_times == rec2.realignment_times
     assert np.array_equal(rec1.rates, rec2.rates)
-    spacing = mean_realignment_slots(rec1, params.slot)
-    assert spacing is not None and spacing >= 1.0
+    assert np.mean(np.diff(rec1.realignment_times)) / params.slot >= 1.0  # mean gap in slots
 
 
 def test_compute_metrics_constant_record():
@@ -236,6 +233,8 @@ def test_sweep_rejects_bad_input(small_scenario, small_codebook):
         sweep(small_scenario, "velocity", [10.0], ["nonsense"], small_codebook)
     with pytest.raises(ValueError):
         sweep(small_scenario, "frequency", [10.0], ["proposed"], small_codebook)
+    with pytest.raises(ValueError, match=r"^velocity value -5\.0: velocity must be >= 0"):
+        sweep(small_scenario, "velocity", [10.0, -5.0], ["conventional"], small_codebook)
 
 
 def test_sweep_error_annotated_with_point(small_cfg, small_budget, small_codebook):
@@ -308,6 +307,23 @@ def test_event_params_validation():
         EventBasedParams(rw_var=-1.0)
     with pytest.raises(ValueError):
         EventBasedParams(weight=1.5)
+
+
+_SCENARIO_FLOATS = (
+    "perpendicular_distance", "start_angle", "end_angle", "velocity", "tau", "time_step", "r_min"
+)
+
+
+@pytest.mark.parametrize("field", _SCENARIO_FLOATS)
+def test_scenario_rejects_nan(small_scenario, field):
+    with pytest.raises(ValueError):
+        replace(small_scenario, **{field: math.nan})
+
+
+@pytest.mark.parametrize("field", ["slot", "rw_var", "weight"])
+def test_event_params_reject_nan(field):
+    with pytest.raises(ValueError):
+        EventBasedParams(**{field: math.nan})
 
 
 def test_export_rejects_non_finite(small_scenario, small_codebook, tmp_path):
@@ -388,7 +404,7 @@ def test_positions_to_directions_matches_pose_to_direction():
     expected = np.array([direction_of((float(x), float(y)), geom) for x, y in zip(xs, ys)])
     assert _within_ulps(sins, expected[:, 0], 2) and _within_ulps(dists, expected[:, 1], 2)
     # the one-pose form is the one-element call
-    assert pose_to_direction(TargetPose((float(xs[7]), float(ys[7])), 0.0), geom) == (sins[7], dists[7])
+    assert pose_to_direction((float(xs[7]), float(ys[7])), geom) == (sins[7], dists[7])
     with pytest.raises(ValueError):
         positions_to_directions(np.array([5.0, 1.0]), np.array([0.0, 2.0]), geom)
 
