@@ -19,13 +19,9 @@ from .channel import (
 )
 from .codebook import (
     Codebook,
-    CodebookCorruptError,
     CodebookEntry,
     CodebookError,
-    CodebookFingerprintError,
     CodebookGrid,
-    CodebookRangeError,
-    CodebookVersionError,
     build_codebook,
     entry_precoder,
     load,
@@ -66,7 +62,6 @@ from .optimizer import (
     optimize_omega,
     optimize_omegas,
     pso_bounds,
-    violation_masses,
 )
 from .precoder import (
     Precoder,

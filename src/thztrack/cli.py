@@ -114,7 +114,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args, config)
     try:
         rows = sweep(template, args.axis, values, keys, cb, build_event_params(config), args.jobs)
-    except ValueError as exc:  # an axis value no scenario accepts; a run raises TrackingRunError
+    except ValueError as exc:  # no or repeated schemes, a bad axis value; runs raise TrackingRunError
         raise ConfigError(str(exc)) from exc
     table_path = out / "sweep.csv"
     write_sweep(rows, table_path, config.output.delimiter)

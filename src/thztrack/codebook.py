@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -42,23 +43,7 @@ FORMAT_VERSION = 1
 
 
 class CodebookError(Exception):
-    """Base class for codebook failures."""
-
-
-class CodebookRangeError(CodebookError):
-    """A queried interval falls outside the grid coverage."""
-
-
-class CodebookVersionError(CodebookError):
-    """Serialised codebook uses an unsupported format version."""
-
-
-class CodebookFingerprintError(CodebookError):
-    """Serialised codebook was built for a different scenario."""
-
-
-class CodebookCorruptError(CodebookError):
-    """Serialised codebook payload is unreadable, incomplete or invalid."""
+    """A codebook that cannot be read, does not fit the scenario or does not cover a query."""
 
 
 @dataclass(frozen=True)
@@ -89,21 +74,14 @@ class CodebookGrid:
             if not abs(theta) + reach < 1.0:
                 raise ValueError(f"cell theta={theta!r} delta={reach!r} reaches sine-space edge")
 
-    @property
-    def theta_count(self) -> int:
-        lo, hi = self.theta_range
-        return int(math.ceil((hi - lo) / self.theta_step - 1e-9)) + 1
-
-    @property
-    def delta_count(self) -> int:
-        return int(math.ceil(self.delta_max / self.delta_step - 1e-9)) + 1
-
     def theta_values(self) -> list[float]:
-        lo = self.theta_range[0]
-        return [lo + i * self.theta_step for i in range(self.theta_count)]
+        lo, hi = self.theta_range
+        count = int(math.ceil((hi - lo) / self.theta_step - 1e-9)) + 1
+        return [lo + i * self.theta_step for i in range(count)]
 
     def delta_values(self) -> list[float]:
-        return [i * self.delta_step for i in range(self.delta_count)]
+        count = int(math.ceil(self.delta_max / self.delta_step - 1e-9)) + 1
+        return [i * self.delta_step for i in range(count)]
 
     def contains(self, interval: AngularInterval) -> bool:
         lo, hi = self.theta_range
@@ -144,9 +122,9 @@ def scenario_fingerprint(cfg, budget, tau: float, alpha: float, r_min: float) ->
 
 
 def check_fingerprint(cb: Codebook, expected: str) -> None:
-    """Raise CodebookFingerprintError unless ``cb`` was built for the ``expected`` scenario."""
+    """Raise CodebookError unless ``cb`` was built for the ``expected`` scenario."""
     if cb.fingerprint != expected:
-        raise CodebookFingerprintError(
+        raise CodebookError(
             "codebook was built for a different scenario "
             f"(stored {cb.fingerprint[:12]}..., expected {expected[:12]}...); rebuild the codebook"
         )
@@ -219,34 +197,22 @@ def lookup_indices(cb: Codebook, interval: AngularInterval) -> tuple[int, int]:
 
     The centre index is the nearest centre, a higher one winning only when
     nearer by more than 1e-15 (so ties go to the lower index); the row index is
-    the first row at or above delta * (1 - 1e-12) - 1e-15. Both come from
-    arithmetic on the grid steps, corrected against the neighbouring grid
-    values, which equals a scan of the grid for steps far above 1e-15.
+    the first row at or above delta * (1 - 1e-12) - 1e-15. Both are found by
+    bisecting the grid's own centres and rows.
     """
     grid = cb.grid
     if not grid.contains(interval):
-        raise CodebookRangeError(
+        raise CodebookError(
             f"interval (theta={interval.theta_m!r}, delta={interval.delta!r}) "
             f"outside grid range; rebuild with a wider grid"
         )
-    lo, step, theta = grid.theta_range[0], grid.theta_step, interval.theta_m
-    last = grid.theta_count - 1
-    # ti: the centre at or just below theta. Rounding can put it one off only
-    # when theta lies within a few ulps of a centre, and the comparison with
-    # the next centre then still picks that nearest centre.
-    ti = min(max(math.floor((theta - lo) / step), 0), last)
-    if ti < last and abs(lo + (ti + 1) * step - theta) < abs(lo + ti * step - theta) - 1e-15:
+    thetas, rows, theta = grid.theta_values(), grid.delta_values(), interval.theta_m
+    ti = max(bisect_right(thetas, theta) - 1, 0)
+    if ti + 1 < len(thetas) and abs(thetas[ti + 1] - theta) < abs(thetas[ti] - theta) - 1e-15:
         ti += 1
-
-    row_step, top = grid.delta_step, grid.delta_count - 1
-    target = interval.delta * (1.0 - 1e-12) - 1e-15
-    di = min(max(math.ceil(target / row_step), 0), top + 1)
-    while di > 0 and (di - 1) * row_step >= target:
-        di -= 1
-    while di <= top and di * row_step < target:
-        di += 1
-    if di > top:  # grid rows reach delta_max, up to the 1e-12 slack of contains()
-        raise CodebookRangeError(f"no grid row covers half-width {interval.delta!r}")
+    di = bisect_left(rows, interval.delta * (1.0 - 1e-12) - 1e-15)
+    if di == len(rows):  # grid rows reach delta_max, up to the 1e-12 slack of contains()
+        raise CodebookError(f"no grid row covers half-width {interval.delta!r}")
     return ti, di
 
 
@@ -309,31 +275,31 @@ def save(cb: Codebook, sink) -> None:
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise CodebookCorruptError(f"codebook payload holds a non-finite number {text!r}")
+        raise CodebookError(f"codebook payload holds a non-finite number {text!r}")
     return value
 
 
 def _check_cells(cb: Codebook, rows: list) -> None:
     """Every grid cell once, at its interval and seed, with the n_quad and an in-bounds omega."""
     if cb.n_quad < MIN_QUAD_NODES:
-        raise CodebookCorruptError(f"codebook n_quad {cb.n_quad!r} is below {MIN_QUAD_NODES}")
+        raise CodebookError(f"codebook n_quad {cb.n_quad!r} is below {MIN_QUAD_NODES}")
     thetas, deltas = cb.grid.theta_values(), cb.grid.delta_values()
     grid = {(ti, di): (t, d) for ti, t in enumerate(thetas) for di, d in enumerate(deltas)}
     lo, hi = cb.pso.bounds
     for ti, di, theta_m, delta, omega, _, seed, n_quad in rows:
         key = (ti, di)
         if grid.get(key) != (theta_m, delta):
-            raise CodebookCorruptError(f"codebook cell {key} does not match its grid interval")
+            raise CodebookError(f"codebook cell {key} does not match its grid interval")
         if seed != derive_seed("cell", cb.pso.seed, ti, di):
-            raise CodebookCorruptError(f"codebook cell {key} has seed {seed!r}, not its own")
+            raise CodebookError(f"codebook cell {key} has seed {seed!r}, not its own")
         if n_quad != cb.n_quad:
-            raise CodebookCorruptError(f"codebook cell {key} has n_quad {n_quad!r}")
+            raise CodebookError(f"codebook cell {key} has n_quad {n_quad!r}")
         if not lo <= omega <= hi:
-            raise CodebookCorruptError(
+            raise CodebookError(
                 f"codebook cell {key} has omega {omega!r} outside the bounds {cb.pso.bounds}"
             )
     if not len(rows) == len(cb.entries) == len(grid):
-        raise CodebookCorruptError(f"{len(rows)} rows cover {len(cb.entries)} of {len(grid)} cells")
+        raise CodebookError(f"{len(rows)} rows cover {len(cb.entries)} of {len(grid)} cells")
 
 
 def load(source, expected_fingerprint: str | None = None) -> Codebook:
@@ -349,16 +315,16 @@ def load(source, expected_fingerprint: str | None = None) -> Codebook:
         try:
             text = Path(source).read_text(encoding="utf-8")
         except OSError as exc:
-            raise CodebookCorruptError(f"cannot read codebook: {exc}") from exc
+            raise CodebookError(f"cannot read codebook: {exc}") from exc
     try:
         payload = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
-        raise CodebookCorruptError(f"codebook payload is not valid JSON: {exc}") from exc
+        raise CodebookError(f"codebook payload is not valid JSON: {exc}") from exc
 
     if not isinstance(payload, dict) or "format_version" not in payload:
-        raise CodebookCorruptError("codebook payload missing format_version")
+        raise CodebookError("codebook payload missing format_version")
     if payload["format_version"] != FORMAT_VERSION:
-        raise CodebookVersionError(
+        raise CodebookError(
             f"unsupported codebook format {payload['format_version']!r}, "
             f"expected {FORMAT_VERSION}"
         )
@@ -401,7 +367,7 @@ def load(source, expected_fingerprint: str | None = None) -> Codebook:
         )
         _check_cells(cb, payload["entries"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise CodebookCorruptError(f"codebook payload incomplete or invalid: {exc}") from exc
+        raise CodebookError(f"codebook payload incomplete or invalid: {exc}") from exc
 
     if expected_fingerprint is not None:
         check_fingerprint(cb, expected_fingerprint)

@@ -49,11 +49,11 @@ class ObjectiveSpec:
     geom: BsGeometry = field(default_factory=BsGeometry)
 
     def __post_init__(self):
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError(f"sensing period must be positive, got {self.tau!r}")
-        if self.r_min < 0.0:
+        if not self.r_min >= 0.0:
             raise ValueError(f"minimum rate must be >= 0, got {self.r_min!r}")
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise ValueError(f"penalty weight must be >= 0, got {self.alpha!r}")
         if self.n_quad < MIN_QUAD_NODES:
             raise ValueError(f"need at least {MIN_QUAD_NODES} quadrature nodes, got {self.n_quad!r}")
@@ -79,6 +79,9 @@ class PsoConfig:
             raise ValueError(f"need at least 2 particles, got {self.n_particles!r}")
         if self.n_iterations < 1:
             raise ValueError(f"need at least 1 iteration, got {self.n_iterations!r}")
+        weights = (self.inertia, self.cognitive, self.social)
+        if not all(map(math.isfinite, weights)):
+            raise ValueError(f"inertia, cognitive and social must be finite, got {weights!r}")
 
 
 @dataclass(frozen=True)
@@ -161,13 +164,6 @@ def _omega_row(omegas) -> np.ndarray:
 def objectives(omegas, spec: ObjectiveSpec) -> np.ndarray:
     """Penalised average rate over one sensing period at each of many omegas."""
     return _PeriodEvaluator([spec]).values(_omega_row(omegas))[0]
-
-
-def violation_masses(omegas, spec: ObjectiveSpec) -> np.ndarray:
-    """Integral of the rate shortfall max(0, r_min - R(t)) over the period, per omega."""
-    ev = _PeriodEvaluator([spec])
-    rates = ev.rates(_omega_row(omegas))[0]  # omegas x nodes
-    return spec.tau * (np.maximum(0.0, spec.r_min - rates) @ ev.weights)
 
 
 def _incumbent(x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

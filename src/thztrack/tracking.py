@@ -29,7 +29,7 @@ import numpy as np
 from .channel import ArrayConfig, LinkBudget, achievable_rate, dbm_to_watt
 from .codebook import (
     Codebook,
-    CodebookRangeError,
+    CodebookError,
     check_fingerprint,
     entry_precoder,
     lookup_indices,
@@ -197,7 +197,6 @@ class TrackRecord:
     outages: np.ndarray
     beam_ids: list[str]
     realignment_times: list[float]
-    r_min: float
 
     def __post_init__(self):
         if len(self.times) == 0:
@@ -266,7 +265,6 @@ class _TraceBuilder:
             outages=self.rates < self.sc.r_min,
             beam_ids=self.beam_ids,
             realignment_times=self.realignments,
-            r_min=self.sc.r_min,
         )
 
 
@@ -280,7 +278,7 @@ def run_sensing_assisted(sc: Scenario, cb: Codebook) -> TrackRecord:
         interval = path_to_interval(state, sc.tau, sc.geom)
         try:
             ti, di = lookup_indices(cb, interval)
-        except CodebookRangeError as exc:
+        except CodebookError as exc:
             raise TrackingRunError(
                 f"no codebook beam for epoch {k} (t={epoch:.6g} s): {exc}"
             ) from exc
@@ -369,19 +367,14 @@ def run_event_based(sc: Scenario, params: EventBasedParams) -> TrackRecord:
     return builder.record()
 
 
-def compute_metrics(
-    rec: TrackRecord, window: tuple[float, float] | None = None
-) -> Metrics:
+def compute_metrics(rec: TrackRecord, window: tuple[float, float]) -> Metrics:
     """Aggregate a trace over an angular window given in radians from broadside.
 
     The average rate uses trapezoidal time weighting; the outage probability
     is the fraction of in-window samples below the threshold.
     """
-    if window is None:
-        mask = np.ones(len(rec.times), dtype=bool)
-    else:
-        lo, hi = math.sin(window[0]), math.sin(window[1])
-        mask = (rec.sin_dirs >= lo - 1e-12) & (rec.sin_dirs <= hi + 1e-12)
+    lo, hi = math.sin(window[0]), math.sin(window[1])
+    mask = (rec.sin_dirs >= lo - 1e-12) & (rec.sin_dirs <= hi + 1e-12)
     if not np.any(mask):
         raise ValueError("no samples fall inside the requested angular window")
 
@@ -448,6 +441,8 @@ def sweep(
     if not values:
         raise ValueError("sweep requires at least one axis value")
     schemes = list(schemes)
+    if not schemes or len(set(schemes)) < len(schemes):
+        raise ValueError(f"sweep requires at least one scheme, each once; got {schemes!r}")
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")

@@ -23,6 +23,7 @@ from thztrack import (
     predict_pose,
     sample_fn,
 )
+from thztrack.optimizer import _PeriodEvaluator, _omega_row
 
 
 def direction_of(position, geom: BsGeometry) -> tuple[float, float]:
@@ -134,3 +135,13 @@ def period_objective(spec: ObjectiveSpec, omegas) -> np.ndarray:
     """Penalised average rate over the period for each omega, complex form."""
     weights, rates = period_rates(spec, omegas)
     return (weights @ (rates + penalty(rates, spec.r_min, spec.alpha))) / spec.tau
+
+
+def violation_masses(omegas, spec: ObjectiveSpec) -> np.ndarray:
+    """Integral of the rate shortfall max(0, r_min - R(t)) over the period, per omega.
+
+    Takes the package's own node rates, so a check against ``period_rates`` tests those.
+    """
+    ev = _PeriodEvaluator([spec])
+    rates = ev.rates(_omega_row(omegas))[0]  # omegas x nodes
+    return spec.tau * (np.maximum(0.0, spec.r_min - rates) @ ev.weights)

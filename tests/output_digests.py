@@ -1,0 +1,78 @@
+"""Print a SHA-256 digest of every file and summary the CLI writes for a fixed set of runs.
+
+Run it at two commits and diff the outputs to check that a change moved no byte:
+
+    python tests/output_digests.py > digests.txt
+
+It runs the package in this checkout's ``src/``, in a temporary directory:
+the default codebook built at ``--jobs 1`` and ``--jobs 2``, ``simulate --scheme
+all``, the velocity sweep 10-100 m/s, the ``tx_power`` sweep 20-50 dBm at
+``--jobs 1`` and ``--jobs 2``, and ``pattern`` at 10, 50 and 90 m/s. Each line
+is ``sha256  relative-path``; a run's stdout counts as ``<run>/stdout``, with
+the temporary directory and the build's wall time masked. Takes about 12 s on
+two cores. The file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "table1.ini"
+
+# (run name, CLI arguments after the command's --config and --out)
+RUNS = [
+    ("build_jobs1", ["codebook-build", "--jobs", "1"]),
+    ("build_jobs2", ["codebook-build", "--jobs", "2"]),
+    ("simulate", ["simulate", "--scheme", "all"]),
+    ("sweep_velocity", ["sweep", "--axis", "velocity", "--values", "10,20,30,40,50,60,70,80,90,100"]),
+    ("sweep_power_jobs1", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "1"]),
+    ("sweep_power_jobs2", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "2"]),
+    ("pattern", ["pattern", "--velocities", "10,50,90"]),
+]
+
+
+def _run(name: str, args: list[str], work: Path) -> str:
+    """Run one command into ``work/name``; returns its stdout with the volatile parts masked."""
+    command, *rest = args
+    out = work / name
+    if command == "codebook-build":
+        out.mkdir()
+        target = out / "codebook.json"
+    else:
+        target = out
+    argv = [sys.executable, "-m", "thztrack.cli", command, "--config", str(CONFIG)]
+    argv += ["--out", str(target), *rest]
+    if command in ("simulate", "sweep"):
+        argv += ["--codebook", str(work / "build_jobs1" / "codebook.json")]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=work)
+    if done.returncode != 0:
+        raise SystemExit(f"{name} exited {done.returncode}: {done.stderr.strip()}")
+    stdout = done.stdout.replace(str(work), "<tmp>")
+    return re.sub(r" in \d+\.\d s$", " in <wall> s", stdout, flags=re.MULTILINE)
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        stdouts = {name: _run(name, args, work) for name, args in RUNS}
+        digests = {
+            path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in work.rglob("*")
+            if path.is_file()
+        }
+        for name, text in stdouts.items():
+            digests[f"{name}/stdout"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    for path in sorted(digests):
+        print(f"{digests[path]}  {path}")
+
+
+if __name__ == "__main__":
+    main()

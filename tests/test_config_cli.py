@@ -237,6 +237,17 @@ def test_cli_sweep_empty_values_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("schemes", [",", "conventional,conventional"], ids=["empty", "repeated"])
+def test_cli_sweep_rejects_empty_or_repeated_schemes(tmp_path, capsys, schemes):
+    config = small_config_text(tmp_path)
+    argv = ["sweep", "--config", str(config), "--axis", "velocity", "--values", "10"]
+    assert main([*argv, "--schemes", schemes]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: sweep requires at least one scheme, each once")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.rglob("sweep*.csv"))
+
+
 def test_cli_pattern(tmp_path):
     config = small_config_text(tmp_path)
     assert main(["pattern", "--config", str(config), "--velocities", "10,50"]) == 0

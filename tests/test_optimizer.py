@@ -20,11 +20,17 @@ from thztrack import (
     optimize_omegas,
     predict_pose,
     pso_bounds,
-    violation_masses,
 )
 from thztrack.optimizer import SWARM_CHUNK, _PeriodEvaluator
 from conftest import CARRIER_HZ, aligned_rate, make_budget, make_objective_spec, make_scenario
-from gain_reference import bf_gain_direct, direction_of, penalty, period_objective, period_rates
+from gain_reference import (
+    bf_gain_direct,
+    direction_of,
+    penalty,
+    period_objective,
+    period_rates,
+    violation_masses,
+)
 
 CFG = ArrayConfig(128, CARRIER_HZ)
 BUDGET = make_budget()
@@ -165,6 +171,13 @@ def test_violation_mass_non_increasing_in_alpha():
     assert masses[0] > 0.0
     for lo, hi in zip(masses[1:], masses[:-1]):
         assert lo <= hi * (1.0 + 1e-6) + 1e-9
+
+
+@pytest.mark.parametrize("field", ["tau", "r_min", "alpha", "inertia", "cognitive", "social"])
+def test_specs_and_swarms_reject_nan(field):
+    spec, pso = spec_for_velocity(50.0), PsoConfig(bounds=pso_bounds(CFG), seed=1)
+    with pytest.raises(ValueError):
+        replace(spec if hasattr(spec, field) else pso, **{field: math.nan})
 
 
 def test_spec_validation():

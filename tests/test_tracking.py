@@ -10,6 +10,7 @@ import pytest
 
 from thztrack import (
     BsGeometry,
+    CodebookError,
     CodebookGrid,
     EventBasedParams,
     Scenario,
@@ -63,9 +64,10 @@ def test_static_target_scheme_equivalence(small_cfg, small_budget, static_codebo
     rec_p = run_sensing_assisted(sc, static_codebook)
     rec_c = run_conventional(sc)
     rec_e = run_event_based(sc, EventBasedParams(rw_var=0.0))
-    m_p = compute_metrics(rec_p)
-    m_c = compute_metrics(rec_c)
-    m_e = compute_metrics(rec_e)
+    window = (sc.start_angle, sc.end_angle)
+    m_p = compute_metrics(rec_p, window)
+    m_c = compute_metrics(rec_c, window)
+    m_e = compute_metrics(rec_e, window)
     assert m_p.avg_rate == pytest.approx(m_c.avg_rate, rel=1e-12)
     assert abs(m_p.avg_rate - m_e.avg_rate) <= 1e-9 * m_p.avg_rate
     assert m_p.outage_prob == m_c.outage_prob == m_e.outage_prob == 0.0
@@ -108,15 +110,13 @@ def test_outage_flags_consistent(small_scenario, small_codebook):
         run_conventional(small_scenario),
         run_event_based(small_scenario, EventBasedParams()),
     ):
-        assert np.array_equal(rec.outages, rec.rates < rec.r_min)
+        assert np.array_equal(rec.outages, rec.rates < small_scenario.r_min)
 
 
 def test_fingerprint_mismatch_rejected(small_cfg, small_budget, small_codebook):
     sc = make_scenario(small_cfg, small_budget, velocity=20.0, time_step=TAU / 50.0)
     bad = replace(sc, r_min=sc.r_min * 2.0)
-    from thztrack import CodebookFingerprintError
-
-    with pytest.raises(CodebookFingerprintError):
+    with pytest.raises(CodebookError, match="different scenario"):
         run_sensing_assisted(bad, small_codebook)
 
 
@@ -156,9 +156,8 @@ def test_compute_metrics_constant_record():
         outages=np.zeros(11, dtype=bool),
         beam_ids=["b0"] * 11,
         realignment_times=[0.0],
-        r_min=1e9,
     )
-    m = compute_metrics(rec)
+    m = compute_metrics(rec, (0.0, 0.0))  # every sample lies at broadside
     assert m.avg_rate == pytest.approx(5e9, rel=1e-12)
     assert m.outage_prob == 0.0
     assert m.realignment_count == 1
@@ -177,9 +176,8 @@ def test_compute_metrics_half_outage():
         outages=rates < 1e9,
         beam_ids=["b"] * 10,
         realignment_times=[],
-        r_min=1e9,
     )
-    assert compute_metrics(rec).outage_prob == pytest.approx(0.5)
+    assert compute_metrics(rec, (0.0, 0.0)).outage_prob == pytest.approx(0.5)
 
 
 def test_compute_metrics_empty_window(small_scenario, small_codebook):
