@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .config import (
     parse_config_file,
 )
 from .exports import pattern_gain_db, write_pattern, write_sweep, write_trace
-from .optimizer import optimize_omega
+from .optimizer import optimize_omegas
 from .precoder import adaptive_precoder, bf_gain_profile
 from .seeding import derive_seed
 from .tracking import SCHEMES, TrackingRunError, compute_metrics, run_scheme, sweep
@@ -107,15 +106,12 @@ def cmd_sweep(args) -> int:
     template = build_scenario(config)
     values = _parse_values(args.values)
     keys = [k.strip() for k in args.schemes.split(",") if k.strip()]
-    for key in keys:
-        if key not in SCHEMES:
-            raise ConfigError(f"unknown scheme {key!r}; choose from {sorted(SCHEMES)}")
     cb = _load_codebook(args, config, template) if "proposed" in keys else None
-    out = _out_dir(args, config)
     try:
         rows = sweep(template, args.axis, values, keys, cb, build_event_params(config), args.jobs)
-    except ValueError as exc:  # no or repeated schemes, a bad axis value; runs raise TrackingRunError
+    except ValueError as exc:  # bad schemes or axis values; runs raise TrackingRunError
         raise ConfigError(str(exc)) from exc
+    out = _out_dir(args, config)
     table_path = out / "sweep.csv"
     write_sweep(rows, table_path, config.output.delimiter)
     print(f"{len(rows)} rows -> {table_path}")
@@ -132,14 +128,14 @@ def cmd_pattern(args) -> int:
     config = parse_config_file(args.config)
     pso = build_pso(config, seed=args.seed)
     velocities = _parse_values(args.velocities)
+    scenarios = [build_scenario(config, velocity=v) for v in velocities]
+    opt = config.optimizer
+    specs = [sc.period_spec(0.0, opt.alpha, opt.n_quad) for sc in scenarios]
+    seeds = [derive_seed("pattern", pso.seed, v) for v in velocities]
+    results = optimize_omegas(specs, pso, seeds)
     out = _out_dir(args, config)
     sin_grid = np.linspace(-1.0, 1.0, 2001)
-    for velocity in velocities:
-        scenario = build_scenario(config, velocity=velocity)
-        spec = scenario.period_spec(0.0, config.optimizer.alpha, config.optimizer.n_quad)
-        result = optimize_omega(
-            spec, replace(pso, seed=derive_seed("pattern", pso.seed, velocity))
-        )
+    for velocity, scenario, spec, result in zip(velocities, scenarios, specs, results):
         beam = adaptive_precoder(spec.interval, result.omega_star, scenario.cfg)
         gains = bf_gain_profile(sin_grid, beam, scenario.cfg)
         path = out / f"pattern_v{velocity:g}.csv"

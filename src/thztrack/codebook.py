@@ -6,20 +6,21 @@ path matching that interval. Entries store parameters only; weights are
 reconstructed from (interval, omega), which is the single source of truth.
 
 Serialised format (JSON, UTF-8, sorted keys, compact separators so identical
-builds are byte-identical):
+builds are byte-identical). Cells are not listed: their intervals follow from
+the grid and their seeds from the PSO seed, so only omega and the objective
+are stored, one value per cell in row-major order (centre index, then row):
 
     {
       "alpha": float,
-      "base_seed": int,
-      "entries": [[theta_idx, delta_idx, theta_m, delta, omega,
-                   objective_value, cell_seed, n_quad], ...]   # row-major
       "fingerprint": str,          # sha256 over the build scenario
-      "format_version": 1,
+      "format_version": 2,
       "grid": {"delta_max": f, "delta_step": f, "theta_lo": f,
                "theta_hi": f, "theta_step": f},
       "n_quad": int,
+      "objective": [float, ...],
+      "omega": [float, ...],
       "pso": {"bounds": [lo, hi], "cognitive": f, "inertia": f,
-              "n_iterations": int, "n_particles": int, "social": f},
+              "n_iterations": int, "n_particles": int, "seed": int, "social": f},
       "r_min": float,
       "tau": float
     }
@@ -31,7 +32,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .geometry import AngularInterval, SensedState, point_at_direction
@@ -39,7 +40,7 @@ from .optimizer import MIN_QUAD_NODES, ObjectiveSpec, PsoConfig, optimize_omegas
 from .precoder import Precoder, adaptive_precoder
 from .seeding import derive_seed
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CodebookError(Exception):
@@ -82,6 +83,11 @@ class CodebookGrid:
     def delta_values(self) -> list[float]:
         count = int(math.ceil(self.delta_max / self.delta_step - 1e-9)) + 1
         return [i * self.delta_step for i in range(count)]
+
+    def cells(self) -> list[tuple[tuple[int, int], AngularInterval]]:
+        """Every cell's indices and interval in row-major order: centre index, then row."""
+        thetas, rows = enumerate(self.theta_values()), list(enumerate(self.delta_values()))
+        return [((ti, di), AngularInterval(t, d)) for ti, t in thetas for di, d in rows]
 
     def contains(self, interval: AngularInterval) -> bool:
         lo, hi = self.theta_range
@@ -167,14 +173,13 @@ def build_codebook(
     seed and its grid indices, so builds are reproducible for any job count.
     """
     distance = _template_perpendicular_distance(template)
-    deltas = list(enumerate(grid.delta_values()))
-    cells = [(ti, di, t, d) for ti, t in enumerate(grid.theta_values()) for di, d in deltas]
-    specs = [_cell_spec(template, t, d, distance) for _, _, t, d in cells]
-    seeds = [derive_seed("cell", pso.seed, ti, di) for ti, di, _, _ in cells]
+    cells = grid.cells()
+    specs = [_cell_spec(template, iv.theta_m, iv.delta, distance) for _, iv in cells]
+    seeds = [derive_seed("cell", pso.seed, ti, di) for (ti, di), _ in cells]
     results = optimize_omegas(specs, pso, seeds, jobs)
     entries = {
-        (ti, di): CodebookEntry(spec.interval, r.omega_star, r.objective_value)
-        for (ti, di, _, _), spec, r in zip(cells, specs, results)
+        key: CodebookEntry(interval, r.omega_star, r.objective_value)
+        for (key, interval), r in zip(cells, results)
     }
 
     fingerprint = scenario_fingerprint(
@@ -223,19 +228,7 @@ def entry_precoder(entry: CodebookEntry, cfg) -> Precoder:
 
 def _to_payload(cb: Codebook) -> dict:
     lo, hi = cb.grid.theta_range
-    rows = [
-        [
-            ti,
-            di,
-            entry.interval.theta_m,
-            entry.interval.delta,
-            entry.omega,
-            entry.objective_value,
-            derive_seed("cell", cb.pso.seed, ti, di),
-            cb.n_quad,
-        ]
-        for (ti, di), entry in sorted(cb.entries.items())
-    ]
+    entries = [cb.entries[key] for key in sorted(cb.entries)]  # row-major
     return {
         "format_version": FORMAT_VERSION,
         "fingerprint": cb.fingerprint,
@@ -250,16 +243,9 @@ def _to_payload(cb: Codebook) -> dict:
         "alpha": cb.alpha,
         "r_min": cb.r_min,
         "n_quad": cb.n_quad,
-        "base_seed": cb.pso.seed,
-        "pso": {
-            "bounds": list(cb.pso.bounds),
-            "n_particles": cb.pso.n_particles,
-            "n_iterations": cb.pso.n_iterations,
-            "inertia": cb.pso.inertia,
-            "cognitive": cb.pso.cognitive,
-            "social": cb.pso.social,
-        },
-        "entries": rows,
+        "pso": asdict(cb.pso),
+        "omega": [entry.omega for entry in entries],
+        "objective": [entry.objective_value for entry in entries],
     }
 
 
@@ -279,35 +265,21 @@ def _finite(text: str) -> float:
     return value
 
 
-def _check_cells(cb: Codebook, rows: list) -> None:
-    """Every grid cell once, at its interval and seed, with the n_quad and an in-bounds omega."""
-    if cb.n_quad < MIN_QUAD_NODES:
-        raise CodebookError(f"codebook n_quad {cb.n_quad!r} is below {MIN_QUAD_NODES}")
-    thetas, deltas = cb.grid.theta_values(), cb.grid.delta_values()
-    grid = {(ti, di): (t, d) for ti, t in enumerate(thetas) for di, d in enumerate(deltas)}
-    lo, hi = cb.pso.bounds
-    for ti, di, theta_m, delta, omega, _, seed, n_quad in rows:
-        key = (ti, di)
-        if grid.get(key) != (theta_m, delta):
-            raise CodebookError(f"codebook cell {key} does not match its grid interval")
-        if seed != derive_seed("cell", cb.pso.seed, ti, di):
-            raise CodebookError(f"codebook cell {key} has seed {seed!r}, not its own")
-        if n_quad != cb.n_quad:
-            raise CodebookError(f"codebook cell {key} has n_quad {n_quad!r}")
-        if not lo <= omega <= hi:
-            raise CodebookError(
-                f"codebook cell {key} has omega {omega!r} outside the bounds {cb.pso.bounds}"
-            )
-    if not len(rows) == len(cb.entries) == len(grid):
-        raise CodebookError(f"{len(rows)} rows cover {len(cb.entries)} of {len(grid)} cells")
+def _typed(value, name: str, kinds: tuple = (int,)):
+    # bool is an int subclass, and a float such as 64.0 passes every range check
+    if type(value) not in kinds:
+        noun = "number" if float in kinds else "integer"
+        raise CodebookError(f"codebook {name} {value!r} is not a JSON {noun}")
+    return value
 
 
 def load(source, expected_fingerprint: str | None = None) -> Codebook:
     """Read a codebook from a path or file object, validating version and payload.
 
-    Non-finite numbers, invalid settings, missing, duplicate or misplaced cells, seeds or n_quad
-    that differ from the codebook's and out-of-bounds omegas are rejected. A given
-    ``expected_fingerprint`` must match the stored one, tying it to the active scenario.
+    Non-finite numbers, mistyped or invalid settings, fewer than MIN_QUAD_NODES nodes,
+    omega and objective lists without one number per grid cell and out-of-bounds omegas
+    are rejected. A given ``expected_fingerprint`` must match the stored one, tying it to
+    the active scenario.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -326,48 +298,50 @@ def load(source, expected_fingerprint: str | None = None) -> Codebook:
     if payload["format_version"] != FORMAT_VERSION:
         raise CodebookError(
             f"unsupported codebook format {payload['format_version']!r}, "
-            f"expected {FORMAT_VERSION}"
+            f"expected {FORMAT_VERSION}; rebuild the codebook"
         )
 
     try:
-        grid_raw = payload["grid"]
+        grid_raw, pso_raw = payload["grid"], payload["pso"]
         grid = CodebookGrid(
             theta_step=grid_raw["theta_step"],
             delta_step=grid_raw["delta_step"],
             theta_range=(grid_raw["theta_lo"], grid_raw["theta_hi"]),
             delta_max=grid_raw["delta_max"],
         )
-        pso_raw = payload["pso"]
         pso = PsoConfig(
             bounds=tuple(pso_raw["bounds"]),
-            n_particles=pso_raw["n_particles"],
-            n_iterations=pso_raw["n_iterations"],
+            n_particles=_typed(pso_raw["n_particles"], "n_particles"),
+            n_iterations=_typed(pso_raw["n_iterations"], "n_iterations"),
             inertia=pso_raw["inertia"],
             cognitive=pso_raw["cognitive"],
             social=pso_raw["social"],
-            seed=payload["base_seed"],
+            seed=_typed(pso_raw["seed"], "seed"),
         )
-        entries = {}
-        for row in payload["entries"]:
-            ti, di, theta_m, delta, omega, value, _, _ = row
-            entries[(ti, di)] = CodebookEntry(
-                interval=AngularInterval(theta_m, delta),
-                omega=omega,
-                objective_value=value,
-            )
-        cb = Codebook(
-            grid=grid,
-            entries=entries,
-            fingerprint=payload["fingerprint"],
-            tau=payload["tau"],
-            alpha=payload["alpha"],
-            r_min=payload["r_min"],
-            n_quad=payload["n_quad"],
-            pso=pso,
+        n_quad = _typed(payload["n_quad"], "n_quad")
+        omegas, objectives = (
+            [_typed(v, key, (int, float)) for v in payload[key]] for key in ("omega", "objective")
         )
-        _check_cells(cb, payload["entries"])
+        header = {key: payload[key] for key in ("fingerprint", "tau", "alpha", "r_min")}
     except (KeyError, TypeError, ValueError) as exc:
         raise CodebookError(f"codebook payload incomplete or invalid: {exc}") from exc
+
+    if n_quad < MIN_QUAD_NODES:
+        raise CodebookError(f"codebook n_quad {n_quad!r} is below {MIN_QUAD_NODES}")
+    cells = grid.cells()
+    if not len(omegas) == len(objectives) == len(cells):
+        raise CodebookError(
+            f"{len(omegas)} omegas and {len(objectives)} objectives for {len(cells)} cells"
+        )
+    lo, hi = pso.bounds
+    entries = {}
+    for (key, interval), omega, value in zip(cells, omegas, objectives):
+        if not lo <= omega <= hi:
+            raise CodebookError(
+                f"codebook cell {key} has omega {omega!r} outside the bounds {pso.bounds}"
+            )
+        entries[key] = CodebookEntry(interval, omega, value)
+    cb = Codebook(grid=grid, entries=entries, n_quad=n_quad, pso=pso, **header)
 
     if expected_fingerprint is not None:
         check_fingerprint(cb, expected_fingerprint)

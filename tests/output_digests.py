@@ -9,8 +9,11 @@ the default codebook built at ``--jobs 1`` and ``--jobs 2``, ``simulate --scheme
 all``, the velocity sweep 10-100 m/s, the ``tx_power`` sweep 20-50 dBm at
 ``--jobs 1`` and ``--jobs 2``, and ``pattern`` at 10, 50 and 90 m/s. Each line
 is ``sha256  relative-path``; a run's stdout counts as ``<run>/stdout``, with
-the temporary directory and the build's wall time masked. Takes about 12 s on
-two cores. The file name keeps pytest from collecting it.
+the temporary directory and the build's wall time masked. Each built codebook
+also gets a ``<run>/cells`` line: the digest of its loaded entries'
+``(ti, di, theta_m, delta, omega, objective)`` reprs, which stays put when a
+new file format moves the bytes but no value. Takes about 12 s on two cores.
+The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -59,6 +62,17 @@ def _run(name: str, args: list[str], work: Path) -> str:
     return re.sub(r" in \d+\.\d s$", " in <wall> s", stdout, flags=re.MULTILINE)
 
 
+def _cell_digest(path: Path) -> str:
+    """Digest of every loaded cell's indices, interval, omega and objective, in row-major order."""
+    from thztrack.codebook import load
+
+    lines = [
+        f"{ti} {di} {e.interval.theta_m!r} {e.interval.delta!r} {e.omega!r} {e.objective_value!r}\n"
+        for (ti, di), e in sorted(load(path).entries.items())
+    ]
+    return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -70,9 +84,13 @@ def main() -> None:
         }
         for name, text in stdouts.items():
             digests[f"{name}/stdout"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, (command, *_) in RUNS:
+            if command == "codebook-build":
+                digests[f"{name}/cells"] = _cell_digest(work / name / "codebook.json")
     for path in sorted(digests):
         print(f"{digests[path]}  {path}")
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
     main()

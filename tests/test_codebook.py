@@ -72,9 +72,12 @@ def test_single_cell_equals_direct_optimization(small_cfg, small_budget, small_p
     direct = optimize_omega(spec, replace(small_pso, seed=cell_seed))
     assert entry.omega == direct.omega_star
     assert entry.objective_value == direct.objective_value
+    # the file stores the PSO seed once, and each cell's seed is derived from it again
     sink = io.StringIO()
     save(cb, sink)
-    assert json.loads(sink.getvalue())["entries"][0][6] == cell_seed
+    payload = json.loads(sink.getvalue())
+    assert payload["pso"]["seed"] == small_pso.seed
+    assert (payload["omega"], payload["objective"]) == ([direct.omega_star], [direct.objective_value])
 
 
 def test_zero_width_row_is_mrt(tiny_build, small_cfg):
@@ -267,47 +270,31 @@ def test_load_rejects_non_finite_numbers(tiny_build, tmp_path, constant):
     path = tmp_path / "cb.json"
     save(cb, path)
     payload = json.loads(path.read_text())
-    payload["entries"][0][4] = "OMEGA"
+    payload["omega"][0] = "OMEGA"
     path.write_text(json.dumps(payload).replace('"OMEGA"', constant))
     with pytest.raises(CodebookError, match="non-finite"):
         load(path)
 
 
-def _swap_indices(rows) -> None:
-    rows[1][:2], rows[2][:2] = rows[2][:2], rows[1][:2]
-
-
-def _bump_seed(rows) -> None:
-    rows[3][6] += 1
-
-
-def _bump_n_quad(rows) -> None:
-    rows[3][7] += 1
-
-
-def _negative_omega(rows) -> None:
-    rows[2][4] = -1e-9
+def _negative_omega(payload) -> None:
+    payload["omega"][2] = -1e-9
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda rows: rows.pop(4), "rows cover"),
-        (lambda rows: rows.append(list(rows[0])), "rows cover"),
-        (_swap_indices, "does not match its grid interval"),
-        (_bump_seed, r"cell \(1, 0\) has seed"),
-        (_bump_n_quad, r"cell \(1, 0\) has n_quad"),
-        (_negative_omega, "outside the bounds"),
+        (lambda payload: payload["omega"].pop(4), "8 omegas and 9 objectives for 9 cells"),
+        (lambda payload: payload["objective"].append(1.0), "9 omegas and 10 objectives for 9 cells"),
+        (_negative_omega, r"cell \(0, 2\) has omega -1e-09 outside the bounds"),
     ],
-    ids=["missing", "duplicate", "mismatched-index", "mismatched-seed", "mismatched-n_quad",
-         "omega-below-bounds"],
+    ids=["missing", "surplus", "omega-below-bounds"],
 )
 def test_load_rejects_incomplete_or_inconsistent_cells(tiny_build, tmp_path, edit, message):
     _, _, cb = tiny_build
     path = tmp_path / "cb.json"
     save(cb, path)
     payload = json.loads(path.read_text())
-    edit(payload["entries"])
+    edit(payload)
     path.write_text(json.dumps(payload))
     with pytest.raises(CodebookError, match=message):
         load(path)
@@ -337,14 +324,17 @@ def test_grid_rejects_cells_reaching_sine_edge(tiny_build, tmp_path, theta_range
 
 
 def test_load_version_mismatch(tiny_build, tmp_path):
+    # format 1, which listed every cell as a row, has no reader either
     _, _, cb = tiny_build
     path = tmp_path / "cb.json"
     save(cb, path)
     payload = json.loads(path.read_text())
-    payload["format_version"] = 999
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CodebookError, match="unsupported codebook format"):
-        load(path)
+    for version in (1, 999):
+        payload["format_version"] = version
+        path.write_text(json.dumps(payload))
+        expected = f"unsupported codebook format {version}, expected 2; rebuild the codebook"
+        with pytest.raises(CodebookError, match=f"^{expected}$"):
+            load(path)
 
 
 def test_load_missing_file(tmp_path):

@@ -237,15 +237,23 @@ def test_cli_sweep_empty_values_usage_error(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("schemes", [",", "conventional,conventional"], ids=["empty", "repeated"])
-def test_cli_sweep_rejects_empty_or_repeated_schemes(tmp_path, capsys, schemes):
+@pytest.mark.parametrize(
+    "schemes, message",
+    [
+        (",", "sweep requires at least one scheme, each once"),
+        ("conventional,conventional", "sweep requires at least one scheme, each once"),
+        ("conventional,bogus", "unknown scheme 'bogus'; expected one of"),
+    ],
+    ids=["empty", "repeated", "unknown"],
+)
+def test_cli_sweep_rejects_empty_or_repeated_schemes(tmp_path, capsys, schemes, message):
     config = small_config_text(tmp_path)
     argv = ["sweep", "--config", str(config), "--axis", "velocity", "--values", "10"]
     assert main([*argv, "--schemes", schemes]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: sweep requires at least one scheme, each once")
+    assert err.startswith(f"configuration error: {message}")
     assert err.count("\n") == 1
-    assert not list(tmp_path.rglob("sweep*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_pattern(tmp_path):
@@ -314,7 +322,7 @@ def test_cli_incomplete_codebook_exit_code(tmp_path, capsys):
     assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
     path = tmp_path / "cb.json"
     payload = json.loads(path.read_text())
-    del payload["entries"][5:20]
+    del payload["omega"][5:20]
     path.write_text(json.dumps(payload))
     assert main(["simulate", "--config", str(config), "--scheme", "proposed"]) == 3
     err = capsys.readouterr().err
@@ -322,7 +330,7 @@ def test_cli_incomplete_codebook_exit_code(tmp_path, capsys):
 
 
 def _omega_above_bounds(payload) -> None:
-    payload["entries"][3][4] = 2.0 * payload["pso"]["bounds"][1]
+    payload["omega"][3] = 2.0 * payload["pso"]["bounds"][1]
 
 
 def _future_version(payload) -> None:
@@ -352,14 +360,40 @@ def _negative_lower_bound(payload) -> None:
 
 def _four_quad_nodes(payload) -> None:
     payload["n_quad"] = 4
-    for row in payload["entries"]:
-        row[7] = 4
+
+
+def _set(*path_and_value):
+    """Edit that stores the last argument at the key path given by the others."""
+    *keys, last, value = path_and_value
+
+    def edit(payload) -> None:
+        target = payload
+        for key in keys:
+            target = target[key]
+        target[last] = value
+
+    return edit
+
+
+# a float, bool or string where a count or seed belongs, and cell values that are no numbers
+_MISTYPED = {
+    "n_quad-float": (("n_quad", 16.0), "n_quad 16.0 is not a JSON integer"),
+    "n_quad-fraction": (("n_quad", 16.5), "n_quad 16.5 is not a JSON integer"),
+    "n_iterations-float": (("pso", "n_iterations", 10.0), "n_iterations 10.0 is not a JSON integer"),
+    "n_iterations-bool": (("pso", "n_iterations", True), "n_iterations True is not a JSON integer"),
+    "n_particles-float": (("pso", "n_particles", 8.0), "n_particles 8.0 is not a JSON integer"),
+    "seed-string": (("pso", "seed", "42"), "seed '42' is not a JSON integer"),
+    "objective-string": (("objective", 0, "high"), "objective 'high' is not a JSON number"),
+    "objective-null": (("objective", 1, None), "objective None is not a JSON number"),
+    "omega-bool": (("omega", 2, True), "omega True is not a JSON number"),
+}
 
 
 @pytest.mark.parametrize(
     "edit, message",
-    [(_negative_lower_bound, "need 0 <= lo < hi"), (_four_quad_nodes, "n_quad 4 is below 8")],
-    ids=["negative-lower-bound", "n_quad-4"],
+    [(_negative_lower_bound, "need 0 <= lo < hi"), (_four_quad_nodes, "n_quad 4 is below 8")]
+    + [(_set(*path), message) for path, message in _MISTYPED.values()],
+    ids=["negative-lower-bound", "n_quad-4", *_MISTYPED],
 )
 def test_cli_power_sweep_rejects_invalid_codebook(tmp_path, capsys, edit, message):
     # the power axis re-optimises with the stored settings, so load must reject bad ones
@@ -532,9 +566,10 @@ def test_cli_codebook_build_failure_names_cell(tmp_path, capsys):
         (["sweep", "--axis", "tx_power", "--values", "30,nan"], "value list '30,nan' holds a"),
         (["sweep", "--axis", "velocity", "--values", "nan"], "value list 'nan' holds a non-finite"),
         (["pattern", "--velocities", "nan"], "value list 'nan' holds a non-finite"),
+        (["pattern", "--velocities", "10,-3"], "invalid value: velocity must be >= 0"),
     ],
     ids=["velocity-negative", "power-underflow", "power-overflow", "power-nan", "velocity-nan",
-         "pattern-nan"],
+         "pattern-nan", "pattern-negative"],
 )
 def test_cli_rejects_axis_values_no_scenario_accepts(tmp_path, capsys, argv, named):
     config = small_config_text(tmp_path)
@@ -543,6 +578,7 @@ def test_cli_rejects_axis_values_no_scenario_accepts(tmp_path, capsys, argv, nam
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {named}") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # every value is checked before anything is written
 
 
 @pytest.mark.parametrize("value", ["", ";;", '"'])
