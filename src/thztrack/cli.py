@@ -32,7 +32,7 @@ from .exports import pattern_gain_db, write_pattern, write_sweep, write_trace
 from .optimizer import optimize_omegas
 from .precoder import adaptive_precoder, bf_gain_profile
 from .seeding import derive_seed
-from .tracking import SCHEMES, TrackingRunError, compute_metrics, run_scheme, sweep
+from .tracking import SCHEMES, TrackingRunError, axis_scenario, compute_metrics, run_scheme, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,10 +86,10 @@ def cmd_simulate(args) -> int:
     keys = list(SCHEMES) if args.scheme == "all" else [args.scheme]
     cb = _load_codebook(args, config, scenario) if "proposed" in keys else None
     event_params = build_event_params(config) if "event" in keys else None
-    out = _out_dir(args, config)
+    records = [run_scheme(key, scenario, cb, event_params) for key in keys]
+    out = _out_dir(args, config)  # only once every scheme has run, so a failed run writes nothing
     window = (scenario.start_angle, scenario.end_angle)
-    for key in keys:
-        rec = run_scheme(key, scenario, cb, event_params)
+    for key, rec in zip(keys, records):
         trace_path = out / f"trace_{SCHEMES[key][1]}.csv"
         write_trace(rec, trace_path, config.output.delimiter)
         m = compute_metrics(rec, window)
@@ -128,7 +128,11 @@ def cmd_pattern(args) -> int:
     config = parse_config_file(args.config)
     pso = build_pso(config, seed=args.seed)
     velocities = _parse_values(args.velocities)
-    scenarios = [build_scenario(config, velocity=v) for v in velocities]
+    template = build_scenario(config)
+    try:
+        scenarios = [axis_scenario(template, "velocity", v) for v in velocities]
+    except ValueError as exc:  # a velocity no scenario accepts, named as sweep names it
+        raise ConfigError(str(exc)) from exc
     opt = config.optimizer
     specs = [sc.period_spec(0.0, opt.alpha, opt.n_quad) for sc in scenarios]
     seeds = [derive_seed("pattern", pso.seed, v) for v in velocities]

@@ -404,7 +404,7 @@ def run_scheme(
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
 
 
-def _axis_scenario(template: Scenario, axis: str, value: float) -> Scenario:
+def axis_scenario(template: Scenario, axis: str, value: float) -> Scenario:
     """The template at one axis value; a value no scenario accepts raises a ValueError naming it."""
     try:
         if axis == "velocity":
@@ -449,7 +449,7 @@ def sweep(
     event_params = event_params or EventBasedParams()
     window = (template.start_angle, template.end_angle)
 
-    scenarios = [_axis_scenario(template, axis, v) for v in values]
+    scenarios = [axis_scenario(template, axis, v) for v in values]
 
     direct = None
     if axis == "tx_power" and "proposed" in schemes and cb is not None:

@@ -511,8 +511,10 @@ def test_cli_run_failure_exit_code(tmp_path, capsys):
     assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
     text = config.read_text().replace("velocity_mps = 20.0", "velocity_mps = 40.0")
     config.write_text(text)
-    assert main(["simulate", "--config", str(config), "--scheme", "proposed"]) == 4
-    assert "epoch" in capsys.readouterr().err
+    for scheme in ("proposed", "all"):
+        assert main(["simulate", "--config", str(config), "--scheme", scheme]) == 4
+        assert "epoch" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # every scheme runs before anything is written
 
 
 @pytest.mark.parametrize(
@@ -566,7 +568,7 @@ def test_cli_codebook_build_failure_names_cell(tmp_path, capsys):
         (["sweep", "--axis", "tx_power", "--values", "30,nan"], "value list '30,nan' holds a"),
         (["sweep", "--axis", "velocity", "--values", "nan"], "value list 'nan' holds a non-finite"),
         (["pattern", "--velocities", "nan"], "value list 'nan' holds a non-finite"),
-        (["pattern", "--velocities", "10,-3"], "invalid value: velocity must be >= 0"),
+        (["pattern", "--velocities", "10,-3"], "velocity value -3.0: velocity must be >= 0"),
     ],
     ids=["velocity-negative", "power-underflow", "power-overflow", "power-nan", "velocity-nan",
          "pattern-nan", "pattern-negative"],

@@ -202,12 +202,15 @@ def _mixed_specs(cfg: ArrayConfig, count: int, rng, n_quad: int = 64) -> list[Ob
     return specs
 
 
-@pytest.mark.parametrize("n_antennas", [16, 33, 128])
+@pytest.mark.parametrize("n_antennas", [2, 3, 16, 33, 128])
 def test_evaluator_matches_complex_reference(n_antennas):
     rng = np.random.default_rng(n_antennas)
     cfg = ArrayConfig(n_antennas, CARRIER_HZ)
     specs = _mixed_specs(cfg, 5, rng)
     assert specs[0].interval.delta == 0.0
+    # an r_min at the median node rate puts the penalty to work, also on a near-flat 2-antenna beam
+    median_rate = float(np.median(period_rates(specs[-1], [0.0])[1]))
+    specs[-1] = replace(specs[-1], r_min=median_rate)
     full = (n_antennas - 1) * math.pi
     # omega = 0 and n*pi zero the taper argument on one antenna; then both bounds
     special = [0.0, math.pi, 5.0 * math.pi, full / 2.0, full]
@@ -226,7 +229,7 @@ def test_evaluator_matches_complex_reference(n_antennas):
     assert max(masses) > 0.0
 
 
-@pytest.mark.parametrize("n_antennas", [16, 33, 128])
+@pytest.mark.parametrize("n_antennas", [2, 3, 16, 33, 128])
 def test_batch_entry_points_match_scalar_calls(n_antennas):
     rng = np.random.default_rng(100 + n_antennas)
     cfg = ArrayConfig(n_antennas, CARRIER_HZ)
@@ -246,6 +249,24 @@ def test_batch_entry_points_match_scalar_calls(n_antennas):
             assert mass == pytest.approx(expected_mass, rel=1e-12, abs=1e-6)
     with pytest.raises(ValueError):
         objectives([1.0, math.nan], spec)
+
+
+@pytest.mark.parametrize("n_antennas", [3, 128])
+def test_evaluator_results_outlive_its_workspace(n_antennas):
+    rng = np.random.default_rng(7)
+    cfg = ArrayConfig(n_antennas, CARRIER_HZ)
+    specs = _mixed_specs(cfg, 3, rng)
+    evaluator = _PeriodEvaluator(specs)
+    full = (n_antennas - 1) * math.pi
+    first, second = rng.uniform(0.0, full, (2, 3, 6))
+    for method in (evaluator.values, evaluator.rates):
+        kept = method(first)
+        expected = kept.copy()
+        method(second)
+        method(first[:, :2])  # a new width replaces the work arrays
+        assert np.array_equal(kept, expected)
+    # a reused workspace gives the bits of a fresh one
+    assert np.array_equal(evaluator.values(first), _PeriodEvaluator(specs).values(first))
 
 
 def test_optimize_omegas_bit_equal_to_per_spec_runs():
