@@ -60,8 +60,11 @@ def _out_dir(args, config: RunConfig) -> Path:
 
 
 def _load_codebook(args, config: RunConfig, scenario):
-    expected = scenario.fingerprint(config.optimizer.alpha)
-    return cbmod.load(args.codebook or config.codebook.path, expected_fingerprint=expected)
+    alpha = config.optimizer.alpha
+    cb = cbmod.load(args.codebook or config.codebook.path, scenario.fingerprint(alpha))
+    if cb.alpha != alpha:  # the runs read the stored alpha, the fingerprint hashed this one
+        raise CodebookError(f"codebook alpha {cb.alpha!r} is not the configured {alpha!r}")
+    return cb
 
 
 def cmd_codebook_build(args) -> int:

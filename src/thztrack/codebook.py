@@ -268,7 +268,7 @@ def _finite(text: str) -> float:
 def _typed(value, name: str, kinds: tuple = (int,)):
     # bool is an int subclass, and a float such as 64.0 passes every range check
     if type(value) not in kinds:
-        noun = "number" if float in kinds else "integer"
+        noun = "string" if str in kinds else "number" if float in kinds else "integer"
         raise CodebookError(f"codebook {name} {value!r} is not a JSON {noun}")
     return value
 
@@ -310,19 +310,20 @@ def load(source, expected_fingerprint: str | None = None) -> Codebook:
             delta_max=grid_raw["delta_max"],
         )
         pso = PsoConfig(
-            bounds=tuple(pso_raw["bounds"]),
+            bounds=tuple(_typed(v, "bound", (int, float)) for v in pso_raw["bounds"]),
             n_particles=_typed(pso_raw["n_particles"], "n_particles"),
             n_iterations=_typed(pso_raw["n_iterations"], "n_iterations"),
-            inertia=pso_raw["inertia"],
-            cognitive=pso_raw["cognitive"],
-            social=pso_raw["social"],
+            inertia=_typed(pso_raw["inertia"], "inertia", (int, float)),
+            cognitive=_typed(pso_raw["cognitive"], "cognitive", (int, float)),
+            social=_typed(pso_raw["social"], "social", (int, float)),
             seed=_typed(pso_raw["seed"], "seed"),
         )
         n_quad = _typed(payload["n_quad"], "n_quad")
         omegas, objectives = (
             [_typed(v, key, (int, float)) for v in payload[key]] for key in ("omega", "objective")
         )
-        header = {key: payload[key] for key in ("fingerprint", "tau", "alpha", "r_min")}
+        header = {key: _typed(payload[key], key, (int, float)) for key in ("tau", "alpha", "r_min")}
+        header["fingerprint"] = _typed(payload["fingerprint"], "fingerprint", (str,))
     except (KeyError, TypeError, ValueError) as exc:
         raise CodebookError(f"codebook payload incomplete or invalid: {exc}") from exc
 

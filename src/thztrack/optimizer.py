@@ -227,12 +227,12 @@ def _incumbent(x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def optimize_omega(spec: ObjectiveSpec, pso: PsoConfig) -> OptResult:
     """Maximise the period objective over omega with a seeded particle swarm.
 
-    Particles start uniformly over the bounds, velocities are clamped to 20%
-    of the bound span, and positions reflect at the bounds. The returned
-    incumbent is the best omega visited by any particle or at either bound,
-    with ties broken towards the smallest omega; a bound taken as the
-    incumbent reports convergence at iteration 0. Identical inputs (including
-    the seed) yield identical results.
+    Two particles start on the bounds and the rest uniformly between them,
+    velocities are clamped to 20% of the bound span, and positions reflect at
+    the bounds. The returned incumbent is the best omega visited by any
+    particle, so it is never worse than either bound, with ties broken towards
+    the smallest omega. Identical inputs (including the seed) yield identical
+    results.
     """
     return optimize_omegas([spec], pso, [pso.seed])[0]
 
@@ -274,6 +274,8 @@ def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
     v_max = 0.2 * span
 
     x = lo + draws[0] * span
+    # particles 0 and 1 start on the bounds, where reflection keeps others from settling
+    x[:, 0], x[:, 1] = lo, hi
     v = (2.0 * draws[1] - 1.0) * v_max
     fx = evaluator.values(x)
 
@@ -309,21 +311,7 @@ def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
         best_f[better] = cand_f[better]
         converged_iteration[better] = it
 
-    # Both bounds are fixed candidates: reflection keeps particles from settling
-    # on an optimum at a bound. They are evaluated at the swarm's batch width, so
-    # a flat objective ties exactly: the product rounds by width, folded or not.
-    # On 45 default cells x 40 random omegas, calls 1, 2 or 3 wide differed from
-    # the 40-wide call in 884, 1021 and 828 of the 1800 values; 4 wide, in none.
-    edges = np.full_like(x, lo)
-    edges[:, 1] = hi
-    swarm_x = best_x
-    best_x, best_f = _incumbent(
-        np.column_stack([swarm_x, edges[:, :2]]),
-        np.column_stack([best_f, evaluator.values(edges)[:, :2]]),
-    )
-    converged_iteration[best_x != swarm_x] = 0
-
-    evaluations = pso.n_particles * (pso.n_iterations + 1) + 2
+    evaluations = pso.n_particles * (pso.n_iterations + 1)
     return [
         OptResult(float(bx), float(bf), evaluations, int(it))
         for bx, bf, it in zip(best_x, best_f, converged_iteration)

@@ -59,18 +59,15 @@ def taper_table(delta, n_antennas: int) -> tuple[np.ndarray, np.ndarray]:
     return b, np.concatenate([np.cos(b), -np.sin(b)], axis=-2)
 
 
-def taper(a: np.ndarray, b: np.ndarray, rot: np.ndarray | None = None) -> np.ndarray:
+def taper(a: np.ndarray, b: np.ndarray, rot: np.ndarray) -> np.ndarray:
     """Tapers g_n = Sa(a - b_n) as (..., P, N) for a = delta * omega given as (..., P).
 
-    With ``rot``, sin(a - b_n) = [sin a, cos a] @ [cos b_n; -sin b_n] takes two
-    trig calls per a instead of one per antenna. Where |a - b_n| < TAPER_DIRECT
-    that difference loses relative accuracy, so Sa takes a - b_n directly, which
-    is exact where a and b_n are that close. Without ``rot``, as for a single a,
-    whose table would cost more trig calls than it saves, every n takes Sa directly.
+    sin(a - b_n) = [sin a, cos a] @ [cos b_n; -sin b_n] takes two trig calls per
+    a instead of one per antenna. Where |a - b_n| < TAPER_DIRECT that difference
+    loses relative accuracy, so Sa takes a - b_n directly, which is exact where
+    a and b_n are that close.
     """
     x = a[..., None] - b
-    if rot is None:
-        return sample_fn(x)
     near = np.abs(x) < TAPER_DIRECT
     trig = np.empty(a.shape + (2,))
     np.sin(a, out=trig[..., 0])
@@ -85,7 +82,7 @@ def taper(a: np.ndarray, b: np.ndarray, rot: np.ndarray | None = None) -> np.nda
 def adaptive_precoder(interval: AngularInterval, omega: float, cfg: ArrayConfig) -> Precoder:
     """Construct the unit-power precoder covering ``interval`` with shape ``omega``."""
     delta = interval.delta
-    g = taper(np.asarray(delta * omega), delta * (np.pi * np.arange(cfg.n_antennas)))
+    g = sample_fn(delta * omega - delta * (np.pi * np.arange(cfg.n_antennas)))
     total = float(np.dot(g, g))
     if total <= _DEGENERATE_SUM:
         raise ValueError("taper coefficients sum to zero; degenerate parameters")

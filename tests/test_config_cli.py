@@ -375,7 +375,8 @@ def _set(*path_and_value):
     return edit
 
 
-# a float, bool or string where a count or seed belongs, and cell values that are no numbers
+# a float, bool or string where a count or seed belongs, header and cell values that are no
+# numbers, and a fingerprint that is no string
 _MISTYPED = {
     "n_quad-float": (("n_quad", 16.0), "n_quad 16.0 is not a JSON integer"),
     "n_quad-fraction": (("n_quad", 16.5), "n_quad 16.5 is not a JSON integer"),
@@ -386,6 +387,15 @@ _MISTYPED = {
     "objective-string": (("objective", 0, "high"), "objective 'high' is not a JSON number"),
     "objective-null": (("objective", 1, None), "objective None is not a JSON number"),
     "omega-bool": (("omega", 2, True), "omega True is not a JSON number"),
+    "fingerprint-int": (("fingerprint", 123), "fingerprint 123 is not a JSON string"),
+    "alpha-string": (("alpha", "10.0"), "alpha '10.0' is not a JSON number"),
+    "tau-string": (("tau", "0.165"), "tau '0.165' is not a JSON number"),
+    "r_min-null": (("r_min", None), "r_min None is not a JSON number"),
+    "bounds-bool": (("pso", "bounds", [False, True]), "bound False is not a JSON number"),
+    "upper-bound-bool": (("pso", "bounds", 1, True), "bound True is not a JSON number"),
+    "inertia-bool": (("pso", "inertia", True), "inertia True is not a JSON number"),
+    "cognitive-string": (("pso", "cognitive", "1.5"), "cognitive '1.5' is not a JSON number"),
+    "social-null": (("pso", "social", None), "social None is not a JSON number"),
 }
 
 
@@ -408,6 +418,30 @@ def test_cli_power_sweep_rejects_invalid_codebook(tmp_path, capsys, edit, messag
     err = capsys.readouterr().err
     assert err.startswith("codebook error:") and message in err and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", ["--scheme", "proposed"]),
+        ("sweep", ["--axis", "velocity", "--values", "10", "--schemes", "proposed"]),
+        ("sweep", ["--axis", "tx_power", "--values", "30", "--schemes", "proposed"]),
+    ],
+    ids=["simulate", "sweep-velocity", "sweep-tx_power"],
+)
+def test_cli_rejects_codebook_alpha_its_fingerprint_did_not_hash(tmp_path, capsys, command, extra):
+    # the fingerprint matches the configured alpha, while the runs would read the stored one
+    config = small_config_text(tmp_path)
+    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
+    path = tmp_path / "cb.json"
+    payload = json.loads(path.read_text())
+    payload["alpha"] = 5.0
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "fresh"
+    assert main([command, "--config", str(config), "--out", str(out), *extra]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("codebook error:") and "alpha 5.0" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def _blocked_output(tmp_path: Path) -> Path:

@@ -131,7 +131,7 @@ def test_optimize_takes_a_bound_the_swarm_misses():
     edges = objectives(list(pso.bounds), spec)
     assert edges[1] > edges[0]
     assert (result.omega_star, result.objective_value) == (pso.bounds[1], edges[1])
-    assert (result.evaluations, result.converged_iteration) == (2 * 2 + 2, 0)
+    assert (result.evaluations, result.converged_iteration) == (2 * (1 + 1), 0)
     # a flat objective ties everywhere, and the tie goes to the lower bound
     static = optimize_omega(spec_for_velocity(0.0), pso)
     assert (static.omega_star, static.converged_iteration) == (pso.bounds[0], 0)
@@ -270,13 +270,19 @@ def test_evaluator_results_outlive_its_workspace(n_antennas):
 
 
 def test_optimize_omegas_bit_equal_to_per_spec_runs():
-    specs = _mixed_specs(CFG, 11, np.random.default_rng(11))
+    # the first chunk holds an optimum on the upper bound and a flat delta = 0 spec
+    specs = [spec_for_velocity(50.0)] + _mixed_specs(CFG, 11, np.random.default_rng(11))
     assert len(specs) % SWARM_CHUNK != 0
+    assert specs[1].interval.delta == 0.0
     pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=16, n_iterations=25, seed=0)
     seeds = [1000 + 7 * i for i in range(len(specs))]
     batched = optimize_omegas(specs, pso, seeds)
     single = [optimize_omega(spec, replace(pso, seed=seed)) for spec, seed in zip(specs, seeds)]
     assert batched == single  # OptResult equality compares every float bit for bit
+    # both bounds are particles of the first call, so a bound incumbent reports iteration 0
+    lo, hi = pso.bounds
+    assert [(r.omega_star, r.converged_iteration) for r in batched[:2]] == [(hi, 0), (lo, 0)]
+    assert batched[0].evaluations == 16 * (25 + 1)
 
 
 def test_optimize_omegas_pool_bit_equal_to_serial():

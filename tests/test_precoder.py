@@ -67,8 +67,8 @@ def test_taper_against_mpmath(n_antennas):
                 edge = b_n + TAPER_DIRECT
                 args += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
             a = np.array(args)
-            # with the table (difference form) and without it (Sa directly everywhere)
-            for got in (taper(a, *table), taper(a, table[0])):
+            # with the table (difference form) and Sa directly, as adaptive_precoder takes it
+            for got in (taper(a, *table), sample_fn(a[:, None] - b)):
                 for a_k, row in zip(a, got):
                     for b_n, g in zip(b, row):
                         x = mpmath.mpf(float(a_k)) - mpmath.mpf(float(b_n))
