@@ -1,8 +1,8 @@
 """Command-line entry points: codebook-build, simulate, sweep, pattern.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 codebook error
-(missing file, version, fingerprint, corrupt payload), 4 run failure,
-including an output directory or file that cannot be created or written.
+(missing file, version, fingerprint or header mismatch, corrupt payload), 4 run
+failure, including an output directory or file that cannot be created or written.
 """
 
 from __future__ import annotations
@@ -60,10 +60,8 @@ def _out_dir(args, config: RunConfig) -> Path:
 
 
 def _load_codebook(args, config: RunConfig, scenario):
-    alpha = config.optimizer.alpha
-    cb = cbmod.load(args.codebook or config.codebook.path, scenario.fingerprint(alpha))
-    if cb.alpha != alpha:  # the runs read the stored alpha, the fingerprint hashed this one
-        raise CodebookError(f"codebook alpha {cb.alpha!r} is not the configured {alpha!r}")
+    cb = cbmod.load(args.codebook or config.codebook.path)
+    cbmod.check_scenario(cb, scenario, config.optimizer.alpha)
     return cb
 
 

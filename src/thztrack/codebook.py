@@ -136,6 +136,19 @@ def check_fingerprint(cb: Codebook, expected: str) -> None:
         )
 
 
+def check_scenario(cb: Codebook, sc, alpha: float) -> None:
+    """Raise CodebookError unless ``cb`` serves scenario ``sc`` with penalty weight ``alpha``.
+
+    ``sc`` needs ``cfg``, ``budget``, ``tau`` and ``r_min``. The fingerprint hashes the
+    scenario's values, so the stored ``tau``, ``alpha`` and ``r_min`` must equal them too.
+    """
+    check_fingerprint(cb, scenario_fingerprint(sc.cfg, sc.budget, sc.tau, alpha, sc.r_min))
+    for name, value in {"tau": sc.tau, "alpha": alpha, "r_min": sc.r_min}.items():
+        stored = getattr(cb, name)
+        if stored != value:
+            raise CodebookError(f"codebook {name} {stored!r} is not the scenario's {value!r}")
+
+
 def _template_perpendicular_distance(template: ObjectiveSpec) -> float:
     """Distance from the BS to the template's position along boresight.
 
@@ -273,21 +286,18 @@ def _typed(value, name: str, kinds: tuple = (int,)):
     return value
 
 
-def load(source, expected_fingerprint: str | None = None) -> Codebook:
-    """Read a codebook from a path or file object, validating version and payload.
+def load(path, expected_fingerprint: str | None = None) -> Codebook:
+    """Read a codebook from a path, validating version and payload.
 
     Non-finite numbers, mistyped or invalid settings, fewer than MIN_QUAD_NODES nodes,
     omega and objective lists without one number per grid cell and out-of-bounds omegas
-    are rejected. A given ``expected_fingerprint`` must match the stored one, tying it to
-    the active scenario.
+    are rejected. A given ``expected_fingerprint`` must match the stored one; use
+    :func:`check_scenario` to tie the codebook to a run.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CodebookError(f"cannot read codebook: {exc}") from exc
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CodebookError(f"cannot read codebook: {exc}") from exc
     try:
         payload = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
@@ -303,12 +313,11 @@ def load(source, expected_fingerprint: str | None = None) -> Codebook:
 
     try:
         grid_raw, pso_raw = payload["grid"], payload["pso"]
-        grid = CodebookGrid(
-            theta_step=grid_raw["theta_step"],
-            delta_step=grid_raw["delta_step"],
-            theta_range=(grid_raw["theta_lo"], grid_raw["theta_hi"]),
-            delta_max=grid_raw["delta_max"],
+        theta_step, delta_step, theta_lo, theta_hi, delta_max = (
+            _typed(grid_raw[key], key, (int, float))
+            for key in ("theta_step", "delta_step", "theta_lo", "theta_hi", "delta_max")
         )
+        grid = CodebookGrid(theta_step, delta_step, (theta_lo, theta_hi), delta_max)
         pso = PsoConfig(
             bounds=tuple(_typed(v, "bound", (int, float)) for v in pso_raw["bounds"]),
             n_particles=_typed(pso_raw["n_particles"], "n_particles"),

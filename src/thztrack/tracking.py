@@ -27,14 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ArrayConfig, LinkBudget, achievable_rate, dbm_to_watt
-from .codebook import (
-    Codebook,
-    CodebookError,
-    check_fingerprint,
-    entry_precoder,
-    lookup_indices,
-    scenario_fingerprint,
-)
+from .codebook import Codebook, CodebookError, check_scenario, entry_precoder, lookup_indices
 from .geometry import (
     AngularInterval,
     BsGeometry,
@@ -162,10 +155,6 @@ class Scenario:
             geom=self.geom,
         )
 
-    def fingerprint(self, alpha: float) -> str:
-        """Fingerprint of a codebook built for this scenario with penalty weight ``alpha``."""
-        return scenario_fingerprint(self.cfg, self.budget, self.tau, alpha, self.r_min)
-
 
 @dataclass(frozen=True)
 class EventBasedParams:
@@ -270,7 +259,7 @@ class _TraceBuilder:
 
 def run_sensing_assisted(sc: Scenario, cb: Codebook) -> TrackRecord:
     """Proposed scheme: per-period codebook beams over predicted intervals."""
-    check_fingerprint(cb, sc.fingerprint(cb.alpha))
+    check_scenario(cb, sc, cb.alpha)
     builder = _TraceBuilder(sc, SCHEME_PROPOSED, sc.tau)
     for k in range(builder.n_segments):
         epoch = k * sc.tau

@@ -375,8 +375,8 @@ def _set(*path_and_value):
     return edit
 
 
-# a float, bool or string where a count or seed belongs, header and cell values that are no
-# numbers, and a fingerprint that is no string
+# a float, bool or string where a count or seed belongs, header, grid and cell values that
+# are no numbers, and a fingerprint that is no string
 _MISTYPED = {
     "n_quad-float": (("n_quad", 16.0), "n_quad 16.0 is not a JSON integer"),
     "n_quad-fraction": (("n_quad", 16.5), "n_quad 16.5 is not a JSON integer"),
@@ -396,6 +396,9 @@ _MISTYPED = {
     "inertia-bool": (("pso", "inertia", True), "inertia True is not a JSON number"),
     "cognitive-string": (("pso", "cognitive", "1.5"), "cognitive '1.5' is not a JSON number"),
     "social-null": (("pso", "social", None), "social None is not a JSON number"),
+    "theta_lo-bool": (("grid", "theta_lo", False), "theta_lo False is not a JSON number"),
+    "delta_step-string": (("grid", "delta_step", "0.01"), "delta_step '0.01' is not a JSON number"),
+    "delta_max-null": (("grid", "delta_max", None), "delta_max None is not a JSON number"),
 }
 
 
@@ -420,27 +423,35 @@ def test_cli_power_sweep_rejects_invalid_codebook(tmp_path, capsys, edit, messag
     assert "Traceback" not in err
 
 
+_HEADER_RUNS = {
+    "simulate": ["simulate", "--scheme", "proposed"],
+    "sweep-velocity": ["sweep", "--axis", "velocity", "--values", "10", "--schemes", "proposed"],
+    "sweep-tx_power": ["sweep", "--axis", "tx_power", "--values", "30", "--schemes", "proposed"],
+}
+_HEADER_EDITS = {"alpha": 5.0, "tau": 0.2, "r_min": 1.0}
+_HEADER_CASES = [(run, field) for field in _HEADER_EDITS for run in _HEADER_RUNS]
+
+
 @pytest.mark.parametrize(
-    "command, extra",
-    [
-        ("simulate", ["--scheme", "proposed"]),
-        ("sweep", ["--axis", "velocity", "--values", "10", "--schemes", "proposed"]),
-        ("sweep", ["--axis", "tx_power", "--values", "30", "--schemes", "proposed"]),
-    ],
-    ids=["simulate", "sweep-velocity", "sweep-tx_power"],
+    "run, field",
+    _HEADER_CASES,
+    ids=[run if field == "alpha" else f"{run}-{field}" for run, field in _HEADER_CASES],
 )
-def test_cli_rejects_codebook_alpha_its_fingerprint_did_not_hash(tmp_path, capsys, command, extra):
-    # the fingerprint matches the configured alpha, while the runs would read the stored one
+def test_cli_rejects_codebook_alpha_its_fingerprint_did_not_hash(tmp_path, capsys, run, field):
+    # the fingerprint hashes the configured tau, alpha and r_min, while the stored header,
+    # which the runs read, can state others
     config = small_config_text(tmp_path)
     assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
     path = tmp_path / "cb.json"
     payload = json.loads(path.read_text())
-    payload["alpha"] = 5.0
+    payload[field] = _HEADER_EDITS[field]
     path.write_text(json.dumps(payload))
     out = tmp_path / "fresh"
+    command, *extra = _HEADER_RUNS[run]
     assert main([command, "--config", str(config), "--out", str(out), *extra]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("codebook error:") and "alpha 5.0" in err and err.count("\n") == 1
+    assert err.startswith("codebook error:") and err.count("\n") == 1
+    assert f"codebook {field} {_HEADER_EDITS[field]!r} is not the scenario's" in err
     assert not out.exists()
 
 

@@ -120,6 +120,18 @@ def test_fingerprint_mismatch_rejected(small_cfg, small_budget, small_codebook):
         run_sensing_assisted(bad, small_codebook)
 
 
+@pytest.mark.parametrize("field, value", [("tau", 0.2), ("r_min", 1.0)])
+def test_header_the_fingerprint_did_not_hash_rejected(
+    small_cfg, small_budget, small_codebook, field, value
+):
+    # the fingerprint hashes the scenario's tau and r_min, so a stored header that differs
+    # would pass it; the run must still name the field
+    sc = make_scenario(small_cfg, small_budget, velocity=20.0, time_step=TAU / 50.0)
+    edited = replace(small_codebook, **{field: value})
+    with pytest.raises(CodebookError, match=f"codebook {field} {value!r} is not the scenario's"):
+        run_sensing_assisted(sc, edited)
+
+
 def test_interval_outside_grid_names_epoch(small_cfg, small_budget, small_codebook):
     # 60 m/s sweeps a wider interval than the small grid covers
     sc = make_scenario(small_cfg, small_budget, velocity=60.0, time_step=TAU / 50.0)
