@@ -43,10 +43,13 @@ class Precoder:
 def sample_fn(x):
     """Sampling kernel Sa(x) = sin(x)/x, exactly 1 where x == 0. Accepts arrays.
 
-    Dividing sin(x) by x directly keeps full relative accuracy as x -> 0.
+    Dividing sin(x) by x directly keeps full relative accuracy as x -> 0. sin runs
+    only where x != 0, so an all-zero input (a delta = 0 beam) costs no trig call.
     """
     x = np.asarray(x, dtype=float)
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    out, nonzero = np.ones_like(x), x != 0.0
+    np.sin(x, out=out, where=nonzero)
+    return np.divide(out, x, out=out, where=nonzero)
 
 
 TAPER_DIRECT = 0.25
@@ -59,23 +62,27 @@ def taper_table(delta, n_antennas: int) -> tuple[np.ndarray, np.ndarray]:
     return b, np.concatenate([np.cos(b), -np.sin(b)], axis=-2)
 
 
-def taper(a: np.ndarray, b: np.ndarray, rot: np.ndarray) -> np.ndarray:
+def taper(
+    a: np.ndarray, b: np.ndarray, rot: np.ndarray, x: np.ndarray, g: np.ndarray, near: np.ndarray
+) -> np.ndarray:
     """Tapers g_n = Sa(a - b_n) as (..., P, N) for a = delta * omega given as (..., P).
 
     sin(a - b_n) = [sin a, cos a] @ [cos b_n; -sin b_n] takes two trig calls per
     a instead of one per antenna. Where |a - b_n| < TAPER_DIRECT that difference
     loses relative accuracy, so Sa takes a - b_n directly, which is exact where
-    a and b_n are that close.
+    a and b_n are that close. The result is written to ``g``; ``x`` (float) and
+    ``near`` (bool), of the same shape, are work arrays.
     """
-    x = a[..., None] - b
-    near = np.abs(x) < TAPER_DIRECT
+    np.subtract(a[..., None], b, out=x)
+    np.less(np.abs(x, out=g), TAPER_DIRECT, out=near)
     trig = np.empty(a.shape + (2,))
     np.sin(a, out=trig[..., 0])
     np.cos(a, out=trig[..., 1])
-    g = trig @ rot
+    np.matmul(trig, rot, out=g)
     with np.errstate(divide="ignore", invalid="ignore"):
         g /= x  # x == 0 only where near
-    g[near] = sample_fn(x[near])
+    flat = np.flatnonzero(near)
+    g.put(flat, sample_fn(x.take(flat)))
     return g
 
 

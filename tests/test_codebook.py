@@ -27,6 +27,7 @@ from thztrack import (
     scenario_fingerprint,
 )
 from thztrack.codebook import _cell_spec, _template_perpendicular_distance
+from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
 from conftest import make_objective_spec, make_scenario
 
@@ -232,7 +233,10 @@ def test_save_deterministic_bytes(tiny_build, small_pso):
 
 
 def test_parallel_build_matches_serial(tiny_build, small_pso):
-    grid, template, cb = tiny_build
+    grid, template, _ = tiny_build
+    grid = replace(grid, delta_max=0.06)  # 21 cells: two lockstep chunks, so the pool runs
+    assert len(grid.theta_values()) * len(grid.delta_values()) > SWARM_CHUNK
+    cb = build_codebook(grid, template, small_pso)
     parallel = build_codebook(grid, template, small_pso, jobs=2)
     buf1, buf2 = io.StringIO(), io.StringIO()
     save(cb, buf1)

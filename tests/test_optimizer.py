@@ -21,7 +21,7 @@ from thztrack import (
     predict_pose,
     pso_bounds,
 )
-from thztrack.optimizer import SWARM_CHUNK, _PeriodEvaluator
+from thztrack.optimizer import SWARM_CHUNK, _gauss_legendre, _PeriodEvaluator
 from conftest import CARRIER_HZ, aligned_rate, make_budget, make_objective_spec, make_scenario
 from gain_reference import (
     bf_gain_direct,
@@ -182,8 +182,9 @@ def test_specs_and_swarms_reject_nan(field):
 
 def test_spec_validation():
     sc = make_scenario(CFG, BUDGET, velocity=10.0)
-    with pytest.raises(ValueError):
-        make_objective_spec(sc, alpha=-1.0)
+    for alpha in (-1.0, math.inf):
+        with pytest.raises(ValueError, match="penalty weight"):
+            make_objective_spec(sc, alpha=alpha)
     with pytest.raises(ValueError):
         make_objective_spec(sc, n_quad=4)
 
@@ -269,10 +270,34 @@ def test_evaluator_results_outlive_its_workspace(n_antennas):
     assert np.array_equal(evaluator.values(first), _PeriodEvaluator(specs).values(first))
 
 
+def test_penalty_skip_decided_per_spec_and_bit_exact():
+    # one spec clear of its r_min beside one with nodes below its own, larger r_min; every rate
+    # is above the smaller r_min, so a batch-wide test would skip the second spec's penalty
+    rng = np.random.default_rng(6)
+    clear, short = _mixed_specs(CFG, 3, rng)[1:]
+    omegas = rng.uniform(*pso_bounds(CFG), (2, 6))  # width 6: past the width-dependent rounding
+    pairs = zip((clear, short), omegas)
+    floor = min(float(_PeriodEvaluator([s]).rates(row[None]).min()) for s, row in pairs)
+    clear = replace(clear, r_min=0.5 * floor)
+    short = replace(short, r_min=float(np.median(_PeriodEvaluator([short]).rates(omegas[1:]))))
+    batch = _PeriodEvaluator([clear, short]).values(omegas)
+    _, weights = _gauss_legendre(clear.n_quad)
+    for spec, row, got in zip((clear, short), omegas, batch):
+        solo = _PeriodEvaluator([spec])
+        rates = solo.rates(row[None])
+        assert (rates.min() < spec.r_min) == (spec is short)
+        assert np.array_equal(got, solo.values(row[None])[0])
+        # the four penalty passes, run whether or not a node falls short
+        penalised = rates + spec.alpha * np.minimum(rates - spec.r_min, 0.0)
+        assert np.array_equal(got, (penalised @ weights)[0])
+    assert np.any(batch[1] < _PeriodEvaluator([replace(short, alpha=0.0)]).values(omegas[1:])[0])
+
+
 def test_optimize_omegas_bit_equal_to_per_spec_runs():
     # the first chunk holds an optimum on the upper bound and a flat delta = 0 spec
-    specs = [spec_for_velocity(50.0)] + _mixed_specs(CFG, 11, np.random.default_rng(11))
-    assert len(specs) % SWARM_CHUNK != 0
+    rng = np.random.default_rng(11)
+    specs = [spec_for_velocity(50.0)] + _mixed_specs(CFG, SWARM_CHUNK + 3, rng)
+    assert SWARM_CHUNK < len(specs) and len(specs) % SWARM_CHUNK != 0  # a partial second chunk
     assert specs[1].interval.delta == 0.0
     pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=16, n_iterations=25, seed=0)
     seeds = [1000 + 7 * i for i in range(len(specs))]
@@ -295,9 +320,10 @@ def test_optimize_omegas_pool_bit_equal_to_serial():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_optimize_omegas_passes_spec_error_through(jobs):
     # a target at the BS origin has no direction; its ValueError reaches the caller, from a worker too
-    specs = _mixed_specs(CFG, 12, np.random.default_rng(12))
-    at_origin = SensedState(position=specs[10].geom.origin, velocity=(0.0, 0.0))
-    specs[10] = replace(specs[10], state=at_origin)
+    specs = _mixed_specs(CFG, SWARM_CHUNK + 4, np.random.default_rng(12))
+    bad = SWARM_CHUNK + 2  # in the second chunk
+    at_origin = SensedState(position=specs[bad].geom.origin, velocity=(0.0, 0.0))
+    specs[bad] = replace(specs[bad], state=at_origin)
     pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=8, n_iterations=5)
     with pytest.raises(ValueError, match="origin"):
         optimize_omegas(specs, pso, list(range(len(specs))), jobs=jobs)

@@ -276,8 +276,9 @@ def test_direct_run_trace_symmetry(small_scenario, small_pso):
 
 
 def test_direct_run_matches_per_period_swarms(small_scenario, small_pso):
-    # one batched call reproduces a swarm per period seeded with ("direct", seed, k)
-    sc = small_scenario
+    # one batched call reproduces a swarm per period seeded with ("direct", seed, k); at half
+    # the fixture's speed the path takes 19 periods, two lockstep chunks
+    sc = replace(small_scenario, velocity=10.0)
     rec = run_sensing_assisted_direct(sc, small_pso, alpha=10.0, n_quad=16)
     beam_ids = np.array(rec.beam_ids)
     n_periods = len(set(rec.beam_ids))
