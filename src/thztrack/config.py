@@ -13,7 +13,7 @@ import configparser
 import functools
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .channel import ArrayConfig, LinkBudget, achievable_rate
 from .codebook import CodebookGrid
@@ -127,8 +127,9 @@ def parse_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed configuration: {exc}") from exc
+    except configparser.Error as exc:  # configparser's messages span lines
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"malformed configuration: {message}") from exc
 
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -147,10 +148,7 @@ def parse_config(text: str) -> RunConfig:
         for key in known:
             if key not in values:
                 raise ConfigError(f"missing key {key!r} in section [{section}]")
-        try:
-            built[section] = cls(**values)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid values in section [{section}]: {exc}") from exc
+        built[section] = cls(**values)
     return RunConfig(**built)
 
 
@@ -225,21 +223,13 @@ def build_budget(config: RunConfig) -> LinkBudget:
 
 def resolve_r_min(config: RunConfig) -> float:
     """Explicit threshold, or 10% of the aligned-MRT rate at the start pose."""
-    if config.optimizer.r_min_bps is not None:
-        return config.optimizer.r_min_bps
-    cfg = build_array(config)
-    budget = build_budget(config)
-    distance = config.scenario.perpendicular_distance_m / math.cos(
-        config.scenario.start_angle_rad
-    )
-    aligned = achievable_rate(float(cfg.n_antennas), distance, budget, cfg)
-    return 0.1 * aligned
+    return build_scenario(config).r_min
 
 
 @_builder
 def build_scenario(config: RunConfig, velocity: float | None = None) -> Scenario:
-    sc = config.scenario
-    return Scenario(
+    sc, r_min = config.scenario, config.optimizer.r_min_bps
+    scenario = Scenario(
         cfg=build_array(config),
         budget=build_budget(config),
         perpendicular_distance=sc.perpendicular_distance_m,
@@ -248,8 +238,13 @@ def build_scenario(config: RunConfig, velocity: float | None = None) -> Scenario
         velocity=sc.velocity_mps if velocity is None else velocity,
         tau=sc.sensing_period_s,
         time_step=sc.time_step_s,
-        r_min=resolve_r_min(config),
+        r_min=0.0 if r_min is None else r_min,
     )
+    if r_min is None:  # auto, taken once Scenario has checked the start angle
+        cfg, distance = scenario.cfg, sc.perpendicular_distance_m / math.cos(sc.start_angle_rad)
+        aligned = achievable_rate(float(cfg.n_antennas), distance, scenario.budget, cfg)
+        scenario = replace(scenario, r_min=0.1 * aligned)
+    return scenario
 
 
 @_builder

@@ -104,8 +104,8 @@ def pso_bounds(cfg: ArrayConfig) -> tuple[float, float]:
     return (0.0, half) if cfg.n_antennas % 2 == 0 else (0.0, 2.0 * half)
 
 
-# Specs per lockstep batch; each spec peaks at about 0.34 MB with steering, workspace and
-# stream, so a full batch at about 5.5 MB. 32 was no faster than 16, and 64 slower.
+# Specs per lockstep batch; each spec peaks at about 0.29 MB with steering, one step's arrays
+# and stream, so a full batch at about 4.6 MB. 32 was no faster than 16, and 64 slower.
 SWARM_CHUNK = 16
 
 
@@ -132,8 +132,8 @@ class _PeriodEvaluator:
     since its fold sum holds it twice. The mirrored tapers g_{N-1-n} = Sa(a~ - b_n), with
     a~ = delta pi (N-1) - delta omega, come from the same half-size taper table as g_n, so
     both fold operands are contiguous. The antenna axis comes last, so every elementwise
-    pass runs along it. Work arrays are kept for the shape of omega last seen; what
-    :meth:`rates` and :meth:`values` return never aliases them.
+    pass runs along it. Each call allocates its own arrays and fills them with ``out=``
+    passes; nothing changes after ``__init__``.
     """
 
     def __init__(self, specs: list[ObjectiveSpec]):
@@ -161,33 +161,24 @@ class _PeriodEvaluator:
         self.delta, self.bandwidth, self.r_min, self.alpha = np.array(per_spec).T[:, :, None, None]
         self.mirror = self.delta[:, 0] * (np.pi * (n_antennas - 1))
         self.table = taper_table(self.delta[:, 0], half)
-        self.work_shape = None
 
-    def _rates(self, omegas: np.ndarray) -> np.ndarray:
-        """Rate at every node (specs x omegas x nodes) in the workspace."""
-        if omegas.shape != self.work_shape:
-            (n_specs, n_omegas), (_, _, half, q) = omegas.shape, self.steer.shape
-            self.a = np.empty((n_specs, 2, n_omegas))
-            shape = (n_specs, 2, n_omegas, half)
-            self.fold = np.empty(shape)
-            self.amp = np.empty((n_specs, 2, n_omegas, q))
-            self.gains = np.empty((n_specs, n_omegas, q))
-            self.taper_work = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-            self.work_shape = omegas.shape
-        a, fold, amp, gains = self.a, self.fold, self.amp, self.gains
+    def rates(self, omegas: np.ndarray) -> np.ndarray:
+        """Rate at every node (specs x omegas x nodes) for omegas given as specs x omegas."""
+        a = np.empty((len(omegas), 2, omegas.shape[1]))
         np.multiply(self.delta[:, 0], omegas, out=a[:, 0])
         np.subtract(self.mirror, a[:, 0], out=a[:, 1])
-        g = taper(a, *self.table, *self.taper_work)  # specs x [g_n, g_{N-1-n}] x omegas x half
+        g = taper(a, *self.table)  # specs x [g_n, g_{N-1-n}] x omegas x half
         norm2 = np.einsum("iakn,iakn->ik", g, g)
         if self.odd:  # the centre taper is in both halves
             norm2 -= g[:, 0, :, -1] ** 2
         if np.any(norm2 <= 1e-300):
             raise ValueError("degenerate taper normalisation")
+        fold = np.empty_like(g)
         np.add(g[:, 0], g[:, 1], out=fold[:, 0])
         np.subtract(g[:, 0], g[:, 1], out=fold[:, 1])
-        np.matmul(fold, self.steer, out=amp)
+        amp = np.matmul(fold, self.steer)
         np.square(amp, out=amp)
-        np.add(amp[:, 0], amp[:, 1], out=gains)
+        gains = np.add(amp[:, 0], amp[:, 1])
         gains /= norm2[:, :, None]
         gains *= self.snr
         np.log1p(gains, out=gains)
@@ -195,19 +186,15 @@ class _PeriodEvaluator:
         gains /= math.log(2)
         return gains
 
-    def rates(self, omegas: np.ndarray) -> np.ndarray:
-        """Rate at every node (specs x omegas x nodes) for omegas given as specs x omegas."""
-        return self._rates(omegas).copy()
-
     def values(self, omegas: np.ndarray) -> np.ndarray:
         """Period objective (specs x omegas) for omegas given as specs x omegas.
 
         The penalty passes run only if some spec has a node rate below its own ``r_min``
         (or a NaN rate); elsewhere F_p adds +0.0 at every node, so skipping it moves no bit.
         """
-        rates = self._rates(omegas)
+        rates = self.rates(omegas)
         if not np.all(rates.min(axis=(1, 2)) >= self.r_min[:, 0, 0]):
-            shortfall = np.subtract(rates, self.r_min, out=self.amp[:, 0])  # amp is spent by now
+            shortfall = rates - self.r_min
             np.minimum(shortfall, 0.0, out=shortfall)
             shortfall *= self.alpha
             rates += shortfall  # the penalty F_p

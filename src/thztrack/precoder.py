@@ -62,19 +62,17 @@ def taper_table(delta, n_antennas: int) -> tuple[np.ndarray, np.ndarray]:
     return b, np.concatenate([np.cos(b), -np.sin(b)], axis=-2)
 
 
-def taper(
-    a: np.ndarray, b: np.ndarray, rot: np.ndarray, x: np.ndarray, g: np.ndarray, near: np.ndarray
-) -> np.ndarray:
+def taper(a: np.ndarray, b: np.ndarray, rot: np.ndarray) -> np.ndarray:
     """Tapers g_n = Sa(a - b_n) as (..., P, N) for a = delta * omega given as (..., P).
 
     sin(a - b_n) = [sin a, cos a] @ [cos b_n; -sin b_n] takes two trig calls per
     a instead of one per antenna. Where |a - b_n| < TAPER_DIRECT that difference
     loses relative accuracy, so Sa takes a - b_n directly, which is exact where
-    a and b_n are that close. The result is written to ``g``; ``x`` (float) and
-    ``near`` (bool), of the same shape, are work arrays.
+    a and b_n are that close; those entries are gathered once by flat index.
     """
-    np.subtract(a[..., None], b, out=x)
-    np.less(np.abs(x, out=g), TAPER_DIRECT, out=near)
+    x = np.subtract(a[..., None], b)
+    g = np.abs(x)
+    near = np.less(g, TAPER_DIRECT)
     trig = np.empty(a.shape + (2,))
     np.sin(a, out=trig[..., 0])
     np.cos(a, out=trig[..., 1])

@@ -293,9 +293,10 @@ def run_sensing_assisted_direct(
 ) -> TrackRecord:
     """Proposed scheme with per-period re-optimisation instead of a codebook.
 
-    Used where no codebook matches the scenario, e.g. transmit-power sweeps:
-    the stored fingerprint binds the build power, so each power point
-    re-optimises its period beams directly on the unquantised intervals.
+    Optimises each period's beam directly on its unquantised interval, for a
+    scenario that no codebook matches. Transmit-power sweeps re-optimise for
+    the same reason (the fingerprint binds the build power), but they call
+    :func:`_run_direct` with every power point at once.
     """
     return _run_direct([sc], pso, alpha, n_quad)[0]
 

@@ -339,6 +339,11 @@ def test_load_version_mismatch(tiny_build, tmp_path):
         expected = f"unsupported codebook format {version}, expected 2; rebuild the codebook"
         with pytest.raises(CodebookError, match=f"^{expected}$"):
             load(path)
+    del payload["format_version"]
+    for unversioned in (payload, [payload]):  # a JSON array holds no version either
+        path.write_text(json.dumps(unversioned))
+        with pytest.raises(CodebookError, match="^codebook payload missing format_version$"):
+            load(path)
 
 
 def test_load_missing_file(tmp_path):

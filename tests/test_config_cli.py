@@ -82,7 +82,9 @@ def test_round_trip_exact():
 def test_round_trip_explicit_r_min():
     rc = RunConfig()
     rc = replace(rc, optimizer=replace(rc.optimizer, r_min_bps=3.21e9))
-    assert parse_config(render_config(rc)) == rc
+    parsed = parse_config(render_config(rc))
+    assert parsed == rc
+    assert build_scenario(parsed).r_min == resolve_r_min(parsed) == 3.21e9
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -312,6 +314,25 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x = 1\n", "malformed configuration: File contains no section headers."),
+        ("[array\n", "malformed configuration: File contains no section headers."),
+        ("[array]\nn_antennas\n", "malformed configuration: Source contains parsing errors:"),
+        (None, "cannot read configuration"),
+    ],
+    ids=["no-section", "open-header", "no-equals", "missing-file"],
+)
+def test_cli_unreadable_config_one_line_error(tmp_path, capsys, text, message):
+    config = tmp_path / "run.ini"
+    if text is not None:
+        config.write_text(text)
+    assert main(["simulate", "--config", str(config), "--scheme", "conventional"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+
+
 def test_cli_missing_codebook_exit_code(tmp_path):
     config = small_config_text(tmp_path)
     assert main(["simulate", "--config", str(config), "--scheme", "proposed"]) == 3
@@ -516,16 +537,32 @@ def test_cli_fingerprint_mismatch_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("n_antennas", "1"), ("time_step_s", "0.1")]  # 0.1 s exceeds tau/10
+    "key, value, named",
+    [
+        ("n_antennas", "1", "antenna count >= 2"),
+        ("time_step_s", "0.1", "time step"),  # 0.1 s exceeds tau/10
+        # with r_min_bps = auto, the threshold's cos(start) < 0 must not be reached first
+        ("start_angle_rad", "2.0", "end angle must exceed start angle"),
+        ("start_angle_rad", "-1.6", "start angle must lie in"),
+        ("n_particles", "1", "need at least 2 particles"),
+        ("n_iterations", "0", "need at least 1 iteration"),
+        ("theta_step", "0", "grid steps must be positive"),
+    ],
+    ids=["n_antennas-1", "time_step_s-0.1", "start_angle_rad-2.0", "start_angle_rad--1.6",
+         "n_particles-1", "n_iterations-0", "theta_step-0"],
 )
-def test_cli_invalid_config_value_exit_code(tmp_path, capsys, key, value):
+def test_cli_invalid_config_value_exit_code(tmp_path, capsys, key, value, named):
     config = small_config_text(tmp_path)
     lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
              for line in config.read_text().splitlines()]
     config.write_text("\n".join(lines) + "\n")
-    assert main(["simulate", "--config", str(config), "--scheme", "conventional"]) == 2
+    build_only = key in ("n_particles", "n_iterations", "theta_step")
+    run = ["codebook-build", "--jobs", "1"] if build_only else ["simulate", "--scheme", "conventional"]
+    assert main([*run, "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: invalid value") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "cb.json").exists()
 
 
 def _float_keys() -> list[tuple[str, str]]:
@@ -612,11 +649,12 @@ def test_cli_codebook_build_failure_names_cell(tmp_path, capsys):
         (["sweep", "--axis", "tx_power", "--values", "4000"], "tx_power value 4000.0: 4000.0 dBm"),
         (["sweep", "--axis", "tx_power", "--values", "30,nan"], "value list '30,nan' holds a"),
         (["sweep", "--axis", "velocity", "--values", "nan"], "value list 'nan' holds a non-finite"),
+        (["sweep", "--axis", "velocity", "--values", "10,abc"], "cannot parse value list '10,abc'"),
         (["pattern", "--velocities", "nan"], "value list 'nan' holds a non-finite"),
         (["pattern", "--velocities", "10,-3"], "velocity value -3.0: velocity must be >= 0"),
     ],
     ids=["velocity-negative", "power-underflow", "power-overflow", "power-nan", "velocity-nan",
-         "pattern-nan", "pattern-negative"],
+         "velocity-unparsable", "pattern-nan", "pattern-negative"],
 )
 def test_cli_rejects_axis_values_no_scenario_accepts(tmp_path, capsys, argv, named):
     config = small_config_text(tmp_path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from thztrack import (
     pso_bounds,
 )
 from thztrack.optimizer import SWARM_CHUNK, _gauss_legendre, _PeriodEvaluator
+from thztrack.precoder import taper
 from conftest import CARRIER_HZ, aligned_rate, make_budget, make_objective_spec, make_scenario
 from gain_reference import (
     bf_gain_direct,
@@ -253,7 +255,7 @@ def test_batch_entry_points_match_scalar_calls(n_antennas):
 
 
 @pytest.mark.parametrize("n_antennas", [3, 128])
-def test_evaluator_results_outlive_its_workspace(n_antennas):
+def test_evaluator_results_survive_later_calls(n_antennas):
     rng = np.random.default_rng(7)
     cfg = ArrayConfig(n_antennas, CARRIER_HZ)
     specs = _mixed_specs(cfg, 3, rng)
@@ -264,10 +266,26 @@ def test_evaluator_results_outlive_its_workspace(n_antennas):
         kept = method(first)
         expected = kept.copy()
         method(second)
-        method(first[:, :2])  # a new width replaces the work arrays
+        method(first[:, :2])  # a new width
         assert np.array_equal(kept, expected)
-    # a reused workspace gives the bits of a fresh one
+    # an evaluator that has run gives the bits of a fresh one
     assert np.array_equal(evaluator.values(first), _PeriodEvaluator(specs).values(first))
+
+
+@pytest.mark.parametrize("n_antennas", [3, 128])
+def test_evaluator_keeps_no_state_between_calls(n_antennas):
+    rng = np.random.default_rng(8)
+    cfg = ArrayConfig(n_antennas, CARRIER_HZ)
+    evaluator = _PeriodEvaluator(_mixed_specs(cfg, 2, rng))
+    before = dict(vars(evaluator))
+    for width in (5, 2):
+        omegas = rng.uniform(*pso_bounds(cfg), (2, width))
+        evaluator.values(omegas)
+        evaluator.rates(omegas)
+    after = vars(evaluator)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    assert list(inspect.signature(taper).parameters) == ["a", "b", "rot"]
 
 
 def test_penalty_skip_decided_per_spec_and_bit_exact():

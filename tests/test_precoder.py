@@ -29,11 +29,6 @@ from gain_reference import (
 CFG128 = ArrayConfig(128, CARRIER_HZ)
 
 
-def _taper(a, b, rot):
-    shape = np.broadcast_shapes(a.shape + (1,), b.shape)
-    return taper(a, b, rot, np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
-
-
 def random_interval(rng, max_delta=0.3):
     delta = rng.uniform(0.0, max_delta)
     theta = rng.uniform(-(1.0 - delta) * 0.99, (1.0 - delta) * 0.99)
@@ -73,7 +68,7 @@ def test_taper_against_mpmath(n_antennas):
                 args += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
             a = np.array(args)
             # with the table (difference form) and Sa directly, as adaptive_precoder takes it
-            for got in (_taper(a, *table), sample_fn(a[:, None] - b)):
+            for got in (taper(a, *table), sample_fn(a[:, None] - b)):
                 for a_k, row in zip(a, got):
                     for b_n, g in zip(b, row):
                         x = mpmath.mpf(float(a_k)) - mpmath.mpf(float(b_n))
@@ -86,7 +81,7 @@ def test_taper_against_mpmath(n_antennas):
 
 @pytest.mark.parametrize("n_antennas", [3, 128])
 def test_taper_near_entries_are_sample_fn_bits(n_antennas):
-    # the near gather of a batch, into reused work arrays, writes sample_fn's own bits
+    # the near gather of a batch writes sample_fn's own bits
     rng = np.random.default_rng(n_antennas)
     lo, hi = pso_bounds(ArrayConfig(n_antennas, CARRIER_HZ))
     deltas = np.array([0.0, 0.002, 0.084, 0.3])
@@ -94,19 +89,14 @@ def test_taper_near_entries_are_sample_fn_bits(n_antennas):
     omegas = np.array([[*(math.pi * np.arange(3)), lo, hi, *rng.uniform(lo, hi, 5)] for _ in deltas])
     b, rot = taper_table(deltas[:, None], n_antennas)
     b, rot = b[:, 0], rot[:, 0]  # deltas x 1 x N and deltas x 2 x N
-    shape = omegas.shape + (n_antennas,)
-    work = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-    for scale in (1.0, 0.5):  # the second call overwrites the first one's work arrays
-        a = deltas[:, None] * (scale * omegas)
-        x = a[..., None] - b
-        near = np.abs(x) < TAPER_DIRECT
-        assert np.all(near[0])  # delta = 0: x = 0 at every antenna
-        if scale == 1.0:
-            assert np.all(x[:, [0, 1, 2], [0, 1, 2]] == 0.0)
-        expected = sample_fn(x[near])
-        for got in (taper(a, b, rot, *work), _taper(a, b, rot)):
-            assert np.array_equal(got[near], expected)
-            assert np.all(got[0] == 1.0)
+    a = deltas[:, None] * omegas
+    x = a[..., None] - b
+    near = np.abs(x) < TAPER_DIRECT
+    assert np.all(near[0])  # delta = 0: x = 0 at every antenna
+    assert np.all(x[:, [0, 1, 2], [0, 1, 2]] == 0.0)
+    got = taper(a, b, rot)
+    assert np.array_equal(got[near], sample_fn(x[near]))
+    assert np.all(got[0] == 1.0)
 
 
 def test_g_coeff_values():

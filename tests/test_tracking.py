@@ -192,6 +192,24 @@ def test_compute_metrics_half_outage():
     assert compute_metrics(rec, (0.0, 0.0)).outage_prob == pytest.approx(0.5)
 
 
+def test_compute_metrics_single_sample_window():
+    times = np.linspace(0.0, 0.3, 4)
+    rates = np.array([1e9, 2e9, 3e9, 4e9])
+    rec = TrackRecord(
+        scheme="conventional",
+        times=times,
+        sin_dirs=np.sin(times),  # one radian per second, so the window (0.1, 0.1) holds t = 0.1
+        distances=np.full(4, 100.0),
+        bf_gains=np.ones(4),
+        rates=rates,
+        outages=rates < 2.5e9,
+        beam_ids=["b"] * 4,
+        realignment_times=[0.0, float(times[1])],
+    )
+    m = compute_metrics(rec, (0.1, 0.1))
+    assert (m.avg_rate, m.outage_prob, m.realignment_count) == (2e9, 1.0, 1)
+
+
 def test_compute_metrics_empty_window(small_scenario, small_codebook):
     rec = run_conventional(small_scenario)
     with pytest.raises(ValueError):
@@ -251,6 +269,10 @@ def test_sweep_error_annotated_with_point(small_cfg, small_budget, small_codeboo
     sc = make_scenario(small_cfg, small_budget, velocity=20.0, time_step=TAU / 50.0)
     with pytest.raises(TrackingRunError, match=r"value=80.0.*proposed"):
         sweep(sc, "velocity", [80.0], ["proposed"], small_codebook)
+    for axis in ("velocity", "tx_power"):  # the proposed scheme without a codebook
+        message = r"^sweep point \(value=30\.0, scheme='proposed'\): .* requires a codebook$"
+        with pytest.raises(TrackingRunError, match=message):
+            sweep(sc, axis, [30.0], ["proposed"], None)
 
 
 def test_power_sweep_error_names_its_point(small_scenario, small_codebook):
