@@ -42,7 +42,6 @@ from .config import (
     parse_config,
     parse_config_file,
     render_config,
-    resolve_r_min,
 )
 from .geometry import (
     AngularInterval,

@@ -8,6 +8,7 @@ failure, including an output directory or file that cannot be created or written
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -72,6 +73,8 @@ def cmd_codebook_build(args) -> int:
     pso = build_pso(config, seed=args.seed)
     out_path = Path(args.out) if args.out else Path(config.codebook.path)
     out_path.parent.mkdir(parents=True, exist_ok=True)  # fail before the build, not after
+    if out_path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_path))
     started = time.perf_counter()
     cb = build_codebook(grid, template, pso, jobs=args.jobs)
     elapsed = time.perf_counter() - started

@@ -123,10 +123,11 @@ def _parse_value(section: str, key: str, raw: str):
     return value
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, source: str = "<string>") -> RunConfig:
+    """Parse INI ``text``; a malformed-file message names it as ``source``."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=source)
     except configparser.Error as exc:  # configparser's messages span lines
         message = " ".join(line.strip() for line in str(exc).splitlines())
         raise ConfigError(f"malformed configuration: {message}") from exc
@@ -158,7 +159,7 @@ def parse_config_file(path) -> RunConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read configuration {path!r}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, source=str(path))
 
 
 def _render_value(value) -> str:
@@ -219,11 +220,6 @@ def build_budget(config: RunConfig) -> LinkBudget:
         bandwidth_hz=config.link.bandwidth_hz,
         absorption_coeff_per_m=config.link.absorption_coeff_per_m,
     )
-
-
-def resolve_r_min(config: RunConfig) -> float:
-    """Explicit threshold, or 10% of the aligned-MRT rate at the start pose."""
-    return build_scenario(config).r_min
 
 
 @_builder

@@ -6,9 +6,10 @@ A precoder that spreads its main lobe over the sine-space interval
     f_n = beta * exp(-j * n * pi * theta_m) * Sa(delta * (omega - n * pi))
 
 where Sa(x) = sin(x)/x, omega is a free shape parameter, and beta normalises
-the vector to unit power. With delta = 0 the taper is flat and the precoder
-collapses to maximum ratio transmission (MRT) towards theta_m. The
-beamforming gain towards a direction is |a^H f|^2.
+the vector to unit power. With delta = 0 the taper is exactly 1, beta is
+1/sqrt(N), and the precoder is maximum ratio transmission (MRT) towards
+theta_m; :func:`mrt_precoder` builds MRT that way, so every beam belongs to
+this one family. The beamforming gain towards a direction is |a^H f|^2.
 """
 
 from __future__ import annotations
@@ -103,15 +104,8 @@ def adaptive_precoder(interval: AngularInterval, omega: float, cfg: ArrayConfig)
 
 
 def mrt_precoder(sin_dir: float, cfg: ArrayConfig) -> Precoder:
-    """Maximum ratio transmission beam towards ``sin_dir``: a(s) / sqrt(N)."""
-    weights = response_matrix([sin_dir], cfg)[0] / np.sqrt(cfg.n_antennas)
-    return Precoder(
-        weights=weights,
-        theta_m=sin_dir,
-        delta=0.0,
-        omega=0.0,
-        beta=1.0 / np.sqrt(cfg.n_antennas),
-    )
+    """Maximum ratio transmission towards ``sin_dir`` in (-1, 1): the delta = 0 beam, a(s) / sqrt(N)."""
+    return adaptive_precoder(AngularInterval(sin_dir, 0.0), 0.0, cfg)
 
 
 def bf_gain_profile(sin_dirs, precoder: Precoder, cfg: ArrayConfig) -> np.ndarray:

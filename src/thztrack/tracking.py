@@ -318,13 +318,10 @@ def _run_direct(
 
 
 def _event_beam(sc: Scenario, centre: float, half_width: float) -> Precoder:
-    max_width = min(0.5, 1.0 - abs(centre) - 1e-9)
-    if half_width < 1e-12 or max_width <= 1e-12:
-        return mrt_precoder(centre, sc.cfg)
-    interval = AngularInterval(centre, min(half_width, max_width))
-    # symmetric mid-array taper; the baseline does not optimise the shape
+    """Unoptimised mid-array beam, half-width clamped to [0, 0.5] and the domain; 0 gives MRT."""
+    delta = max(0.0, min(half_width, 0.5, 1.0 - abs(centre) - 1e-9))
     omega = (sc.cfg.n_antennas - 1) * math.pi / 2.0
-    return adaptive_precoder(interval, omega, sc.cfg)
+    return adaptive_precoder(AngularInterval(centre, delta), omega, sc.cfg)
 
 
 def run_event_based(sc: Scenario, params: EventBasedParams) -> TrackRecord:

@@ -12,7 +12,7 @@ is ``sha256  relative-path``; a run's stdout counts as ``<run>/stdout``, with
 the temporary directory and the build's wall time masked. Each built codebook
 also gets a ``<run>/cells`` line: the digest of its loaded entries'
 ``(ti, di, theta_m, delta, omega, objective)`` reprs, which stays put when a
-new file format moves the bytes but no value. Takes about 9 s on two cores.
+new file format moves the bytes but no value. Takes about 8 s on two cores.
 The file name keeps pytest from collecting it.
 """
 

@@ -20,7 +20,6 @@ from thztrack import (
     build_scenario,
     parse_config,
     render_config,
-    resolve_r_min,
 )
 from thztrack.cli import _build_parser, main
 from thztrack.config import _SECTIONS
@@ -84,7 +83,7 @@ def test_round_trip_explicit_r_min():
     rc = replace(rc, optimizer=replace(rc.optimizer, r_min_bps=3.21e9))
     parsed = parse_config(render_config(rc))
     assert parsed == rc
-    assert build_scenario(parsed).r_min == resolve_r_min(parsed) == 3.21e9
+    assert build_scenario(parsed).r_min == 3.21e9
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -150,9 +149,7 @@ def test_r_min_auto_resolution():
     cfg = build_array(rc)
     budget = build_budget(rc)
     aligned = achievable_rate(float(cfg.n_antennas), 100.0, budget, cfg)
-    assert resolve_r_min(rc) == pytest.approx(0.1 * aligned, rel=1e-12)
-    scenario = build_scenario(rc)
-    assert scenario.r_min == pytest.approx(0.1 * aligned, rel=1e-12)
+    assert build_scenario(rc).r_min == pytest.approx(0.1 * aligned, rel=1e-12)
 
 
 def test_cli_codebook_build_and_determinism(tmp_path, capsys):
@@ -331,6 +328,7 @@ def test_cli_unreadable_config_one_line_error(tmp_path, capsys, text, message):
     assert main(["simulate", "--config", str(config), "--scheme", "conventional"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+    assert str(config) in err
 
 
 def test_cli_missing_codebook_exit_code(tmp_path):
@@ -511,6 +509,21 @@ def test_cli_codebook_build_unwritable_output_fails_before_building(tmp_path, ca
     assert err.startswith("run error:") and "blocker" in err and err.count("\n") == 1
     assert "Traceback" not in err
     assert builds == []
+
+
+def test_cli_codebook_build_into_directory_fails_before_building(tmp_path, capsys, monkeypatch):
+    config = small_config_text(tmp_path)
+    out = tmp_path / "existing"
+    out.mkdir()
+
+    def no_build(*args, **kw):
+        pytest.fail("build_codebook ran although the output is a directory")
+
+    monkeypatch.setattr("thztrack.cli.build_codebook", no_build)
+    assert main(["codebook-build", "--config", str(config), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("run error:") and str(out) in err and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

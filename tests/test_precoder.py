@@ -129,10 +129,12 @@ def test_beta_against_direct_summation():
 
 
 def test_adaptive_collapses_to_mrt_at_zero_width():
-    for s in (-0.4, 0.0, 0.25):
-        adaptive = adaptive_precoder(AngularInterval(s, 0.0), 17.3, CFG128)
+    for s in (-0.4, 0.0, 0.25, 0.37):
         mrt = mrt_precoder(s, CFG128)
-        assert np.allclose(adaptive.weights, mrt.weights, atol=1e-12)
+        for omega in (0.0, 17.3, 127 * math.pi):
+            adaptive = adaptive_precoder(AngularInterval(s, 0.0), omega, CFG128)
+            assert np.array_equal(adaptive.weights, mrt.weights)
+        assert mrt.beta == 1.0 / math.sqrt(128.0)
 
 
 def test_adaptive_converges_to_mrt_as_width_vanishes():
@@ -262,7 +264,8 @@ def test_gain_profile_matches_outer_product_reference(n_antennas):
     rng = np.random.default_rng(n_antennas)
     interval = AngularInterval(0.3, 0.1)
     full = (n_antennas - 1) * math.pi
-    beams = [mrt_precoder(s, cfg) for s in (-1.0, 0.0, 0.3, 1.0)]
+    edge = 1.0 - 2.0**-20  # MRT centres lie in (-1, 1), as every beam's do
+    beams = [mrt_precoder(s, cfg) for s in (-edge, 0.0, 0.3, edge)]
     beams += [adaptive_precoder(interval, w, cfg) for w in (0.0, full / 2.0, full, rng.uniform(0.0, full))]
     for beam in beams:
         # MRT nulls of this beam: sines 2k/N away from its centre

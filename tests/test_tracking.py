@@ -42,6 +42,7 @@ from thztrack.exports import (
 )
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
+from thztrack.tracking import _event_beam
 from conftest import aligned_rate, make_objective_spec, make_scenario
 from gain_reference import direction_of
 
@@ -154,6 +155,17 @@ def test_event_moving_target_realigns(small_scenario):
     assert rec1.realignment_times == rec2.realignment_times
     assert np.array_equal(rec1.rates, rec2.rates)
     assert np.mean(np.diff(rec1.realignment_times)) / params.slot >= 1.0  # mean gap in slots
+
+
+def test_event_beam_at_zero_width_is_mrt(small_scenario):
+    cfg = small_scenario.cfg
+    for centre in (-0.6, 0.0, 0.37, 1.0 - 1e-10):
+        mrt = mrt_precoder(centre, cfg).weights
+        for half_width in (0.0, 1e-13):
+            assert np.array_equal(_event_beam(small_scenario, centre, half_width).weights, mrt)
+    # the half-width is clamped to 0.5 and to the sine-space domain
+    assert _event_beam(small_scenario, 0.0, 2.0).delta == 0.5
+    assert _event_beam(small_scenario, 0.9, 0.3).delta == pytest.approx(0.1 - 1e-9, abs=1e-15)
 
 
 def test_compute_metrics_constant_record():
