@@ -132,6 +132,11 @@ def cmd_pattern(args) -> int:
     config = parse_config_file(args.config)
     pso = build_pso(config, seed=args.seed)
     velocities = _parse_values(args.velocities)
+    names = [f"pattern_v{v:g}.csv" for v in velocities]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # the later pattern would overwrite the earlier one
+            first = velocities[names.index(name)]
+            raise ConfigError(f"velocities {first!r} and {velocities[i]!r} would both write {name}")
     template = build_scenario(config)
     try:
         scenarios = [axis_scenario(template, "velocity", v) for v in velocities]
@@ -143,10 +148,10 @@ def cmd_pattern(args) -> int:
     results = optimize_omegas(specs, pso, seeds)
     out = _out_dir(args, config)
     sin_grid = np.linspace(-1.0, 1.0, 2001)
-    for velocity, scenario, spec, result in zip(velocities, scenarios, specs, results):
+    for velocity, name, scenario, spec, result in zip(velocities, names, scenarios, specs, results):
         beam = adaptive_precoder(spec.interval, result.omega_star, scenario.cfg)
         gains = bf_gain_profile(sin_grid, beam, scenario.cfg)
-        path = out / f"pattern_v{velocity:g}.csv"
+        path = out / name
         write_pattern(sin_grid, pattern_gain_db(gains), path, config.output.delimiter)
         print(
             f"v={velocity:g} m/s: theta_m={beam.theta_m:.6f} delta={beam.delta:.6f} "

@@ -16,7 +16,6 @@ bounds, deterministic bit-for-bit for a fixed seed, also when swarms step in loc
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -87,6 +86,12 @@ class PsoConfig:
 
 @dataclass(frozen=True)
 class OptResult:
+    """A swarm's incumbent, the objective evaluations made for it, and the iteration it was found.
+
+    A zero-width spec (delta = 0) is evaluated once, at ``n_particles`` columns, so its
+    ``evaluations`` is ``n_particles``; every other spec's is ``n_particles * (n_iterations + 1)``.
+    """
+
     omega_star: float
     objective_value: float
     evaluations: int
@@ -241,26 +246,59 @@ def optimize_omegas(
     evaluation per iteration; each keeps its own random stream, so every
     result is bit-identical to the one-spec run. With ``jobs > 1`` and more
     than one chunk, the chunks run in a pool of up to ``jobs`` worker
-    processes.
+    processes; the pool module is imported only then.
+
+    A zero-width spec (``interval.delta == 0``) has a taper of exactly 1, so
+    every omega gets the same bits from one evaluation column. Such specs are
+    evaluated once, in batches of :data:`SWARM_CHUNK` at the swarm's own width
+    (``n_particles`` columns, all at the lower bound), and their swarms move
+    on those scores without evaluating again. The columns must be the swarm's
+    own: in the BLAS product, calls 1-3 columns wide and the tail columns past
+    a multiple of 4 can round differently, so a column's score depends on its
+    position, never on its omega. The result is bit-identical to the swarm's,
+    with ``evaluations == n_particles``: ``evaluations`` counts the objective
+    evaluations actually made for a spec. Results keep input order.
     """
     if len(specs) != len(seeds):
         raise ValueError(f"{len(specs)} specs but {len(seeds)} seeds")
-    starts = range(0, len(specs), SWARM_CHUNK)
-    chunks = [specs[i : i + SWARM_CHUNK] for i in starts]
-    seed_chunks = [seeds[i : i + SWARM_CHUNK] for i in starts]
-    results: list[OptResult] = []
+
+    def chunked(indices):
+        return [indices[i : i + SWARM_CHUNK] for i in range(0, len(indices), SWARM_CHUNK)]
+
+    flat = chunked([i for i, spec in enumerate(specs) if spec.interval.delta == 0.0])
+    swarmed = chunked([i for i, spec in enumerate(specs) if spec.interval.delta != 0.0])
+    results: list = [None] * len(specs)
     with ExitStack() as stack:
         run = map
-        if jobs > 1 and len(chunks) > 1:
-            run = stack.enter_context(ProcessPoolExecutor(min(jobs, len(chunks)))).map
-        for part in run(_lockstep_swarms, chunks, repeat(pso), seed_chunks):
-            results += part
+        if jobs > 1 and len(swarmed) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            run = stack.enter_context(ProcessPoolExecutor(min(jobs, len(swarmed)))).map
+        for solve, chunks, mapper in ((_lockstep_swarms, swarmed, run), (_flat_swarms, flat, map)):
+            spec_chunks = [[specs[i] for i in chunk] for chunk in chunks]
+            seed_chunks = [[seeds[i] for i in chunk] for chunk in chunks]
+            parts = mapper(solve, spec_chunks, repeat(pso), seed_chunks)
+            for chunk, part in zip(chunks, parts):
+                for i, result in zip(chunk, part):
+                    results[i] = result
     return results
 
 
 def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
+    evaluations = pso.n_particles * (pso.n_iterations + 1)
+    return _swarms(_PeriodEvaluator(specs).values, pso, seeds, evaluations)
+
+
+def _flat_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
+    # zero-width specs: every particle keeps its column's score from one call at the lower bound
+    lo_row = np.full((len(specs), pso.n_particles), pso.bounds[0])
+    scores = _PeriodEvaluator(specs).values(lo_row)
+    return _swarms(lambda x: scores, pso, seeds, pso.n_particles)
+
+
+def _swarms(values, pso: PsoConfig, seeds, evaluations: int) -> list[OptResult]:
+    # ``values`` maps positions (swarms x particles) to objective values of the same shape
     lo, hi = pso.bounds
-    evaluator = _PeriodEvaluator(specs)
     # each swarm's whole stream, drawn in the order of one random(n_particles) per use
     shape = (2 * pso.n_iterations + 2, pso.n_particles)
     draws = np.stack([np.random.default_rng(seed).random(shape) for seed in seeds], axis=1)
@@ -272,11 +310,11 @@ def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
     # particles 0 and 1 start on the bounds, where reflection keeps others from settling
     x[:, 0], x[:, 1] = lo, hi
     v = (2.0 * draws[1] - 1.0) * v_max
-    fx = evaluator.values(x)
+    fx = values(x)
 
     pbest_x, pbest_f = x.copy(), fx.copy()
     best_x, best_f = _incumbent(x, fx)
-    converged_iteration = np.zeros(len(specs), dtype=int)
+    converged_iteration = np.zeros(len(seeds), dtype=int)
 
     for it in range(1, pso.n_iterations + 1):
         r_cog, r_soc = draws[2 * it], draws[2 * it + 1]
@@ -294,7 +332,7 @@ def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
         v[outside] = -v[outside]
         np.clip(x, lo, hi, out=x)
 
-        fx = evaluator.values(x)
+        fx = values(x)
 
         improved = fx > pbest_f
         pbest_x[improved] = x[improved]
@@ -306,7 +344,6 @@ def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
         best_f[better] = cand_f[better]
         converged_iteration[better] = it
 
-    evaluations = pso.n_particles * (pso.n_iterations + 1)
     return [
         OptResult(float(bx), float(bf), evaluations, int(it))
         for bx, bf, it in zip(best_x, best_f, converged_iteration)

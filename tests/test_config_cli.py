@@ -665,11 +665,20 @@ def test_cli_codebook_build_failure_names_cell(tmp_path, capsys):
         (["sweep", "--axis", "velocity", "--values", "10,abc"], "cannot parse value list '10,abc'"),
         (["pattern", "--velocities", "nan"], "value list 'nan' holds a non-finite"),
         (["pattern", "--velocities", "10,-3"], "velocity value -3.0: velocity must be >= 0"),
+        (["pattern", "--velocities", "10,50,10"],
+         "velocities 10.0 and 10.0 would both write pattern_v10.csv\n"),
+        (["pattern", "--velocities", "10.0000001,10.0000002"],
+         "velocities 10.0000001 and 10.0000002 would both write pattern_v10.csv\n"),
     ],
     ids=["velocity-negative", "power-underflow", "power-overflow", "power-nan", "velocity-nan",
-         "velocity-unparsable", "pattern-nan", "pattern-negative"],
+         "velocity-unparsable", "pattern-nan", "pattern-negative", "pattern-repeated",
+         "pattern-same-file"],
 )
-def test_cli_rejects_axis_values_no_scenario_accepts(tmp_path, capsys, argv, named):
+def test_cli_rejects_axis_values_no_scenario_accepts(tmp_path, capsys, monkeypatch, argv, named):
+    def no_swarm(*args, **kw):
+        pytest.fail("a rejected value list reached the optimiser")
+
+    monkeypatch.setattr("thztrack.cli.optimize_omegas", no_swarm)
     config = small_config_text(tmp_path)
     extra = ["--schemes", "conventional", "--jobs", "1"] if argv[0] == "sweep" else []
     assert main([*argv, *extra, "--config", str(config)]) == 2

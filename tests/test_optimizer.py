@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import inspect
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thztrack
 from thztrack import (
     ArrayConfig,
     ObjectiveSpec,
@@ -22,7 +28,7 @@ from thztrack import (
     predict_pose,
     pso_bounds,
 )
-from thztrack.optimizer import SWARM_CHUNK, _gauss_legendre, _PeriodEvaluator
+from thztrack.optimizer import SWARM_CHUNK, _gauss_legendre, _lockstep_swarms, _PeriodEvaluator
 from thztrack.precoder import taper
 from conftest import CARRIER_HZ, aligned_rate, make_budget, make_objective_spec, make_scenario
 from gain_reference import (
@@ -312,7 +318,7 @@ def test_penalty_skip_decided_per_spec_and_bit_exact():
 
 
 def test_optimize_omegas_bit_equal_to_per_spec_runs():
-    # the first chunk holds an optimum on the upper bound and a flat delta = 0 spec
+    # the specs hold an optimum on the upper bound and a flat delta = 0 spec
     rng = np.random.default_rng(11)
     specs = [spec_for_velocity(50.0)] + _mixed_specs(CFG, SWARM_CHUNK + 3, rng)
     assert SWARM_CHUNK < len(specs) and len(specs) % SWARM_CHUNK != 0  # a partial second chunk
@@ -333,6 +339,68 @@ def test_optimize_omegas_pool_bit_equal_to_serial():
     pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=16, n_iterations=25)
     seeds = [500 + 3 * i for i in range(len(specs))]
     assert optimize_omegas(specs, pso, seeds, jobs=2) == optimize_omegas(specs, pso, seeds, jobs=1)
+
+
+@pytest.mark.parametrize("n_particles", [2, 3, 4, 16, 40])
+def test_zero_width_spec_is_the_swarms_answer(n_particles):
+    # a column's score at delta = 0 can depend on its position (width 3, or the tail past a
+    # multiple of 4), so the one evaluation must be at the swarm's own width
+    pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=n_particles, n_iterations=12)
+    lo = pso.bounds[0]
+    for i, start in enumerate([-0.6, -0.2, 0.0, 0.17, 0.29]):
+        sc = replace(make_scenario(CFG, BUDGET, velocity=0.0), start_angle=start)
+        spec = make_objective_spec(sc)
+        assert spec.interval.delta == 0.0
+        seed = 40 + i
+        (got,) = optimize_omegas([spec], pso, [seed])
+        swarm = _lockstep_swarms([spec], pso, [seed])[0]
+        assert got == replace(swarm, evaluations=n_particles)  # bit for bit
+        scores = _PeriodEvaluator([spec]).values(np.full((1, n_particles), lo))
+        if np.all(scores == scores[0, 0]):  # a tie everywhere goes to the lower bound at once
+            assert (got.omega_star, got.converged_iteration) == (lo, 0)
+
+
+class _CountingPool(concurrent.futures.ProcessPoolExecutor):
+    made = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).made += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_optimize_omegas_mixed_widths_keep_input_order(jobs, monkeypatch):
+    # every other spec has delta = 0: two batches of each kind, interleaved in the input
+    specs = _mixed_specs(CFG, 2 * (SWARM_CHUNK + 2), np.random.default_rng(23))
+    specs[::2] = [replace(s, interval=replace(s.interval, delta=0.0)) for s in specs[::2]]
+    assert sum(s.interval.delta > 0.0 for s in specs) > SWARM_CHUNK  # two swarm chunks
+    pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=8, n_iterations=10)
+    seeds = [70 + 5 * i for i in range(len(specs))]
+    expected = []
+    for spec, seed in zip(specs, seeds):
+        swarm = _lockstep_swarms([spec], pso, [seed])[0]
+        expected.append(replace(swarm, evaluations=8) if spec.interval.delta == 0.0 else swarm)
+    monkeypatch.setattr(_CountingPool, "made", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+    assert optimize_omegas(specs, pso, seeds, jobs=jobs) == expected
+    assert _CountingPool.made == (jobs > 1)  # a silent fallback to serial fails here
+    # zero-width specs alone run no swarm, so no pool either
+    assert optimize_omegas(specs[::2], pso, seeds[::2], jobs=jobs) == expected[::2]
+    assert _CountingPool.made == (jobs > 1)
+
+
+def test_importing_the_package_loads_no_worker_pool():
+    probe = (
+        "import sys, thztrack, thztrack.cli, thztrack.exports\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    src = str(Path(thztrack.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
