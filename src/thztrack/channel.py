@@ -90,21 +90,35 @@ class LinkBudget:
         )
 
 
-def response_matrix(sin_dirs, cfg: ArrayConfig) -> np.ndarray:
-    """Array response vectors, one row per direction given as sin(angle).
+def response_generator(sin_dirs) -> np.ndarray:
+    """Generator z = exp(-j * pi * sin_dir) of each direction's array response.
 
-    Element n (0-based) of a row is z^n with z = exp(-j * pi * sin_dir), formed
-    by a running product: one complex exponential per direction instead of one
-    per element. Element 0 is exactly 1 and element n carries a rounding error
-    of about n ulps.
+    Rejects sines outside [-1, 1] (and NaN). A trace computes it once per episode
+    and slices it per held beam; :func:`response_matrix` is the one-call form.
     """
     s = np.asarray(sin_dirs, dtype=float).reshape(-1)
     if not (np.abs(s) <= 1.0).all():  # also rejects NaN
         raise ValueError("sine directions must lie in [-1, 1]")
-    rows = np.empty((len(s), cfg.n_antennas), dtype=complex)
+    return np.exp(-1j * np.pi * s)
+
+
+def response_rows(z: np.ndarray, n_antennas: int) -> np.ndarray:
+    """Rows z^0 .. z^(N-1), one per generator from :func:`response_generator`.
+
+    A running product gives element n: one complex exponential per direction
+    instead of one per element. Element 0 is exactly 1 and element n carries a
+    rounding error of about n ulps.
+    """
+    rows = np.empty((len(z), n_antennas), dtype=complex)
     rows[:, 0] = 1.0
-    rows[:, 1:] = np.exp(-1j * np.pi * s)[:, None]
+    rows[:, 1:] = z[:, None]
     return np.cumprod(rows, axis=1, out=rows)
+
+
+def response_matrix(sin_dirs, cfg: ArrayConfig) -> np.ndarray:
+    """Array response vectors, one row per direction given as sin(angle): z^n with
+    z = exp(-j * pi * sin_dir), from :func:`response_generator` and :func:`response_rows`."""
+    return response_rows(response_generator(sin_dirs), cfg.n_antennas)
 
 
 def fraunhofer_distance(cfg: ArrayConfig) -> float:
@@ -135,6 +149,22 @@ def channel_gain(distance, budget: LinkBudget, cfg: ArrayConfig):
     return float(gain) if np.isscalar(distance) else gain
 
 
+def link_power(distance, budget: LinkBudget, cfg: ArrayConfig) -> np.ndarray:
+    """Received power at unit beamforming gain, P_t * h0^2, as (P_t * h0) * h0.
+
+    One :func:`channel_gain` call, so FarFieldWarning is checked once for all
+    ``distance``; a trace calls it once per episode.
+    """
+    h0 = np.asarray(channel_gain(distance, budget, cfg))
+    return budget.tx_power * h0 * h0
+
+
+def rate_from_power(power, bf_gain, budget: LinkBudget):
+    """Shannon rate B * log1p(power * bf_gain / (N_0 * B)) / ln 2 for a :func:`link_power`."""
+    snr = power * bf_gain / (budget.noise_psd * budget.bandwidth)
+    return budget.bandwidth * np.log1p(snr) / math.log(2)
+
+
 def achievable_rate(bf_gain, distance, budget: LinkBudget, cfg: ArrayConfig):
     """Shannon rate in bit/s for a given beamforming gain and link distance.
 
@@ -142,12 +172,11 @@ def achievable_rate(bf_gain, distance, budget: LinkBudget, cfg: ArrayConfig):
 
     The logarithm is taken as log1p(snr) / ln 2, which keeps full relative
     precision where the snr is tiny (side-lobe nulls). Vectorises over matching
-    arrays of gains and distances.
+    arrays of gains and distances. The one-call form of :func:`link_power` and
+    :func:`rate_from_power`.
     """
     g = np.asarray(bf_gain, dtype=float)
     if np.any(g < 0.0):
         raise ValueError("beamforming gain must be non-negative")
-    h0 = np.asarray(channel_gain(distance, budget, cfg))
-    snr = budget.tx_power * h0 * h0 * g / (budget.noise_psd * budget.bandwidth)
-    rate = budget.bandwidth * np.log1p(snr) / math.log(2)
+    rate = rate_from_power(link_power(distance, budget, cfg), g, budget)
     return float(rate) if (np.isscalar(bf_gain) and np.isscalar(distance)) else rate

@@ -47,6 +47,14 @@ class CodebookError(Exception):
     """A codebook that cannot be read, does not fit the scenario or does not cover a query."""
 
 
+def _step_count(span: float, step: float) -> int:
+    """Values 0, step, 2 * step, ... needed to reach ``span``: ceil(span / step - 1e-9) + 1."""
+    steps = span / step
+    if not math.isfinite(steps):
+        raise ValueError(f"grid step {step!r} is too small for a span of {span!r}")
+    return int(math.ceil(steps - 1e-9)) + 1
+
+
 @dataclass(frozen=True)
 class CodebookGrid:
     """Quantisation of the (theta, delta) plane.
@@ -69,20 +77,28 @@ class CodebookGrid:
             raise ValueError(f"theta range {self.theta_range!r} outside (-1, 1)")
         if self.delta_max < 0.0:
             raise ValueError(f"delta_max must be >= 0, got {self.delta_max!r}")
-        # float addition is monotone, so the outermost cells bound every cell's edges
-        reach = self.delta_values()[-1]
-        for theta in (self.theta_values()[0], self.theta_values()[-1]):
+        # float addition is monotone, so the outermost cells bound every cell's edges;
+        # each end value is the same float as the last entry of its value list
+        reach = (self.delta_count - 1) * self.delta_step
+        for theta in (lo, lo + (self.theta_count - 1) * self.theta_step):
             if not abs(theta) + reach < 1.0:
                 raise ValueError(f"cell theta={theta!r} delta={reach!r} reaches sine-space edge")
 
-    def theta_values(self) -> list[float]:
+    @property
+    def theta_count(self) -> int:
         lo, hi = self.theta_range
-        count = int(math.ceil((hi - lo) / self.theta_step - 1e-9)) + 1
-        return [lo + i * self.theta_step for i in range(count)]
+        return _step_count(hi - lo, self.theta_step)
+
+    @property
+    def delta_count(self) -> int:
+        return _step_count(self.delta_max, self.delta_step)
+
+    def theta_values(self) -> list[float]:
+        lo = self.theta_range[0]
+        return [lo + i * self.theta_step for i in range(self.theta_count)]
 
     def delta_values(self) -> list[float]:
-        count = int(math.ceil(self.delta_max / self.delta_step - 1e-9)) + 1
-        return [i * self.delta_step for i in range(count)]
+        return [i * self.delta_step for i in range(self.delta_count)]
 
     def cells(self) -> list[tuple[tuple[int, int], AngularInterval]]:
         """Every cell's indices and interval in row-major order: centre index, then row."""
@@ -338,11 +354,12 @@ def load(path, expected_fingerprint: str | None = None) -> Codebook:
 
     if n_quad < MIN_QUAD_NODES:
         raise CodebookError(f"codebook n_quad {n_quad!r} is below {MIN_QUAD_NODES}")
-    cells = grid.cells()
-    if not len(omegas) == len(objectives) == len(cells):
+    n_cells = grid.theta_count * grid.delta_count  # checked before any cell is built
+    if not len(omegas) == len(objectives) == n_cells:
         raise CodebookError(
-            f"{len(omegas)} omegas and {len(objectives)} objectives for {len(cells)} cells"
+            f"{len(omegas)} omegas and {len(objectives)} objectives for {n_cells} cells"
         )
+    cells = grid.cells()
     lo, hi = pso.bounds
     entries = {}
     for (key, interval), omega, value in zip(cells, omegas, objectives):

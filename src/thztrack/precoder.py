@@ -108,13 +108,20 @@ def mrt_precoder(sin_dir: float, cfg: ArrayConfig) -> Precoder:
     return adaptive_precoder(AngularInterval(sin_dir, 0.0), 0.0, cfg)
 
 
-def bf_gain_profile(sin_dirs, precoder: Precoder, cfg: ArrayConfig) -> np.ndarray:
-    """Beamforming gain |a(s)^H f|^2 = |sum_n a_n(s) conj(f_n)|^2, in [0, N], at each direction.
+def beam_gain(responses: np.ndarray, precoder: Precoder) -> np.ndarray:
+    """Gain |a^H f|^2 = |sum_n a_n conj(f_n)|^2 for each response row a (see
+    :func:`~thztrack.channel.response_rows`).
 
     The sum runs in ``np.einsum``'s own loop rather than a BLAS product, so a
     trace never wakes the BLAS thread pool.
     """
+    amp = np.einsum("ij,j->i", responses, np.conj(precoder.weights))
+    return amp.real**2 + amp.imag**2
+
+
+def bf_gain_profile(sin_dirs, precoder: Precoder, cfg: ArrayConfig) -> np.ndarray:
+    """Beamforming gain |a(s)^H f|^2, in [0, N], at each direction: the one-call form
+    of :func:`~thztrack.channel.response_matrix` and :func:`beam_gain`."""
     if len(precoder.weights) != cfg.n_antennas:
         raise ValueError("precoder length does not match the antenna count")
-    amp = np.einsum("ij,j->i", response_matrix(sin_dirs, cfg), np.conj(precoder.weights))
-    return amp.real**2 + amp.imag**2
+    return beam_gain(response_matrix(sin_dirs, cfg), precoder)

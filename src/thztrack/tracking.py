@@ -26,7 +26,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ArrayConfig, LinkBudget, achievable_rate, dbm_to_watt
+from .channel import (
+    ArrayConfig,
+    LinkBudget,
+    dbm_to_watt,
+    link_power,
+    rate_from_power,
+    response_generator,
+    response_rows,
+)
 from .codebook import Codebook, CodebookError, check_scenario, entry_precoder, lookup_indices
 from .geometry import (
     AngularInterval,
@@ -36,7 +44,7 @@ from .geometry import (
     positions_to_directions,
 )
 from .optimizer import ObjectiveSpec, PsoConfig, optimize_omegas
-from .precoder import Precoder, adaptive_precoder, bf_gain_profile, mrt_precoder
+from .precoder import Precoder, adaptive_precoder, beam_gain, mrt_precoder
 from .seeding import derive_seed
 
 SCHEME_PROPOSED = "proposed"
@@ -218,7 +226,11 @@ class _TraceBuilder:
 
     Segment k (a sensing period or an event slot of length ``period``) holds the
     samples with floor(t / period + 1e-9) == k, the last segment taking any
-    samples beyond it.
+    samples beyond it. The channel is computed once per episode: each sample's
+    response generator and its received power at unit gain. A segment then
+    builds only its own response rows (never one samples x N matrix), its gains
+    under the held beam and its rates, bit for bit what ``bf_gain_profile`` and
+    ``achievable_rate`` give on the segment.
     """
 
     def __init__(self, sc: Scenario, scheme: str, period: float):
@@ -226,6 +238,8 @@ class _TraceBuilder:
         self.scheme = scheme
         self.times = _sample_times(sc.duration, sc.time_step)
         self.sins, self.dists = sc.directions_at(self.times)
+        self.generators = response_generator(self.sins)
+        self.powers = link_power(self.dists, sc.budget, sc.cfg)
         self.n_segments = max(1, int(math.ceil(sc.duration / period - 1e-9)))
         seg_of = np.minimum(np.floor(self.times / period + 1e-9).astype(int), self.n_segments - 1)
         self.starts = np.searchsorted(seg_of, np.arange(self.n_segments + 1))
@@ -238,8 +252,8 @@ class _TraceBuilder:
         """Evaluate segment ``k`` under a held beam; returns True when it had an outage."""
         sc = self.sc
         seg = slice(self.starts[k], self.starts[k + 1])
-        self.gains[seg] = bf_gain_profile(self.sins[seg], beam, sc.cfg)
-        self.rates[seg] = achievable_rate(self.gains[seg], self.dists[seg], sc.budget, sc.cfg)
+        self.gains[seg] = beam_gain(response_rows(self.generators[seg], sc.cfg.n_antennas), beam)
+        self.rates[seg] = rate_from_power(self.powers[seg], self.gains[seg], sc.budget)
         self.beam_ids.extend([beam_id] * (seg.stop - seg.start))
         return bool(np.any(self.rates[seg] < sc.r_min))
 

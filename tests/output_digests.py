@@ -6,13 +6,15 @@ Run it at two commits and diff the outputs to check that a change moved no byte:
 
 It runs the package in this checkout's ``src/``, in a temporary directory:
 the default codebook built at ``--jobs 1`` and ``--jobs 2``, ``simulate --scheme
-all``, the velocity sweep 10-100 m/s, the ``tx_power`` sweep 20-50 dBm at
-``--jobs 1`` and ``--jobs 2``, and ``pattern`` at 10, 50 and 90 m/s. Each line
+all`` at the configured 20 m/s and, on a copy of the configuration with
+``velocity_mps`` replaced, at 10 and 100 m/s, the velocity sweep 10-100 m/s,
+the ``tx_power`` sweep 20-50 dBm at ``--jobs 1`` and ``--jobs 2``, and
+``pattern`` at 10, 50 and 90 m/s. Each line
 is ``sha256  relative-path``; a run's stdout counts as ``<run>/stdout``, with
 the temporary directory and the build's wall time masked. Each built codebook
 also gets a ``<run>/cells`` line: the digest of its loaded entries'
 ``(ti, di, theta_m, delta, omega, objective)`` reprs, which stays put when a
-new file format moves the bytes but no value. Takes about 8 s on two cores.
+new file format moves the bytes but no value. Takes about 9 s on two cores.
 The file name keeps pytest from collecting it.
 """
 
@@ -29,19 +31,36 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "table1.ini"
 
-# (run name, CLI arguments after the command's --config and --out)
+# (run name, CLI arguments after the command's --config and --out, velocity_mps in the
+# config or None for the configured one). Traces at 10 and 100 m/s hold many more and
+# many fewer samples per sensing period than the configured 20 m/s.
 RUNS = [
-    ("build_jobs1", ["codebook-build", "--jobs", "1"]),
-    ("build_jobs2", ["codebook-build", "--jobs", "2"]),
-    ("simulate", ["simulate", "--scheme", "all"]),
-    ("sweep_velocity", ["sweep", "--axis", "velocity", "--values", "10,20,30,40,50,60,70,80,90,100"]),
-    ("sweep_power_jobs1", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "1"]),
-    ("sweep_power_jobs2", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "2"]),
-    ("pattern", ["pattern", "--velocities", "10,50,90"]),
+    ("build_jobs1", ["codebook-build", "--jobs", "1"], None),
+    ("build_jobs2", ["codebook-build", "--jobs", "2"], None),
+    ("simulate", ["simulate", "--scheme", "all"], None),
+    ("simulate_v10", ["simulate", "--scheme", "all"], 10.0),
+    ("simulate_v100", ["simulate", "--scheme", "all"], 100.0),
+    ("sweep_velocity", ["sweep", "--axis", "velocity", "--values", "10,20,30,40,50,60,70,80,90,100"], None),
+    ("sweep_power_jobs1", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "1"], None),
+    ("sweep_power_jobs2", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "2"], None),
+    ("pattern", ["pattern", "--velocities", "10,50,90"], None),
 ]
 
 
-def _run(name: str, args: list[str], work: Path) -> str:
+def _config(velocity: float | None, configs: Path) -> Path:
+    """The shipped configuration, or a copy of it in ``configs`` with ``velocity_mps`` replaced."""
+    if velocity is None:
+        return CONFIG
+    line = f"velocity_mps = {velocity!r}"
+    text, count = re.subn(r"^velocity_mps = .*$", line, CONFIG.read_text(), flags=re.MULTILINE)
+    if count != 1:
+        raise SystemExit(f"{CONFIG} does not hold one velocity_mps line")
+    path = configs / f"velocity_{velocity!r}.ini"
+    path.write_text(text)
+    return path
+
+
+def _run(name: str, args: list[str], work: Path, config: Path) -> str:
     """Run one command into ``work/name``; returns its stdout with the volatile parts masked."""
     command, *rest = args
     out = work / name
@@ -50,7 +69,7 @@ def _run(name: str, args: list[str], work: Path) -> str:
         target = out / "codebook.json"
     else:
         target = out
-    argv = [sys.executable, "-m", "thztrack.cli", command, "--config", str(CONFIG)]
+    argv = [sys.executable, "-m", "thztrack.cli", command, "--config", str(config)]
     argv += ["--out", str(target), *rest]
     if command in ("simulate", "sweep"):
         argv += ["--codebook", str(work / "build_jobs1" / "codebook.json")]
@@ -75,8 +94,13 @@ def _cell_digest(path: Path) -> str:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        stdouts = {name: _run(name, args, work) for name, args in RUNS}
+        work, configs = Path(tmp) / "runs", Path(tmp) / "configs"
+        work.mkdir()
+        configs.mkdir()
+        stdouts = {
+            name: _run(name, args, work, _config(velocity, configs))
+            for name, args, velocity in RUNS
+        }
         digests = {
             path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in work.rglob("*")
@@ -84,7 +108,7 @@ def main() -> None:
         }
         for name, text in stdouts.items():
             digests[f"{name}/stdout"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        for name, (command, *_) in RUNS:
+        for name, (command, *_), _ in RUNS:
             if command == "codebook-build":
                 digests[f"{name}/cells"] = _cell_digest(work / name / "codebook.json")
     for path in sorted(digests):

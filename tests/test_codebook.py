@@ -50,6 +50,27 @@ def test_grid_enumeration():
     assert grid.delta_values() == pytest.approx([0.0, 0.01, 0.02, 0.03])
 
 
+def test_grid_counts_and_ends_need_no_value_list():
+    grid = CodebookGrid(0.01, 0.002, theta_range=(-0.37, 0.37), delta_max=0.084)
+    assert (grid.theta_count, grid.delta_count) == (75, 43)
+    assert len(grid.cells()) == 75 * 43
+    assert grid.theta_values()[-1] == -0.37 + 74 * 0.01 and grid.delta_values()[-1] == 42 * 0.002
+    # a step that no float count can reach is a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match="too small"):
+        CodebookGrid(theta_step=5e-324, delta_step=0.01, theta_range=(0.0, 0.3), delta_max=0.0)
+
+
+def test_load_rejects_grid_step_without_finite_count(tiny_build, tmp_path):
+    _, _, cb = tiny_build
+    path = tmp_path / "cb.json"
+    save(cb, path)
+    payload = json.loads(path.read_text())
+    payload["grid"]["delta_step"] = 5e-324
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CodebookError, match="grid step 5e-324 is too small"):
+        load(path)
+
+
 def test_every_cell_present(tiny_build):
     grid, _, cb = tiny_build
     assert set(cb.entries) == {

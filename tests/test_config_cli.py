@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thztrack import (
+    CodebookGrid,
     ConfigError,
     RunConfig,
     achievable_rate,
@@ -346,6 +348,28 @@ def test_cli_incomplete_codebook_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--scheme", "proposed"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("codebook error:") and err.count("\n") == 1
+
+
+def test_cli_oversized_codebook_header_exits_before_building_cells(tmp_path, capsys, monkeypatch):
+    # the header claims 37001 x 43 = 1591043 cells for the file's one omega
+    config = small_config_text(tmp_path)
+    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
+    path = tmp_path / "cb.json"
+    payload = json.loads(path.read_text())
+    payload["grid"].update(theta_step=1e-5, theta_hi=0.37, delta_step=0.002, delta_max=0.084)
+    payload["omega"], payload["objective"] = payload["omega"][:1], payload["objective"][:1]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+
+    def no_cells(grid):
+        raise AssertionError("cells built for a codebook that does not fit its header")
+
+    monkeypatch.setattr(CodebookGrid, "cells", no_cells)
+    start = time.perf_counter()
+    assert main(["simulate", "--config", str(config), "--scheme", "proposed"]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err == "codebook error: 1 omegas and 1 objectives for 1591043 cells\n"
 
 
 def _omega_above_bounds(payload) -> None:

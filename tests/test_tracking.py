@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from thztrack import (
+    AngularInterval,
     BsGeometry,
     CodebookError,
     CodebookGrid,
@@ -20,6 +21,7 @@ from thztrack import (
     adaptive_precoder,
     bf_gain_profile,
     build_codebook,
+    channel_gain,
     compute_metrics,
     mrt_precoder,
     optimize_omega,
@@ -42,7 +44,7 @@ from thztrack.exports import (
 )
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
-from thztrack.tracking import _event_beam
+from thztrack.tracking import _event_beam, _TraceBuilder
 from conftest import aligned_rate, make_objective_spec, make_scenario
 from gain_reference import direction_of
 
@@ -166,6 +168,46 @@ def test_event_beam_at_zero_width_is_mrt(small_scenario):
     # the half-width is clamped to 0.5 and to the sine-space domain
     assert _event_beam(small_scenario, 0.0, 2.0).delta == 0.5
     assert _event_beam(small_scenario, 0.9, 0.3).delta == pytest.approx(0.1 - 1e-9, abs=1e-15)
+
+
+def _written_out_gain_and_rate(sins, dists, beam, sc):
+    """Gain and rate of a held beam in the one-call forms' operation order, written out here."""
+    rows = np.empty((len(sins), sc.cfg.n_antennas), dtype=complex)
+    rows[:, 0] = 1.0
+    rows[:, 1:] = np.exp(-1j * np.pi * sins)[:, None]
+    np.cumprod(rows, axis=1, out=rows)
+    amp = np.einsum("ij,j->i", rows, np.conj(beam.weights))
+    gains = amp.real**2 + amp.imag**2
+    b, h0 = sc.budget, channel_gain(dists, sc.budget, sc.cfg)
+    snr = b.tx_power * h0 * h0 * gains / (b.noise_psd * b.bandwidth)
+    return gains, b.bandwidth * np.log1p(snr) / math.log(2)
+
+
+@pytest.mark.parametrize("length", [1, 3, 30, 100])
+def test_segment_bits_match_the_one_call_forms(small_scenario, length):
+    # the builder computes the channel once per episode and each segment only its
+    # rows, gains and rates; no bit may differ from evaluating the segment alone
+    sc = small_scenario  # 32 antennas, omega up to 31 pi / 2
+    centre = float(sc.directions_at([0.0])[0][0])
+    beams = {
+        "mrt": mrt_precoder(centre, sc.cfg),
+        "wide": adaptive_precoder(AngularInterval(centre, 0.2), 0.35 * math.pi * 31, sc.cfg),
+        "event": _event_beam(sc, centre, 0.0),
+    }
+    for beam in beams.values():
+        builder = _TraceBuilder(sc, "test", length * sc.time_step)
+        assert builder.n_segments >= 3
+        for k in (0, builder.n_segments // 2):
+            builder.add_segment(k, beam, "b")
+            seg = slice(builder.starts[k], builder.starts[k + 1])
+            assert seg.stop - seg.start == length
+            sins, dists = builder.sins[seg], builder.dists[seg]
+            gains = bf_gain_profile(sins, beam, sc.cfg)
+            rates = achievable_rate(gains, dists, sc.budget, sc.cfg)
+            assert np.array_equal(builder.gains[seg], gains)
+            assert np.array_equal(builder.rates[seg], rates)
+            written = _written_out_gain_and_rate(sins, dists, beam, sc)
+            assert np.array_equal(gains, written[0]) and np.array_equal(rates, written[1])
 
 
 def test_compute_metrics_constant_record():
