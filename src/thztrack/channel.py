@@ -43,8 +43,9 @@ class ArrayConfig:
     carrier_freq: float
 
     def __post_init__(self):
-        if int(self.n_antennas) != self.n_antennas or self.n_antennas < 2:
-            raise ValueError(f"need an integer antenna count >= 2, got {self.n_antennas!r}")
+        n = self.n_antennas  # a float such as 128.0 would fail later, inside numpy
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+            raise ValueError(f"need an integer antenna count >= 2, got {n!r}")
         if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0.0):
             raise ValueError(f"carrier frequency must be positive, got {self.carrier_freq!r}")
 

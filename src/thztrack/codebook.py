@@ -39,6 +39,7 @@ from .geometry import AngularInterval, SensedState, point_at_direction
 from .optimizer import MIN_QUAD_NODES, ObjectiveSpec, PsoConfig, optimize_omegas
 from .precoder import Precoder, adaptive_precoder
 from .seeding import derive_seed
+from .textio import write_text
 
 FORMAT_VERSION = 2
 
@@ -280,11 +281,7 @@ def _to_payload(cb: Codebook) -> dict:
 
 def save(cb: Codebook, sink) -> None:
     """Write the codebook to a path or text file object (deterministic bytes)."""
-    text = json.dumps(_to_payload(cb), sort_keys=True, separators=(",", ":"))
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text, encoding="utf-8")
+    write_text(sink, json.dumps(_to_payload(cb), sort_keys=True, separators=(",", ":")))
 
 
 def _finite(text: str) -> float:

@@ -13,10 +13,9 @@ delimiter or a double quote is quoted CSV-style, e.g. the beam id cb[4,14].
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
+from .textio import write_text
 from .tracking import SweepRow, TrackRecord
 
 TRACE_COLUMNS = ("time_s", "scheme", "sin_dir", "distance_m", "bf_gain", "rate_bps", "outage", "beam_id")
@@ -47,11 +46,7 @@ def _write_rows(sink, header: tuple[str, ...], columns: list[list[str]], delimit
     quoted = [_quoted(column, delimiter) for column in columns]
     lines = [delimiter.join(_quoted(list(header), delimiter))]
     lines.extend(delimiter.join(row) for row in zip(*quoted))
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text, encoding="utf-8")
+    write_text(sink, "\n".join(lines) + "\n")
 
 
 def write_trace(rec: TrackRecord, sink, delimiter: str = ",") -> None:

@@ -88,8 +88,8 @@ class PsoConfig:
 class OptResult:
     """A swarm's incumbent, the objective evaluations made for it, and the iteration it was found.
 
-    A zero-width spec (delta = 0) is evaluated once, at ``n_particles`` columns, so its
-    ``evaluations`` is ``n_particles``; every other spec's is ``n_particles * (n_iterations + 1)``.
+    A zero-width spec (delta = 0) is evaluated once, at the lower bound, so its
+    ``evaluations`` is 1; every other spec's is ``n_particles * (n_iterations + 1)``.
     """
 
     omega_star: float
@@ -169,6 +169,14 @@ class _PeriodEvaluator:
 
     def rates(self, omegas: np.ndarray) -> np.ndarray:
         """Rate at every node (specs x omegas x nodes) for omegas given as specs x omegas."""
+        return self._padded_rates(omegas)[:, : omegas.shape[1]]
+
+    def _padded_rates(self, omegas: np.ndarray) -> np.ndarray:
+        # The BLAS products round calls 1-3 omegas wide, and the omegas past a multiple of 4,
+        # unlike full blocks of 4. Repeating the last omega up to such a block makes each value
+        # depend on its own omega alone, and adds no rate that the call does not already hold.
+        if pad := -omegas.shape[1] % 4:
+            omegas = np.pad(omegas, ((0, 0), (0, pad)), mode="edge")
         a = np.empty((len(omegas), 2, omegas.shape[1]))
         np.multiply(self.delta[:, 0], omegas, out=a[:, 0])
         np.subtract(self.mirror, a[:, 0], out=a[:, 1])
@@ -197,13 +205,13 @@ class _PeriodEvaluator:
         The penalty passes run only if some spec has a node rate below its own ``r_min``
         (or a NaN rate); elsewhere F_p adds +0.0 at every node, so skipping it moves no bit.
         """
-        rates = self.rates(omegas)
+        rates = self._padded_rates(omegas)
         if not np.all(rates.min(axis=(1, 2)) >= self.r_min[:, 0, 0]):
             shortfall = rates - self.r_min
             np.minimum(shortfall, 0.0, out=shortfall)
             shortfall *= self.alpha
             rates += shortfall  # the penalty F_p
-        return rates @ self.weights
+        return (rates @ self.weights)[:, : omegas.shape[1]]
 
 
 def _omega_row(omegas) -> np.ndarray:
@@ -249,15 +257,11 @@ def optimize_omegas(
     processes; the pool module is imported only then.
 
     A zero-width spec (``interval.delta == 0``) has a taper of exactly 1, so
-    every omega gets the same bits from one evaluation column. Such specs are
-    evaluated once, in batches of :data:`SWARM_CHUNK` at the swarm's own width
-    (``n_particles`` columns, all at the lower bound), and their swarms move
-    on those scores without evaluating again. The columns must be the swarm's
-    own: in the BLAS product, calls 1-3 columns wide and the tail columns past
-    a multiple of 4 can round differently, so a column's score depends on its
-    position, never on its omega. The result is bit-identical to the swarm's,
-    with ``evaluations == n_particles``: ``evaluations`` counts the objective
-    evaluations actually made for a spec. Results keep input order.
+    every omega has the same objective. Such a spec runs no swarm and draws no
+    random numbers: it is evaluated once, at the lower bound, in batches of
+    :data:`SWARM_CHUNK`, and its result is ``(lo, value, 1, 0)``. Since no
+    value depends on how many omegas share a call, that is the swarm's own
+    answer with ``evaluations == 1``. Results keep input order.
     """
     if len(specs) != len(seeds):
         raise ValueError(f"{len(specs)} specs but {len(seeds)} seeds")
@@ -265,39 +269,30 @@ def optimize_omegas(
     def chunked(indices):
         return [indices[i : i + SWARM_CHUNK] for i in range(0, len(indices), SWARM_CHUNK)]
 
-    flat = chunked([i for i, spec in enumerate(specs) if spec.interval.delta == 0.0])
-    swarmed = chunked([i for i, spec in enumerate(specs) if spec.interval.delta != 0.0])
     results: list = [None] * len(specs)
+    lo = pso.bounds[0]
+    for chunk in chunked([i for i, spec in enumerate(specs) if spec.interval.delta == 0.0]):
+        values = _PeriodEvaluator([specs[i] for i in chunk]).values(np.full((len(chunk), 1), lo))
+        for i, value in zip(chunk, values[:, 0]):
+            results[i] = OptResult(lo, float(value), 1, 0)
+    swarmed = chunked([i for i, spec in enumerate(specs) if spec.interval.delta != 0.0])
     with ExitStack() as stack:
         run = map
         if jobs > 1 and len(swarmed) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             run = stack.enter_context(ProcessPoolExecutor(min(jobs, len(swarmed)))).map
-        for solve, chunks, mapper in ((_lockstep_swarms, swarmed, run), (_flat_swarms, flat, map)):
-            spec_chunks = [[specs[i] for i in chunk] for chunk in chunks]
-            seed_chunks = [[seeds[i] for i in chunk] for chunk in chunks]
-            parts = mapper(solve, spec_chunks, repeat(pso), seed_chunks)
-            for chunk, part in zip(chunks, parts):
-                for i, result in zip(chunk, part):
-                    results[i] = result
+        spec_chunks = [[specs[i] for i in chunk] for chunk in swarmed]
+        seed_chunks = [[seeds[i] for i in chunk] for chunk in swarmed]
+        parts = run(_lockstep_swarms, spec_chunks, repeat(pso), seed_chunks)
+        for chunk, part in zip(swarmed, parts):
+            for i, result in zip(chunk, part):
+                results[i] = result
     return results
 
 
 def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
-    evaluations = pso.n_particles * (pso.n_iterations + 1)
-    return _swarms(_PeriodEvaluator(specs).values, pso, seeds, evaluations)
-
-
-def _flat_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
-    # zero-width specs: every particle keeps its column's score from one call at the lower bound
-    lo_row = np.full((len(specs), pso.n_particles), pso.bounds[0])
-    scores = _PeriodEvaluator(specs).values(lo_row)
-    return _swarms(lambda x: scores, pso, seeds, pso.n_particles)
-
-
-def _swarms(values, pso: PsoConfig, seeds, evaluations: int) -> list[OptResult]:
-    # ``values`` maps positions (swarms x particles) to objective values of the same shape
+    values = _PeriodEvaluator(specs).values
     lo, hi = pso.bounds
     # each swarm's whole stream, drawn in the order of one random(n_particles) per use
     shape = (2 * pso.n_iterations + 2, pso.n_particles)
@@ -344,6 +339,7 @@ def _swarms(values, pso: PsoConfig, seeds, evaluations: int) -> list[OptResult]:
         best_f[better] = cand_f[better]
         converged_iteration[better] = it
 
+    evaluations = pso.n_particles * (pso.n_iterations + 1)
     return [
         OptResult(float(bx), float(bf), evaluations, int(it))
         for bx, bf, it in zip(best_x, best_f, converged_iteration)

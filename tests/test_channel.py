@@ -202,3 +202,10 @@ def test_array_config_validation():
         ArrayConfig(1, CARRIER_HZ)
     with pytest.raises(ValueError):
         ArrayConfig(8, 0.0)
+
+
+@pytest.mark.parametrize("count", [128.0, np.float64(16.0), math.inf, math.nan, True, "16"])
+def test_array_config_rejects_non_integer_count(count):
+    with pytest.raises(ValueError, match="integer antenna count"):
+        ArrayConfig(count, CARRIER_HZ)
+    assert ArrayConfig(np.int64(16), CARRIER_HZ).n_antennas == 16  # numpy integers are fine

@@ -22,6 +22,7 @@ from thztrack import (
     load,
     lookup_indices,
     mrt_precoder,
+    objectives,
     optimize_omega,
     save,
     scenario_fingerprint,
@@ -100,6 +101,15 @@ def test_single_cell_equals_direct_optimization(small_cfg, small_budget, small_p
     payload = json.loads(sink.getvalue())
     assert payload["pso"]["seed"] == small_pso.seed
     assert (payload["omega"], payload["objective"]) == ([direct.omega_star], [direct.objective_value])
+
+
+def test_stored_objective_is_the_value_at_its_omega(small_codebook, small_scenario):
+    # the swarms were 10 wide; a one-omega call at a cell's omega gives its stored bits
+    template = make_objective_spec(small_scenario, n_quad=16)
+    distance = _template_perpendicular_distance(template)
+    for entry in small_codebook.entries.values():
+        spec = _cell_spec(template, entry.interval.theta_m, entry.interval.delta, distance)
+        assert objectives([entry.omega], spec)[0] == entry.objective_value
 
 
 def test_zero_width_row_is_mrt(tiny_build, small_cfg):

@@ -613,11 +613,11 @@ def _float_keys() -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize("section, key", _float_keys())
 def test_cli_non_finite_config_value_exit_code(tmp_path, capsys, section, key):
-    config = small_config_text(tmp_path)
-    text = config.read_text()
-    for value in ("nan", "inf", "-inf", "1e999"):
+    text = small_config_text(tmp_path).read_text()
+    for i, value in enumerate(("nan", "inf", "-inf", "1e999")):
         lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
                  for line in text.splitlines()]
+        config = tmp_path / f"variant{i}.ini"  # a fresh path, not a rewrite of the last one
         config.write_text("\n".join(lines) + "\n")
         assert main(["simulate", "--config", str(config), "--scheme", "conventional"]) == 2
         err = capsys.readouterr().err

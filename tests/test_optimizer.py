@@ -28,6 +28,8 @@ from thztrack import (
     predict_pose,
     pso_bounds,
 )
+from thztrack.codebook import _cell_spec, _template_perpendicular_distance
+from thztrack.config import build_grid, build_objective_template, build_pso, parse_config_file
 from thztrack.optimizer import SWARM_CHUNK, _gauss_legendre, _lockstep_swarms, _PeriodEvaluator
 from thztrack.precoder import taper
 from conftest import CARRIER_HZ, aligned_rate, make_budget, make_objective_spec, make_scenario
@@ -41,6 +43,7 @@ from gain_reference import (
 )
 
 CFG = ArrayConfig(128, CARRIER_HZ)
+REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "table1.ini"
 BUDGET = make_budget()
 
 
@@ -294,12 +297,34 @@ def test_evaluator_keeps_no_state_between_calls(n_antennas):
     assert list(inspect.signature(taper).parameters) == ["a", "b", "rot"]
 
 
+def test_values_do_not_depend_on_call_width():
+    # 16 default-grid cells at 40 omegas; any subset of the omegas, in any order and of any
+    # width, gets the bits of the full call, and so does one spec alone
+    config = parse_config_file(REPO_CONFIG)
+    template, cells = build_objective_template(config), build_grid(config).cells()
+    distance = _template_perpendicular_distance(template)
+    rng = np.random.default_rng(5)
+    specs = [
+        _cell_spec(template, cells[i][1].theta_m, cells[i][1].delta, distance)
+        for i in rng.choice(len(cells), 16, replace=False)
+    ]
+    omegas = rng.uniform(*build_pso(config).bounds, (16, 40))
+    evaluator = _PeriodEvaluator(specs)
+    values, rates = evaluator.values(omegas), evaluator.rates(omegas)
+    for _ in range(200):
+        cols = rng.choice(40, int(rng.integers(1, 41)), replace=False)
+        assert np.array_equal(evaluator.values(omegas[:, cols]), values[:, cols])
+        assert np.array_equal(evaluator.rates(omegas[:, cols]), rates[:, cols])
+    for spec, row, expected in zip(specs, omegas, values):
+        assert np.array_equal(_PeriodEvaluator([spec]).values(row[None])[0], expected)
+
+
 def test_penalty_skip_decided_per_spec_and_bit_exact():
     # one spec clear of its r_min beside one with nodes below its own, larger r_min; every rate
     # is above the smaller r_min, so a batch-wide test would skip the second spec's penalty
     rng = np.random.default_rng(6)
     clear, short = _mixed_specs(CFG, 3, rng)[1:]
-    omegas = rng.uniform(*pso_bounds(CFG), (2, 6))  # width 6: past the width-dependent rounding
+    omegas = rng.uniform(*pso_bounds(CFG), (2, 6))  # width 6: the evaluator pads it to 8
     pairs = zip((clear, short), omegas)
     floor = min(float(_PeriodEvaluator([s]).rates(row[None]).min()) for s, row in pairs)
     clear = replace(clear, r_min=0.5 * floor)
@@ -311,9 +336,11 @@ def test_penalty_skip_decided_per_spec_and_bit_exact():
         rates = solo.rates(row[None])
         assert (rates.min() < spec.r_min) == (spec is short)
         assert np.array_equal(got, solo.values(row[None])[0])
-        # the four penalty passes, run whether or not a node falls short
+        # the four penalty passes, run whether or not a node falls short, on the evaluator's
+        # padding: the last omega repeated up to 8 columns
         penalised = rates + spec.alpha * np.minimum(rates - spec.r_min, 0.0)
-        assert np.array_equal(got, (penalised @ weights)[0])
+        padded = np.concatenate([penalised, penalised[:, -1:], penalised[:, -1:]], axis=1)
+        assert np.array_equal(got, (padded @ weights)[0, :6])
     assert np.any(batch[1] < _PeriodEvaluator([replace(short, alpha=0.0)]).values(omegas[1:])[0])
 
 
@@ -343,8 +370,8 @@ def test_optimize_omegas_pool_bit_equal_to_serial():
 
 @pytest.mark.parametrize("n_particles", [2, 3, 4, 16, 40])
 def test_zero_width_spec_is_the_swarms_answer(n_particles):
-    # a column's score at delta = 0 can depend on its position (width 3, or the tail past a
-    # multiple of 4), so the one evaluation must be at the swarm's own width
+    # at delta = 0 every omega has the same value, so the swarm settles on the lower bound at
+    # once; the one evaluation there gives its answer without running it
     pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=n_particles, n_iterations=12)
     lo = pso.bounds[0]
     for i, start in enumerate([-0.6, -0.2, 0.0, 0.17, 0.29]):
@@ -354,10 +381,8 @@ def test_zero_width_spec_is_the_swarms_answer(n_particles):
         seed = 40 + i
         (got,) = optimize_omegas([spec], pso, [seed])
         swarm = _lockstep_swarms([spec], pso, [seed])[0]
-        assert got == replace(swarm, evaluations=n_particles)  # bit for bit
-        scores = _PeriodEvaluator([spec]).values(np.full((1, n_particles), lo))
-        if np.all(scores == scores[0, 0]):  # a tie everywhere goes to the lower bound at once
-            assert (got.omega_star, got.converged_iteration) == (lo, 0)
+        assert got == replace(swarm, evaluations=1)  # bit for bit
+        assert (got.omega_star, got.converged_iteration) == (lo, 0)
 
 
 class _CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -379,7 +404,7 @@ def test_optimize_omegas_mixed_widths_keep_input_order(jobs, monkeypatch):
     expected = []
     for spec, seed in zip(specs, seeds):
         swarm = _lockstep_swarms([spec], pso, [seed])[0]
-        expected.append(replace(swarm, evaluations=8) if spec.interval.delta == 0.0 else swarm)
+        expected.append(replace(swarm, evaluations=1) if spec.interval.delta == 0.0 else swarm)
     monkeypatch.setattr(_CountingPool, "made", 0)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     assert optimize_omegas(specs, pso, seeds, jobs=jobs) == expected

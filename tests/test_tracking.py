@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from thztrack import (
     build_codebook,
     channel_gain,
     compute_metrics,
+    load,
     mrt_precoder,
     optimize_omega,
     pose_to_direction,
@@ -31,6 +33,7 @@ from thztrack import (
     run_event_based,
     run_sensing_assisted,
     run_sensing_assisted_direct,
+    save,
     sweep,
 )
 from thztrack.exports import (
@@ -459,6 +462,31 @@ def test_trace_export_round_trip(small_scenario, tmp_path):
     assert float(first[0]) == rec.times[0]
     assert first[1] == rec.scheme
     assert float(first[5]) == rec.rates[0]
+
+
+def test_shorter_rewrite_leaves_no_stale_tail(small_scenario, small_codebook, tmp_path):
+    # outputs are overwritten in place and truncated after the write, not before
+    path, fresh = tmp_path / "out", tmp_path / "fresh.csv"
+    write_trace(run_conventional(small_scenario), path)
+    size = path.stat().st_size
+    save(small_codebook, path)
+    assert path.stat().st_size < size
+    assert load(path) == small_codebook
+    write_pattern(np.array([0.0, 0.5]), np.array([1.0, -3.0]), path)
+    write_pattern(np.array([0.0, 0.5]), np.array([1.0, -3.0]), fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_output_symlink_is_written_through(small_scenario, tmp_path):
+    target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fresh.csv"
+    target.write_text("an earlier run's file\n" * 10_000)
+    link.symlink_to(target)
+    rec = run_conventional(small_scenario)
+    write_trace(rec, link)
+    write_trace(rec, fresh)
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+    write_trace(rec, os.devnull)  # a device takes the text with nothing to truncate
 
 
 def _within_ulps(got: np.ndarray, expected: np.ndarray, ulps: int) -> bool:
