@@ -33,7 +33,7 @@ from .exports import pattern_gain_db, write_pattern, write_sweep, write_trace
 from .optimizer import optimize_omegas
 from .precoder import adaptive_precoder, bf_gain_profile
 from .seeding import derive_seed
-from .tracking import SCHEMES, TrackingRunError, axis_scenario, compute_metrics, run_scheme, sweep
+from .tracking import SCHEMES, TrackingRunError, axis_scenario, compute_metrics, run_schemes, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,7 +90,7 @@ def cmd_simulate(args) -> int:
     keys = list(SCHEMES) if args.scheme == "all" else [args.scheme]
     cb = _load_codebook(args, config, scenario) if "proposed" in keys else None
     event_params = build_event_params(config) if "event" in keys else None
-    records = [run_scheme(key, scenario, cb, event_params) for key in keys]
+    records = run_schemes(scenario, keys, cb, event_params)
     out = _out_dir(args, config)  # only once every scheme has run, so a failed run writes nothing
     window = (scenario.start_angle, scenario.end_angle)
     for key, rec in zip(keys, records):

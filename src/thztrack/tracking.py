@@ -22,7 +22,9 @@ minimum-rate threshold.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -216,90 +218,168 @@ class SweepRow:
     metrics: Metrics
 
 
-def _sample_times(duration: float, dt: float) -> np.ndarray:
-    count = int(math.floor(duration / dt + 1e-9))
-    return np.arange(count + 1) * dt
+class _Episode:
+    """A scenario sampled once for every scheme run on it: the sample times, the target's sines
+    and distances, each sample's response generator and received power at unit gain, and the
+    first sample of each sensing period. It holds no response rows (see :func:`_run`)."""
 
-
-class _TraceBuilder:
-    """Samples an episode once, then evaluates held beams on contiguous segments of it.
-
-    Segment k (a sensing period or an event slot of length ``period``) holds the
-    samples with floor(t / period + 1e-9) == k, the last segment taking any
-    samples beyond it. The channel is computed once per episode: each sample's
-    response generator and its received power at unit gain. A segment then
-    builds only its own response rows (never one samples x N matrix), its gains
-    under the held beam and its rates, bit for bit what ``bf_gain_profile`` and
-    ``achievable_rate`` give on the segment.
-    """
-
-    def __init__(self, sc: Scenario, scheme: str, period: float):
+    def __init__(self, sc: Scenario):
         self.sc = sc
-        self.scheme = scheme
-        self.times = _sample_times(sc.duration, sc.time_step)
+        try:
+            count = int(math.floor(sc.duration / sc.time_step + 1e-9))
+            self.times = np.arange(count + 1) * sc.time_step
+        except (OverflowError, ValueError, MemoryError) as exc:
+            n = sc.duration / sc.time_step + 1.0
+            msg = f"velocity {sc.velocity!r} m/s needs {n:.6g} samples, too many to sample"
+            raise TrackingRunError(msg) from exc
         self.sins, self.dists = sc.directions_at(self.times)
         self.generators = response_generator(self.sins)
         self.powers = link_power(self.dists, sc.budget, sc.cfg)
-        self.n_segments = max(1, int(math.ceil(sc.duration / period - 1e-9)))
-        seg_of = np.minimum(np.floor(self.times / period + 1e-9).astype(int), self.n_segments - 1)
-        self.starts = np.searchsorted(seg_of, np.arange(self.n_segments + 1))
-        self.gains = np.empty(len(self.times))
-        self.rates = np.empty(len(self.times))
-        self.beam_ids: list[str] = []
-        self.realignments: list[float] = []
+        self.periods = self.starts(sc.tau)
 
-    def add_segment(self, k: int, beam: Precoder, beam_id: str) -> bool:
-        """Evaluate segment ``k`` under a held beam; returns True when it had an outage."""
-        sc = self.sc
-        seg = slice(self.starts[k], self.starts[k + 1])
-        self.gains[seg] = beam_gain(response_rows(self.generators[seg], sc.cfg.n_antennas), beam)
-        self.rates[seg] = rate_from_power(self.powers[seg], self.gains[seg], sc.budget)
-        self.beam_ids.extend([beam_id] * (seg.stop - seg.start))
-        return bool(np.any(self.rates[seg] < sc.r_min))
+    def starts(self, period: float) -> list[int]:
+        """First sample of each segment of length ``period``, then the sample count: segment k
+        holds the samples with floor(t / period + 1e-9) == k (the last also any later ones), and
+        some may hold none."""
+        count = max(1, int(math.ceil(self.sc.duration / period - 1e-9)))
+        seg_of = np.minimum(np.floor(self.times / period + 1e-9).astype(int), count - 1)
+        return np.searchsorted(seg_of, np.arange(count + 1)).tolist()
 
-    def record(self) -> TrackRecord:
-        return TrackRecord(
-            scheme=self.scheme,
-            times=self.times,
-            sin_dirs=self.sins,
-            distances=self.dists,
-            bf_gains=self.gains,
-            rates=self.rates,
-            outages=self.rates < self.sc.r_min,
-            beam_ids=self.beam_ids,
-            realignment_times=self.realignments,
-        )
+
+def _event_beam(sc: Scenario, centre: float, half_width: float) -> Precoder:
+    """Unoptimised mid-array beam, half-width clamped to [0, 0.5] and the domain; 0 gives MRT."""
+    delta = max(0.0, min(half_width, 0.5, 1.0 - abs(centre) - 1e-9))
+    omega = (sc.cfg.n_antennas - 1) * math.pi / 2.0
+    return adaptive_precoder(AngularInterval(centre, delta), omega, sc.cfg)
+
+
+def _event_beams(ep: _Episode, params: EventBasedParams, realignments: list[float]):
+    """The slot loop of :func:`run_event_based`: yields each slot's beam and is sent its outage."""
+    sc = ep.sc
+    (estimate,), _ = sc.directions_at([0.0])
+    variance, segment = 0.0, 0
+    growth = params.weight * params.rw_var * EVENT_VARIANCE_UNIT
+    for k in range(len(ep.starts(params.slot)) - 1):
+        half_width = EVENT_COVERAGE_SIGMAS * math.sqrt(variance)
+        had_outage = yield _event_beam(sc, estimate, half_width), f"event[{segment}]"
+        boundary = (k + 1) * params.slot
+        if had_outage and boundary < sc.duration:
+            (estimate,), _ = sc.directions_at([boundary])
+            variance = 0.0
+            segment += 1
+            realignments.append(boundary)
+        else:
+            variance += growth
+
+
+def _optimised(episodes: list[_Episode], pso: PsoConfig, alpha: float, n_quad: int, jobs: int = 1):
+    """Each episode's (interval, omega) per sensing period, all periods in one optimisation."""
+    periods = [(ep.sc, k) for ep in episodes for k in range(len(ep.periods) - 1)]
+    specs = [sc.period_spec(k * sc.tau, alpha, n_quad) for sc, k in periods]
+    seeds = [derive_seed("direct", pso.seed, k) for _, k in periods]
+    results = optimize_omegas(specs, pso, seeds, jobs)
+    held = iter([(spec.interval, result.omega_star) for spec, result in zip(specs, results)])
+    return [list(islice(held, len(ep.periods) - 1)) for ep in episodes]
+
+
+def _scheme_rule(key: str, ep: _Episode, cb, event_params, direct=None) -> tuple:
+    """(scheme, segment length, beams, realignments) of a :data:`SCHEMES` key, or of the
+    proposed scheme re-optimised per period when ``direct`` holds its (interval, omega)."""
+    sc, epochs = ep.sc, [k * ep.sc.tau for k in range(len(ep.periods) - 1)]
+    if key == "proposed" and direct is not None:
+        beams = ((adaptive_precoder(*held, sc.cfg), f"opt[{k}]") for k, held in enumerate(direct))
+        return SCHEME_PROPOSED, sc.tau, beams, epochs
+    if key == "proposed":
+        if cb is None:
+            raise TrackingRunError("the proposed scheme requires a codebook")
+        check_scenario(cb, sc, cb.alpha)
+        cells = []
+        for k, epoch in enumerate(epochs):
+            interval = path_to_interval(sc.state_at(epoch), sc.tau, sc.geom)
+            try:
+                cells.append(lookup_indices(cb, interval))
+            except CodebookError as exc:
+                raise TrackingRunError(
+                    f"no codebook beam for epoch {k} (t={epoch:.6g} s): {exc}"
+                ) from exc
+        beams = ((entry_precoder(cb.entries[c], sc.cfg), "cb[{},{}]".format(*c)) for c in cells)
+        return SCHEME_PROPOSED, sc.tau, beams, epochs
+    if key == "conventional":
+        sins = sc.directions_at(epochs)[0].tolist()
+        beams = ((mrt_precoder(s, sc.cfg), f"mrt[{k}]") for k, s in enumerate(sins))
+        return SCHEME_CONVENTIONAL, sc.tau, beams, epochs
+    if key == "event":
+        realigned = [0.0]
+        return SCHEME_EVENT, event_params.slot, _event_beams(ep, event_params, realigned), realigned
+    raise ValueError(f"unknown scheme {key!r}; expected one of {tuple(SCHEMES)}")
+
+
+def _walk(ep: _Episode, rule: tuple, gains: np.ndarray, rates: np.ndarray, beam_ids: list[str]):
+    """Coroutine evaluating ``rule`` on each sensing period sent as (lo, hi, rows); a segment
+    crossing a period boundary is evaluated in pieces. The rule's beams yield each segment's
+    beam and id in order, empty segments included, and are sent whether the last had an outage.
+    """
+    sc, (_, period, beams, _) = ep.sc, rule
+    starts = ep.starts(period)
+    lo, hi, rows = yield
+    outage = None
+    for k in range(len(starts) - 1):
+        beam, beam_id = beams.send(outage)
+        outage = False
+        while True:
+            a, b = max(starts[k], lo), min(starts[k + 1], hi)
+            if b > a:
+                gains[a:b] = beam_gain(rows[a - lo : b - lo], beam)
+                rates[a:b] = rate_from_power(ep.powers[a:b], gains[a:b], sc.budget)
+                outage = outage or bool(np.any(rates[a:b] < sc.r_min))
+                beam_ids.extend([beam_id] * (b - a))
+            if starts[k + 1] <= hi:
+                break
+            del rows  # so that only one period's rows are alive while the next is built
+            lo, hi, rows = yield
+    with suppress(StopIteration):
+        beams.send(outage)
+    yield  # every segment has ended in the first period that reaches the last sample
+
+
+def _run(ep: _Episode, rules: list[tuple]) -> list[TrackRecord]:
+    """Each rule's record over one episode, building each sensing period's response rows once.
+    Each row is its sample's own running product and ``beam_gain`` sums each row by itself,
+    so grouping rows by period changes no value."""
+    sc, n = ep.sc, len(ep.times)
+    traces = [(np.empty(n), np.empty(n), []) for _ in rules]
+    walks = [_walk(ep, rule, *trace) for rule, trace in zip(rules, traces)]
+    for walk in walks:
+        next(walk)
+    for lo, hi in zip(ep.periods, ep.periods[1:]):
+        rows = response_rows(ep.generators[lo:hi], sc.cfg.n_antennas)
+        for walk in walks:
+            walk.send((lo, hi, rows))
+        del rows
+        if hi == n:
+            break
+    return [
+        TrackRecord(scheme, ep.times, ep.sins, ep.dists, gains, rates, rates < sc.r_min, ids, times)
+        for (scheme, _, _, times), (gains, rates, ids) in zip(rules, traces)
+    ]
+
+
+def run_schemes(
+    sc: Scenario, keys, cb: Codebook | None, event_params: EventBasedParams | None
+) -> list[TrackRecord]:
+    """One record per :data:`SCHEMES` key in ``keys``, every scheme on one sampling of ``sc``."""
+    ep = _Episode(sc)
+    return _run(ep, [_scheme_rule(key, ep, cb, event_params) for key in keys])
 
 
 def run_sensing_assisted(sc: Scenario, cb: Codebook) -> TrackRecord:
     """Proposed scheme: per-period codebook beams over predicted intervals."""
-    check_scenario(cb, sc, cb.alpha)
-    builder = _TraceBuilder(sc, SCHEME_PROPOSED, sc.tau)
-    for k in range(builder.n_segments):
-        epoch = k * sc.tau
-        state = sc.state_at(epoch)
-        interval = path_to_interval(state, sc.tau, sc.geom)
-        try:
-            ti, di = lookup_indices(cb, interval)
-        except CodebookError as exc:
-            raise TrackingRunError(
-                f"no codebook beam for epoch {k} (t={epoch:.6g} s): {exc}"
-            ) from exc
-        beam = entry_precoder(cb.entries[(ti, di)], sc.cfg)
-        builder.add_segment(k, beam, f"cb[{ti},{di}]")
-        builder.realignments.append(epoch)
-    return builder.record()
+    return run_schemes(sc, ["proposed"], cb, None)[0]
 
 
 def run_conventional(sc: Scenario) -> TrackRecord:
     """Baseline: per-period MRT beam at the target's direction at each epoch."""
-    builder = _TraceBuilder(sc, SCHEME_CONVENTIONAL, sc.tau)
-    epochs = np.arange(builder.n_segments) * sc.tau
-    sins, _ = sc.directions_at(epochs)
-    for k, (epoch, sin_dir) in enumerate(zip(epochs.tolist(), sins.tolist())):
-        builder.add_segment(k, mrt_precoder(sin_dir, sc.cfg), f"mrt[{k}]")
-        builder.realignments.append(epoch)
-    return builder.record()
+    return run_schemes(sc, ["conventional"], None, None)[0]
 
 
 def run_sensing_assisted_direct(
@@ -308,34 +388,13 @@ def run_sensing_assisted_direct(
     """Proposed scheme with per-period re-optimisation instead of a codebook.
 
     Optimises each period's beam directly on its unquantised interval, for a
-    scenario that no codebook matches. Transmit-power sweeps re-optimise for
-    the same reason (the fingerprint binds the build power), but they call
-    :func:`_run_direct` with every power point at once.
+    scenario that no codebook matches. Transmit-power sweeps re-optimise for the
+    same reason (the fingerprint binds the build power); they optimise every
+    period of every power in one call, then run each power's schemes together.
     """
-    return _run_direct([sc], pso, alpha, n_quad)[0]
-
-
-def _run_direct(
-    scenarios: list[Scenario], pso: PsoConfig, alpha: float, n_quad: int, jobs: int = 1
-) -> list[TrackRecord]:
-    """:func:`run_sensing_assisted_direct` for each scenario, all periods in one optimisation."""
-    builders = [_TraceBuilder(sc, SCHEME_PROPOSED, sc.tau) for sc in scenarios]
-    periods = [(i, k) for i, b in enumerate(builders) for k in range(b.n_segments)]
-    specs = [scenarios[i].period_spec(k * scenarios[i].tau, alpha, n_quad) for i, k in periods]
-    seeds = [derive_seed("direct", pso.seed, k) for _, k in periods]
-    results = optimize_omegas(specs, pso, seeds, jobs)
-    for (i, k), spec, result in zip(periods, specs, results):
-        beam = adaptive_precoder(spec.interval, result.omega_star, scenarios[i].cfg)
-        builders[i].add_segment(k, beam, f"opt[{k}]")
-        builders[i].realignments.append(k * scenarios[i].tau)
-    return [b.record() for b in builders]
-
-
-def _event_beam(sc: Scenario, centre: float, half_width: float) -> Precoder:
-    """Unoptimised mid-array beam, half-width clamped to [0, 0.5] and the domain; 0 gives MRT."""
-    delta = max(0.0, min(half_width, 0.5, 1.0 - abs(centre) - 1e-9))
-    omega = (sc.cfg.n_antennas - 1) * math.pi / 2.0
-    return adaptive_precoder(AngularInterval(centre, delta), omega, sc.cfg)
+    ep = _Episode(sc)
+    (optimised,) = _optimised([ep], pso, alpha, n_quad)
+    return _run(ep, [_scheme_rule("proposed", ep, None, None, optimised)])[0]
 
 
 def run_event_based(sc: Scenario, params: EventBasedParams) -> TrackRecord:
@@ -346,26 +405,7 @@ def run_event_based(sc: Scenario, params: EventBasedParams) -> TrackRecord:
     the next slot boundary and reset the uncertainty, otherwise grow it by
     weight * rw_var per slot.
     """
-    builder = _TraceBuilder(sc, SCHEME_EVENT, params.slot)
-    (estimate,), _ = sc.directions_at([0.0])
-    variance = 0.0
-    growth = params.weight * params.rw_var * EVENT_VARIANCE_UNIT
-    segment = 0
-    builder.realignments.append(0.0)
-
-    for k in range(builder.n_segments):
-        half_width = EVENT_COVERAGE_SIGMAS * math.sqrt(variance)
-        beam = _event_beam(sc, estimate, half_width)
-        had_outage = builder.add_segment(k, beam, f"event[{segment}]")
-        boundary = (k + 1) * params.slot
-        if had_outage and boundary < sc.duration:
-            (estimate,), _ = sc.directions_at([boundary])
-            variance = 0.0
-            segment += 1
-            builder.realignments.append(boundary)
-        else:
-            variance += growth
-    return builder.record()
+    return run_schemes(sc, ["event"], None, params)[0]
 
 
 def compute_metrics(rec: TrackRecord, window: tuple[float, float]) -> Metrics:
@@ -388,21 +428,6 @@ def compute_metrics(rec: TrackRecord, window: tuple[float, float]) -> Metrics:
     outage = float(np.mean(rec.outages[mask]))
     count = sum(1 for t in rec.realignment_times if times[0] <= t <= times[-1])
     return Metrics(avg_rate=avg, outage_prob=outage, realignment_count=count)
-
-
-def run_scheme(
-    scheme: str, sc: Scenario, cb: Codebook | None, event_params: EventBasedParams
-) -> TrackRecord:
-    """One episode of a :data:`SCHEMES` key."""
-    if scheme == "proposed":
-        if cb is None:
-            raise TrackingRunError("the proposed scheme requires a codebook")
-        return run_sensing_assisted(sc, cb)
-    if scheme == "conventional":
-        return run_conventional(sc)
-    if scheme == "event":
-        return run_event_based(sc, event_params)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
 
 
 def axis_scenario(template: Scenario, axis: str, value: float) -> Scenario:
@@ -432,11 +457,12 @@ def sweep(
 ) -> list[SweepRow]:
     """Metrics for every (value, scheme) pair along a velocity or power axis.
 
-    ``axis`` is "velocity" (m/s) or "tx_power" (dBm). On the power axis the
-    proposed scheme re-optimises beams per period because the codebook is
-    fingerprinted to its build power; only this optimisation, one call for every
-    period of every power, uses up to ``jobs`` worker processes. Rows come back
-    in input order.
+    ``axis`` is "velocity" (m/s) or "tx_power" (dBm). Each value's scenario is
+    sampled once, and its schemes share each sensing period's response rows
+    (see :func:`run_schemes`). On the power axis the proposed scheme
+    re-optimises beams per period because the codebook is fingerprinted to its
+    build power; only this optimisation, one call for every period of every
+    power, uses up to ``jobs`` worker processes. Rows come back in input order.
     """
     values = [float(v) for v in values]
     if not values:
@@ -452,21 +478,25 @@ def sweep(
 
     scenarios = [axis_scenario(template, axis, v) for v in values]
 
-    direct = None
+    episodes, optimised = [], [None] * len(values)
     if axis == "tx_power" and "proposed" in schemes and cb is not None:
         try:
-            direct = _run_direct(scenarios, cb.pso, cb.alpha, cb.n_quad, jobs)
-        except ValueError as exc:  # no check on a period spec or its swarm depends on the power
+            episodes = [_Episode(sc) for sc in scenarios]
+            optimised = _optimised(episodes, cb.pso, cb.alpha, cb.n_quad, jobs)
+        except (ValueError, TrackingRunError) as exc:  # no check here depends on the power
             raise _point_error(values[0], "proposed", exc) from exc
 
     rows = []
     for i, (value, sc) in enumerate(zip(values, scenarios)):
-        for scheme in schemes:
-            try:
-                use_direct = direct is not None and scheme == "proposed"
-                rec = direct[i] if use_direct else run_scheme(scheme, sc, cb, event_params)
-                metrics = compute_metrics(rec, window)
-            except Exception as exc:
-                raise _point_error(value, scheme, exc) from exc
-            rows.append(SweepRow(value=value, scheme=rec.scheme, metrics=metrics))
+        key = schemes[0]  # the episode and its walk are every scheme's; the first names them
+        try:
+            ep = episodes[i] if episodes else _Episode(sc)
+            rules = []
+            for key in schemes:
+                rules.append(_scheme_rule(key, ep, cb, event_params, optimised[i]))
+            key = schemes[0]
+            for key, rec in zip(schemes, _run(ep, rules)):
+                rows.append(SweepRow(value, rec.scheme, compute_metrics(rec, window)))
+        except Exception as exc:
+            raise _point_error(value, key, exc) from exc
     return rows

@@ -7,7 +7,9 @@ Run it at two commits and diff the outputs to check that a change moved no byte:
 It runs the package in this checkout's ``src/``, in a temporary directory:
 the default codebook built at ``--jobs 1`` and ``--jobs 2``, ``simulate --scheme
 all`` at the configured 20 m/s and, on a copy of the configuration with
-``velocity_mps`` replaced, at 10 and 100 m/s, the velocity sweep 10-100 m/s,
+``velocity_mps`` replaced, at 10 and 100 m/s, ``simulate --scheme event`` and
+``--scheme proposed`` alone at 20 m/s (their traces must equal the ``all`` run's,
+or the script fails), the velocity sweep 10-100 m/s,
 the ``tx_power`` sweep 20-50 dBm at ``--jobs 1`` and ``--jobs 2``, and
 ``pattern`` at 10, 50 and 90 m/s. Each line
 is ``sha256  relative-path``; a run's stdout counts as ``<run>/stdout``, with
@@ -40,6 +42,8 @@ RUNS = [
     ("simulate", ["simulate", "--scheme", "all"], None),
     ("simulate_v10", ["simulate", "--scheme", "all"], 10.0),
     ("simulate_v100", ["simulate", "--scheme", "all"], 100.0),
+    ("simulate_event", ["simulate", "--scheme", "event"], None),
+    ("simulate_proposed", ["simulate", "--scheme", "proposed"], None),
     ("sweep_velocity", ["sweep", "--axis", "velocity", "--values", "10,20,30,40,50,60,70,80,90,100"], None),
     ("sweep_power_jobs1", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "1"], None),
     ("sweep_power_jobs2", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "2"], None),
@@ -111,6 +115,10 @@ def main() -> None:
         for name, (command, *_), _ in RUNS:
             if command == "codebook-build":
                 digests[f"{name}/cells"] = _cell_digest(work / name / "codebook.json")
+    for name, slug in (("simulate_event", "event_based"), ("simulate_proposed", "proposed")):
+        trace = f"trace_{slug}.csv"  # a scheme run alone writes what it writes beside the others
+        if digests[f"{name}/{trace}"] != digests[f"simulate/{trace}"]:
+            raise SystemExit(f"{name}/{trace} differs from simulate/{trace}")
     for path in sorted(digests):
         print(f"{digests[path]}  {path}")
 

@@ -636,6 +636,32 @@ def test_cli_run_failure_exit_code(tmp_path, capsys):
         assert not (tmp_path / "out").exists()  # every scheme runs before anything is written
 
 
+@pytest.mark.parametrize("velocity", ["5e-324", "1e-300"])
+def test_cli_episode_too_long_to_sample_exit_code(tmp_path, capsys, velocity):
+    # a near-zero speed makes the episode's sample count infinite or too large for an array
+    # index, so the run fails with one line before it allocates anything
+    config = small_config_text(tmp_path)
+    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
+    slow = tmp_path / "slow.ini"
+    slow.write_text(config.read_text().replace("velocity_mps = 20.0", f"velocity_mps = {velocity}"))
+    named = f"velocity {float(velocity)!r} m/s needs "
+    sweep = ["sweep", "--jobs", "1", "--axis"]
+    runs = [
+        (slow, ["simulate", "--scheme", "all"], ""),
+        (config, [*sweep, "velocity", "--values", f"10,{velocity}"],
+         f"sweep point (value={float(velocity)!r}, scheme='proposed'): "),
+        (slow, [*sweep, "tx_power", "--values", "30,40"],
+         "sweep point (value=30.0, scheme='proposed'): "),
+    ]
+    capsys.readouterr()
+    for path, argv, point in runs:
+        assert main([*argv, "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"run error: {point}{named}"), err
+        assert err.endswith(" samples, too many to sample\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -47,8 +47,9 @@ from thztrack.exports import (
 )
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
-from thztrack.tracking import _event_beam, _TraceBuilder
-from conftest import aligned_rate, make_objective_spec, make_scenario
+from thztrack import tracking
+from thztrack.tracking import _Episode, _event_beam, _run, axis_scenario, run_schemes
+from conftest import DISTANCE_M, END_ANGLE_RAD, aligned_rate, make_objective_spec, make_scenario
 from gain_reference import direction_of
 
 TAU = 0.165
@@ -186,10 +187,17 @@ def _written_out_gain_and_rate(sins, dists, beam, sc):
     return gains, b.bandwidth * np.log1p(snr) / math.log(2)
 
 
+def _held(beam, count):
+    """A rule's beams that hold ``beam`` for each of ``count`` segments."""
+    for _ in range(count):
+        yield beam, "b"
+
+
 @pytest.mark.parametrize("length", [1, 3, 30, 100])
 def test_segment_bits_match_the_one_call_forms(small_scenario, length):
-    # the builder computes the channel once per episode and each segment only its
-    # rows, gains and rates; no bit may differ from evaluating the segment alone
+    # the driver computes the channel once per episode and the rows once per sensing
+    # period (50 samples), so a segment of 30 or 100 samples is evaluated in pieces;
+    # no bit may differ from evaluating the segment alone
     sc = small_scenario  # 32 antennas, omega up to 31 pi / 2
     centre = float(sc.directions_at([0.0])[0][0])
     beams = {
@@ -197,20 +205,140 @@ def test_segment_bits_match_the_one_call_forms(small_scenario, length):
         "wide": adaptive_precoder(AngularInterval(centre, 0.2), 0.35 * math.pi * 31, sc.cfg),
         "event": _event_beam(sc, centre, 0.0),
     }
-    for beam in beams.values():
-        builder = _TraceBuilder(sc, "test", length * sc.time_step)
-        assert builder.n_segments >= 3
-        for k in (0, builder.n_segments // 2):
-            builder.add_segment(k, beam, "b")
-            seg = slice(builder.starts[k], builder.starts[k + 1])
+    ep = _Episode(sc)
+    period = length * sc.time_step
+    starts = ep.starts(period)
+    assert len(starts) - 1 >= 3
+    rules = [("test", period, _held(beam, len(starts) - 1), []) for beam in beams.values()]
+    for beam, rec in zip(beams.values(), _run(ep, rules)):
+        for k in range(len(starts) - 2):  # every segment but the last, which takes the rest
+            seg = slice(starts[k], starts[k + 1])
             assert seg.stop - seg.start == length
-            sins, dists = builder.sins[seg], builder.dists[seg]
+            sins, dists = ep.sins[seg], ep.dists[seg]
             gains = bf_gain_profile(sins, beam, sc.cfg)
             rates = achievable_rate(gains, dists, sc.budget, sc.cfg)
-            assert np.array_equal(builder.gains[seg], gains)
-            assert np.array_equal(builder.rates[seg], rates)
+            assert np.array_equal(rec.bf_gains[seg], gains)
+            assert np.array_equal(rec.rates[seg], rates)
             written = _written_out_gain_and_rate(sins, dists, beam, sc)
             assert np.array_equal(gains, written[0]) and np.array_equal(rates, written[1])
+
+
+def _listening(beam, count, heard):
+    """A rule's beams that hold ``beam`` for ``count`` segments and keep each outage they hear."""
+    for _ in range(count):
+        heard.append((yield beam, "b"))
+
+
+def test_segment_hears_an_outage_in_any_of_its_pieces(small_scenario):
+    # segments of 30 samples cross the 50-sample sensing periods; each must hear, once,
+    # whether any of its pieces had an outage, wherever in the segment that outage fell
+    sc = small_scenario
+    ep = _Episode(sc)
+    period = 30 * sc.time_step
+    starts = ep.starts(period)
+    beams = [mrt_precoder(float(s), sc.cfg) for s in ep.sins[::40]]
+    heard = [[] for _ in beams]
+    rules = [("test", period, _listening(b, len(starts) - 1, h), []) for b, h in zip(beams, heard)]
+    only_before_last = only_in_last = 0
+    for rec, told in zip(_run(ep, rules), heard):
+        segments = list(zip(starts, starts[1:]))
+        assert told == [bool(rec.outages[a:b].any()) for a, b in segments]
+        for a, b in segments:
+            last = max([a] + [p for p in ep.periods if a < p < b])  # the segment's last piece
+            before, after = rec.outages[a:last].any(), rec.outages[last:b].any()
+            only_before_last += bool(before and not after)
+            only_in_last += bool(after and not before and last > a)
+    assert only_before_last > 0 and only_in_last > 0
+    # segments shorter than the time step are mostly empty, and each is still heard, in order
+    short = 0.6 * sc.time_step
+    starts, heard = ep.starts(short), []
+    (rec,) = _run(ep, [("test", short, _listening(beams[0], len(ep.starts(short)) - 1, heard), [])])
+    assert heard == [bool(rec.outages[a:b].any()) for a, b in zip(starts, starts[1:])]
+    assert len(heard) > len(ep.times)
+
+
+@pytest.fixture(scope="module")
+def wide_codebook(small_cfg, small_budget, small_pso):
+    """Coarse codebook covering the reference path from 0 to 100 m/s."""
+    sc = make_scenario(small_cfg, small_budget, velocity=20.0, time_step=TAU / 50.0)
+    grid = CodebookGrid(theta_step=0.02, delta_step=0.01, theta_range=(0.0, 0.5), delta_max=0.1)
+    return build_codebook(grid, make_objective_spec(sc, n_quad=16), small_pso)
+
+
+def _assert_same_record(shared: TrackRecord, alone: TrackRecord) -> None:
+    for f in fields(TrackRecord):
+        a, b = getattr(shared, f.name), getattr(alone, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        elif f.name == "realignment_times":
+            assert [t.hex() for t in a] == [t.hex() for t in b]
+        else:
+            assert a == b, f.name
+
+
+# velocity, time step in sensing periods, event slot (s), and the empty segment the case holds
+_SHARED_CASES = {
+    "v10": (10.0, 1 / 50, 0.05, None),
+    "v20": (20.0, 1 / 50, 0.05, None),
+    "v100": (100.0, 1 / 50, 0.05, None),
+    "static": (0.0, 1 / 50, 0.05, None),
+    "last-slot-empty": (20.0, 1 / 50, 0.05155, "slot"),
+    "slot-below-step": (20.0, 1 / 50, 0.001, "slot"),
+    # 5.02 periods of path sampled every tau / 10.5: no sample falls in the sixth period
+    "last-period-empty": (DISTANCE_M * math.tan(END_ANGLE_RAD) / (5.02 * TAU), 1 / 10.5, 0.05,
+                          "period"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SHARED_CASES))
+def test_shared_walk_equals_one_scheme_runs(small_cfg, small_budget, wide_codebook, case):
+    velocity, step, slot, empty = _SHARED_CASES[case]
+    sc = make_scenario(small_cfg, small_budget, velocity=velocity, time_step=TAU * step)
+    cb, params = wide_codebook, EventBasedParams(slot=slot)
+    ep = _Episode(sc)
+    if empty == "period":
+        assert ep.periods[-2] == ep.periods[-1]
+        assert len(run_conventional(sc).realignment_times) == len(ep.periods) - 1 == 6
+    if empty == "slot":
+        starts = ep.starts(slot)
+        assert starts[-2] == starts[-1]
+    shared = run_schemes(sc, ["proposed", "conventional", "event"], cb, params)
+    alone = [run_sensing_assisted(sc, cb), run_conventional(sc), run_event_based(sc, params)]
+    for rec, one in zip(shared, alone, strict=True):
+        _assert_same_record(rec, one)
+    # a slot evaluated in pieces realigns after an outage in any of them
+    starts, outages = ep.starts(slot), shared[2].outages
+    boundaries = [(k + 1) * slot for k in range(len(starts) - 1)]
+    realigned = [b for k, b in enumerate(boundaries) if outages[starts[k] : starts[k + 1]].any()]
+    assert shared[2].realignment_times == [0.0] + [b for b in realigned if b < sc.duration]
+    # any subset and order of the schemes gives the same records
+    reordered = run_schemes(sc, ["event", "proposed"], cb, params)
+    _assert_same_record(reordered[0], shared[2])
+    _assert_same_record(reordered[1], shared[0])
+
+
+def test_power_sweep_records_equal_one_scheme_runs(small_scenario, small_codebook, monkeypatch):
+    # each power's proposed record comes from one optimisation of every power's periods
+    seen = []
+
+    def spy(rec, window):
+        seen.append(rec)
+        return compute_metrics(rec, window)
+
+    monkeypatch.setattr(tracking, "compute_metrics", spy)
+    powers = [30.0, 40.0]
+    sweep(small_scenario, "tx_power", powers, ["proposed", "conventional", "event"], small_codebook)
+    assert len(seen) == 3 * len(powers)
+    cb = small_codebook
+    for i, power in enumerate(powers):
+        sc = axis_scenario(small_scenario, "tx_power", power)
+        alone = [
+            run_sensing_assisted_direct(sc, cb.pso, cb.alpha, cb.n_quad),
+            run_conventional(sc),
+            run_event_based(sc, EventBasedParams()),
+        ]
+        for rec, one in zip(seen[3 * i : 3 * i + 3], alone):
+            _assert_same_record(rec, one)
 
 
 def test_compute_metrics_constant_record():
