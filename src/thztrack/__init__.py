@@ -27,7 +27,6 @@ from .codebook import (
     load,
     lookup_indices,
     save,
-    scenario_fingerprint,
 )
 from .config import (
     ConfigError,

@@ -1,8 +1,8 @@
 """Command-line entry points: codebook-build, simulate, sweep, pattern.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 codebook error
-(missing file, version, fingerprint or header mismatch, corrupt payload), 4 run
-failure, including an output directory or file that cannot be created or written.
+(missing file, version, a build value that is not the scenario's, corrupt payload), 4
+run failure, including an output directory or file that cannot be created or written.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ def cmd_codebook_build(args) -> int:
     cb = build_codebook(grid, template, pso, jobs=args.jobs)
     elapsed = time.perf_counter() - started
     cbmod.save(cb, out_path)
-    print(f"cells={len(cb.entries)} seed={cb.pso.seed} fingerprint={cb.fingerprint}")
+    built = " ".join(f"{name}={value!r}" for name, value in cb.fingerprint.items())
+    print(f"cells={len(cb.entries)} seed={cb.pso.seed} {built}")
     print(f"written {out_path} in {elapsed:.1f} s")
     return EXIT_OK
 

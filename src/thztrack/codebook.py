@@ -8,27 +8,28 @@ reconstructed from (interval, omega), which is the single source of truth.
 Serialised format (JSON, UTF-8, sorted keys, compact separators so identical
 builds are byte-identical). Cells are not listed: their intervals follow from
 the grid and their seeds from the PSO seed, so only omega and the objective
-are stored, one value per cell in row-major order (centre index, then row):
+are stored, one value per cell in row-major order (centre index, then row).
+The fingerprint states by name every build value a cell's objective depends
+on, each once; :func:`check_scenario` compares them with a run's scenario:
 
     {
-      "alpha": float,
-      "fingerprint": str,          # sha256 over the build scenario
-      "format_version": 2,
+      "fingerprint": {"absorption_coeff": f, "alpha": f, "bandwidth": f,
+                      "carrier_freq": f, "n_antennas": int, "noise_psd": f,
+                      "perpendicular_distance": f, "r_min": f, "tau": f,
+                      "tx_power": f},
+      "format_version": 3,
       "grid": {"delta_max": f, "delta_step": f, "theta_lo": f,
                "theta_hi": f, "theta_step": f},
       "n_quad": int,
       "objective": [float, ...],
       "omega": [float, ...],
       "pso": {"bounds": [lo, hi], "cognitive": f, "inertia": f,
-              "n_iterations": int, "n_particles": int, "seed": int, "social": f},
-      "r_min": float,
-      "tau": float
+              "n_iterations": int, "n_particles": int, "seed": int, "social": f}
     }
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -41,7 +42,13 @@ from .precoder import Precoder, adaptive_precoder
 from .seeding import derive_seed
 from .textio import write_text
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+# the build values a cell's objective depends on, as the fingerprint names them
+FINGERPRINT = (
+    "n_antennas", "carrier_freq", "tx_power", "noise_psd", "bandwidth", "absorption_coeff",
+    "perpendicular_distance", "tau", "alpha", "r_min",
+)
 
 
 class CodebookError(Exception):
@@ -124,46 +131,47 @@ class CodebookEntry:
 
 @dataclass(frozen=True)
 class Codebook:
+    """Optimised cells of a grid, with the build values of :data:`FINGERPRINT` by name."""
+
     grid: CodebookGrid
     entries: dict[tuple[int, int], CodebookEntry]
-    fingerprint: str
-    tau: float
-    alpha: float
-    r_min: float
+    fingerprint: dict[str, float]
     n_quad: int
     pso: PsoConfig
 
+    tau = property(lambda self: self.fingerprint["tau"])
+    alpha = property(lambda self: self.fingerprint["alpha"])
+    r_min = property(lambda self: self.fingerprint["r_min"])
 
-def scenario_fingerprint(cfg, budget, tau: float, alpha: float, r_min: float) -> str:
-    """Hash of the build scenario; guards against stale codebooks at lookup time."""
-    text = (
-        f"v{FORMAT_VERSION}|nt={cfg.n_antennas!r}|fc={cfg.carrier_freq!r}"
-        f"|pt={budget.tx_power!r}|n0={budget.noise_psd!r}|b={budget.bandwidth!r}"
-        f"|k={budget.absorption_coeff!r}|tau={tau!r}|alpha={alpha!r}|rmin={r_min!r}"
+
+def _spec_fingerprint(spec: ObjectiveSpec) -> dict[str, float]:
+    """The :data:`FINGERPRINT` values of a period spec, by name."""
+    cfg, budget = spec.cfg, spec.budget
+    values = (
+        int(cfg.n_antennas), cfg.carrier_freq,
+        budget.tx_power, budget.noise_psd, budget.bandwidth, budget.absorption_coeff,
+        _template_perpendicular_distance(spec), spec.tau, spec.alpha, spec.r_min,
     )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return dict(zip(FINGERPRINT, values))
 
 
-def check_fingerprint(cb: Codebook, expected: str) -> None:
-    """Raise CodebookError unless ``cb`` was built for the ``expected`` scenario."""
-    if cb.fingerprint != expected:
-        raise CodebookError(
-            "codebook was built for a different scenario "
-            f"(stored {cb.fingerprint[:12]}..., expected {expected[:12]}...); rebuild the codebook"
-        )
+def check_fingerprint(cb: Codebook, expected: dict[str, float]) -> None:
+    """Raise CodebookError naming the first build value of ``cb`` not equal to ``expected``'s."""
+    for name in FINGERPRINT:
+        stored, value = cb.fingerprint[name], expected[name]
+        if stored != value:
+            raise CodebookError(
+                f"codebook {name} {stored!r} is not the scenario's {value!r}; rebuild the codebook"
+            )
 
 
 def check_scenario(cb: Codebook, sc, alpha: float) -> None:
     """Raise CodebookError unless ``cb`` serves scenario ``sc`` with penalty weight ``alpha``.
 
-    ``sc`` needs ``cfg``, ``budget``, ``tau`` and ``r_min``. The fingerprint hashes the
-    scenario's values, so the stored ``tau``, ``alpha`` and ``r_min`` must equal them too.
+    The scenario's values come from its first period's spec, as the build template's do, so
+    its path distance takes the same arithmetic on the same inputs.
     """
-    check_fingerprint(cb, scenario_fingerprint(sc.cfg, sc.budget, sc.tau, alpha, sc.r_min))
-    for name, value in {"tau": sc.tau, "alpha": alpha, "r_min": sc.r_min}.items():
-        stored = getattr(cb, name)
-        if stored != value:
-            raise CodebookError(f"codebook {name} {stored!r} is not the scenario's {value!r}")
+    check_fingerprint(cb, _spec_fingerprint(sc.period_spec(0.0, alpha, cb.n_quad)))
 
 
 def _template_perpendicular_distance(template: ObjectiveSpec) -> float:
@@ -211,20 +219,7 @@ def build_codebook(
         key: CodebookEntry(interval, r.omega_star, r.objective_value)
         for (key, interval), r in zip(cells, results)
     }
-
-    fingerprint = scenario_fingerprint(
-        template.cfg, template.budget, template.tau, template.alpha, template.r_min
-    )
-    return Codebook(
-        grid=grid,
-        entries=entries,
-        fingerprint=fingerprint,
-        tau=template.tau,
-        alpha=template.alpha,
-        r_min=template.r_min,
-        n_quad=template.n_quad,
-        pso=pso,
-    )
+    return Codebook(grid, entries, _spec_fingerprint(template), template.n_quad, pso)
 
 
 def lookup_indices(cb: Codebook, interval: AngularInterval) -> tuple[int, int]:
@@ -269,9 +264,6 @@ def _to_payload(cb: Codebook) -> dict:
             "theta_hi": hi,
             "delta_max": cb.grid.delta_max,
         },
-        "tau": cb.tau,
-        "alpha": cb.alpha,
-        "r_min": cb.r_min,
         "n_quad": cb.n_quad,
         "pso": asdict(cb.pso),
         "omega": [entry.omega for entry in entries],
@@ -294,18 +286,18 @@ def _finite(text: str) -> float:
 def _typed(value, name: str, kinds: tuple = (int,)):
     # bool is an int subclass, and a float such as 64.0 passes every range check
     if type(value) not in kinds:
-        noun = "string" if str in kinds else "number" if float in kinds else "integer"
+        noun = "object" if dict in kinds else "number" if float in kinds else "integer"
         raise CodebookError(f"codebook {name} {value!r} is not a JSON {noun}")
     return value
 
 
-def load(path, expected_fingerprint: str | None = None) -> Codebook:
+def load(path, expected_fingerprint: dict[str, float] | None = None) -> Codebook:
     """Read a codebook from a path, validating version and payload.
 
-    Non-finite numbers, mistyped or invalid settings, fewer than MIN_QUAD_NODES nodes,
-    omega and objective lists without one number per grid cell and out-of-bounds omegas
-    are rejected. A given ``expected_fingerprint`` must match the stored one; use
-    :func:`check_scenario` to tie the codebook to a run.
+    Non-finite numbers, mistyped or invalid settings, fewer than MIN_QUAD_NODES nodes, a
+    negative alpha, omega and objective lists without one number per grid cell and
+    out-of-bounds omegas are rejected. A given ``expected_fingerprint`` must equal the stored
+    one, value by value; use :func:`check_scenario` to tie the codebook to a run.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -344,13 +336,18 @@ def load(path, expected_fingerprint: str | None = None) -> Codebook:
         omegas, objectives = (
             [_typed(v, key, (int, float)) for v in payload[key]] for key in ("omega", "objective")
         )
-        header = {key: _typed(payload[key], key, (int, float)) for key in ("tau", "alpha", "r_min")}
-        header["fingerprint"] = _typed(payload["fingerprint"], "fingerprint", (str,))
+        stored = _typed(payload["fingerprint"], "fingerprint", (dict,))
+        fingerprint = {
+            key: _typed(stored[key], key, (int,) if key == "n_antennas" else (int, float))
+            for key in FINGERPRINT
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise CodebookError(f"codebook payload incomplete or invalid: {exc}") from exc
 
     if n_quad < MIN_QUAD_NODES:
         raise CodebookError(f"codebook n_quad {n_quad!r} is below {MIN_QUAD_NODES}")
+    if fingerprint["alpha"] < 0.0:  # runs build their period specs with the stored alpha
+        raise CodebookError(f"codebook alpha {fingerprint['alpha']!r} is negative")
     n_cells = grid.theta_count * grid.delta_count  # checked before any cell is built
     if not len(omegas) == len(objectives) == n_cells:
         raise CodebookError(
@@ -365,7 +362,7 @@ def load(path, expected_fingerprint: str | None = None) -> Codebook:
                 f"codebook cell {key} has omega {omega!r} outside the bounds {pso.bounds}"
             )
         entries[key] = CodebookEntry(interval, omega, value)
-    cb = Codebook(grid=grid, entries=entries, n_quad=n_quad, pso=pso, **header)
+    cb = Codebook(grid=grid, entries=entries, fingerprint=fingerprint, n_quad=n_quad, pso=pso)
 
     if expected_fingerprint is not None:
         check_fingerprint(cb, expected_fingerprint)

@@ -254,14 +254,17 @@ def _event_beam(sc: Scenario, centre: float, half_width: float) -> Precoder:
 
 
 def _event_beams(ep: _Episode, params: EventBasedParams, realignments: list[float]):
-    """The slot loop of :func:`run_event_based`: yields each slot's beam and is sent its outage."""
+    """The slot loop of :func:`run_event_based`: yields each slot's beam, None for a slot with no
+    sample, and is sent its outage."""
     sc = ep.sc
     (estimate,), _ = sc.directions_at([0.0])
     variance, segment = 0.0, 0
     growth = params.weight * params.rw_var * EVENT_VARIANCE_UNIT
-    for k in range(len(ep.starts(params.slot)) - 1):
+    starts = ep.starts(params.slot)
+    for k in range(len(starts) - 1):
         half_width = EVENT_COVERAGE_SIGMAS * math.sqrt(variance)
-        had_outage = yield _event_beam(sc, estimate, half_width), f"event[{segment}]"
+        beam = _event_beam(sc, estimate, half_width) if starts[k + 1] > starts[k] else None
+        had_outage = yield beam, f"event[{segment}]"
         boundary = (k + 1) * params.slot
         if had_outage and boundary < sc.duration:
             (estimate,), _ = sc.directions_at([boundary])
@@ -317,7 +320,7 @@ def _scheme_rule(key: str, ep: _Episode, cb, event_params, direct=None) -> tuple
 def _walk(ep: _Episode, rule: tuple, gains: np.ndarray, rates: np.ndarray, beam_ids: list[str]):
     """Coroutine evaluating ``rule`` on each sensing period sent as (lo, hi, rows); a segment
     crossing a period boundary is evaluated in pieces. The rule's beams yield each segment's
-    beam and id in order, empty segments included, and are sent whether the last had an outage.
+    beam (or None if it is empty) and id in order, and are sent whether the last had an outage.
     """
     sc, (_, period, beams, _) = ep.sc, rule
     starts = ep.starts(period)
@@ -389,7 +392,7 @@ def run_sensing_assisted_direct(
 
     Optimises each period's beam directly on its unquantised interval, for a
     scenario that no codebook matches. Transmit-power sweeps re-optimise for the
-    same reason (the fingerprint binds the build power); they optimise every
+    same reason (the fingerprint states the build power); they optimise every
     period of every power in one call, then run each power's schemes together.
     """
     ep = _Episode(sc)
@@ -460,7 +463,7 @@ def sweep(
     ``axis`` is "velocity" (m/s) or "tx_power" (dBm). Each value's scenario is
     sampled once, and its schemes share each sensing period's response rows
     (see :func:`run_schemes`). On the power axis the proposed scheme
-    re-optimises beams per period because the codebook is fingerprinted to its
+    re-optimises beams per period because the codebook's fingerprint holds its
     build power; only this optimisation, one call for every period of every
     power, uses up to ``jobs`` worker processes. Rows come back in input order.
     """

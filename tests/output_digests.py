@@ -9,14 +9,16 @@ the default codebook built at ``--jobs 1`` and ``--jobs 2``, ``simulate --scheme
 all`` at the configured 20 m/s and, on a copy of the configuration with
 ``velocity_mps`` replaced, at 10 and 100 m/s, ``simulate --scheme event`` and
 ``--scheme proposed`` alone at 20 m/s (their traces must equal the ``all`` run's,
-or the script fails), the velocity sweep 10-100 m/s,
+or the script fails), ``simulate --scheme event`` on a copy with ``slot_s =
+0.001``, whose slots mostly hold no sample, the velocity sweep 10-100 m/s,
 the ``tx_power`` sweep 20-50 dBm at ``--jobs 1`` and ``--jobs 2``, and
 ``pattern`` at 10, 50 and 90 m/s. Each line
 is ``sha256  relative-path``; a run's stdout counts as ``<run>/stdout``, with
 the temporary directory and the build's wall time masked. Each built codebook
 also gets a ``<run>/cells`` line: the digest of its loaded entries'
 ``(ti, di, theta_m, delta, omega, objective)`` reprs, which stays put when a
-new file format moves the bytes but no value. Takes about 9 s on two cores.
+new file format moves the bytes but no value. It prints 43 lines and takes about
+9 s on two cores.
 The file name keeps pytest from collecting it.
 """
 
@@ -33,16 +35,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "table1.ini"
 
-# (run name, CLI arguments after the command's --config and --out, velocity_mps in the
-# config or None for the configured one). Traces at 10 and 100 m/s hold many more and
-# many fewer samples per sensing period than the configured 20 m/s.
+# (run name, CLI arguments after the command's --config and --out, a (key, value) that
+# replaces one line of the config, or None for the shipped config). Traces at 10 and
+# 100 m/s hold many more and many fewer samples per sensing period than the configured
+# 20 m/s; a 1 ms event slot is shorter than the 1.65 ms time step.
 RUNS = [
     ("build_jobs1", ["codebook-build", "--jobs", "1"], None),
     ("build_jobs2", ["codebook-build", "--jobs", "2"], None),
     ("simulate", ["simulate", "--scheme", "all"], None),
-    ("simulate_v10", ["simulate", "--scheme", "all"], 10.0),
-    ("simulate_v100", ["simulate", "--scheme", "all"], 100.0),
+    ("simulate_v10", ["simulate", "--scheme", "all"], ("velocity_mps", 10.0)),
+    ("simulate_v100", ["simulate", "--scheme", "all"], ("velocity_mps", 100.0)),
     ("simulate_event", ["simulate", "--scheme", "event"], None),
+    ("simulate_event_slot1ms", ["simulate", "--scheme", "event"], ("slot_s", 0.001)),
     ("simulate_proposed", ["simulate", "--scheme", "proposed"], None),
     ("sweep_velocity", ["sweep", "--axis", "velocity", "--values", "10,20,30,40,50,60,70,80,90,100"], None),
     ("sweep_power_jobs1", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "1"], None),
@@ -51,15 +55,16 @@ RUNS = [
 ]
 
 
-def _config(velocity: float | None, configs: Path) -> Path:
-    """The shipped configuration, or a copy of it in ``configs`` with ``velocity_mps`` replaced."""
-    if velocity is None:
+def _config(edit: tuple[str, float] | None, configs: Path) -> Path:
+    """The shipped configuration, or a copy of it in ``configs`` with one key's value replaced."""
+    if edit is None:
         return CONFIG
-    line = f"velocity_mps = {velocity!r}"
-    text, count = re.subn(r"^velocity_mps = .*$", line, CONFIG.read_text(), flags=re.MULTILINE)
+    key, value = edit
+    line = f"{key} = {value!r}"
+    text, count = re.subn(rf"^{key} = .*$", line, CONFIG.read_text(), flags=re.MULTILINE)
     if count != 1:
-        raise SystemExit(f"{CONFIG} does not hold one velocity_mps line")
-    path = configs / f"velocity_{velocity!r}.ini"
+        raise SystemExit(f"{CONFIG} does not hold one {key} line")
+    path = configs / f"{key}_{value!r}.ini"
     path.write_text(text)
     return path
 
@@ -102,8 +107,8 @@ def main() -> None:
         work.mkdir()
         configs.mkdir()
         stdouts = {
-            name: _run(name, args, work, _config(velocity, configs))
-            for name, args, velocity in RUNS
+            name: _run(name, args, work, _config(edit, configs))
+            for name, args, edit in RUNS
         }
         digests = {
             path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

@@ -25,7 +25,6 @@ from thztrack import (
     objectives,
     optimize_omega,
     save,
-    scenario_fingerprint,
 )
 from thztrack.codebook import _cell_spec, _template_perpendicular_distance
 from thztrack.optimizer import SWARM_CHUNK
@@ -276,14 +275,12 @@ def test_parallel_build_matches_serial(tiny_build, small_pso):
 
 
 def test_load_fingerprint_mismatch(tiny_build, tmp_path):
-    _, template, cb = tiny_build
+    _, _, cb = tiny_build
     path = tmp_path / "cb.json"
     save(cb, path)
-    altered = scenario_fingerprint(
-        replace(template.cfg, n_antennas=64), template.budget, template.tau,
-        template.alpha, template.r_min,
-    )
-    with pytest.raises(CodebookError, match="different scenario"):
+    altered = {**cb.fingerprint, "n_antennas": 64}
+    expected = "^codebook n_antennas 32 is not the scenario's 64; rebuild the codebook$"
+    with pytest.raises(CodebookError, match=expected):
         load(path, expected_fingerprint=altered)
     # matching fingerprint loads fine
     load(path, expected_fingerprint=cb.fingerprint)
@@ -359,15 +356,16 @@ def test_grid_rejects_cells_reaching_sine_edge(tiny_build, tmp_path, theta_range
 
 
 def test_load_version_mismatch(tiny_build, tmp_path):
-    # format 1, which listed every cell as a row, has no reader either
+    # format 1, which listed every cell as a row, and format 2, which hashed the build
+    # scenario, have no reader either
     _, _, cb = tiny_build
     path = tmp_path / "cb.json"
     save(cb, path)
     payload = json.loads(path.read_text())
-    for version in (1, 999):
+    for version in (1, 2, 999):
         payload["format_version"] = version
         path.write_text(json.dumps(payload))
-        expected = f"unsupported codebook format {version}, expected 2; rebuild the codebook"
+        expected = f"unsupported codebook format {version}, expected 3; rebuild the codebook"
         with pytest.raises(CodebookError, match=f"^{expected}$"):
             load(path)
     del payload["format_version"]

@@ -24,6 +24,7 @@ from thztrack import (
     render_config,
 )
 from thztrack.cli import _build_parser, main
+from thztrack.codebook import FINGERPRINT
 from thztrack.config import _SECTIONS
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "table1.ini"
@@ -159,7 +160,8 @@ def test_cli_codebook_build_and_determinism(tmp_path, capsys):
     cb_path = tmp_path / "cb.json"
     assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
     out = capsys.readouterr().out
-    assert "fingerprint=" in out and "cells=" in out
+    # the build values the codebook is bound to, each by name
+    assert "cells=" in out and all(f" {name}=" in out for name in FINGERPRINT)
     first = cb_path.read_bytes()
     assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
     assert cb_path.read_bytes() == first
@@ -419,7 +421,7 @@ def _set(*path_and_value):
 
 
 # a float, bool or string where a count or seed belongs, header, grid and cell values that
-# are no numbers, and a fingerprint that is no string
+# are no numbers, and a fingerprint that is no object
 _MISTYPED = {
     "n_quad-float": (("n_quad", 16.0), "n_quad 16.0 is not a JSON integer"),
     "n_quad-fraction": (("n_quad", 16.5), "n_quad 16.5 is not a JSON integer"),
@@ -430,10 +432,10 @@ _MISTYPED = {
     "objective-string": (("objective", 0, "high"), "objective 'high' is not a JSON number"),
     "objective-null": (("objective", 1, None), "objective None is not a JSON number"),
     "omega-bool": (("omega", 2, True), "omega True is not a JSON number"),
-    "fingerprint-int": (("fingerprint", 123), "fingerprint 123 is not a JSON string"),
-    "alpha-string": (("alpha", "10.0"), "alpha '10.0' is not a JSON number"),
-    "tau-string": (("tau", "0.165"), "tau '0.165' is not a JSON number"),
-    "r_min-null": (("r_min", None), "r_min None is not a JSON number"),
+    "fingerprint-int": (("fingerprint", 123), "fingerprint 123 is not a JSON object"),
+    "alpha-string": (("fingerprint", "alpha", "10.0"), "alpha '10.0' is not a JSON number"),
+    "tau-string": (("fingerprint", "tau", "0.165"), "tau '0.165' is not a JSON number"),
+    "r_min-null": (("fingerprint", "r_min", None), "r_min None is not a JSON number"),
     "bounds-bool": (("pso", "bounds", [False, True]), "bound False is not a JSON number"),
     "upper-bound-bool": (("pso", "bounds", 1, True), "bound True is not a JSON number"),
     "inertia-bool": (("pso", "inertia", True), "inertia True is not a JSON number"),
@@ -448,8 +450,9 @@ _MISTYPED = {
 @pytest.mark.parametrize(
     "edit, message",
     [(_negative_lower_bound, "need 0 <= lo < hi"), (_four_quad_nodes, "n_quad 4 is below 8")]
+    + [(_set("fingerprint", "alpha", -1.0), "codebook alpha -1.0 is negative")]
     + [(_set(*path), message) for path, message in _MISTYPED.values()],
-    ids=["negative-lower-bound", "n_quad-4", *_MISTYPED],
+    ids=["negative-lower-bound", "n_quad-4", "alpha-negative", *_MISTYPED],
 )
 def test_cli_power_sweep_rejects_invalid_codebook(tmp_path, capsys, edit, message):
     # the power axis re-optimises with the stored settings, so load must reject bad ones
@@ -471,7 +474,19 @@ _HEADER_RUNS = {
     "sweep-velocity": ["sweep", "--axis", "velocity", "--values", "10", "--schemes", "proposed"],
     "sweep-tx_power": ["sweep", "--axis", "tx_power", "--values", "30", "--schemes", "proposed"],
 }
-_HEADER_EDITS = {"alpha": 5.0, "tau": 0.2, "r_min": 1.0}
+# a value unlike the small config's for every build value the fingerprint states
+_HEADER_EDITS = {
+    "n_antennas": 8,
+    "carrier_freq": 300e9,
+    "tx_power": 1.0,
+    "noise_psd": 1e-20,
+    "bandwidth": 1e9,
+    "absorption_coeff": 0.01,
+    "perpendicular_distance": 50.0,
+    "alpha": 5.0,
+    "tau": 0.2,
+    "r_min": 1.0,
+}
 _HEADER_CASES = [(run, field) for field in _HEADER_EDITS for run in _HEADER_RUNS]
 
 
@@ -481,13 +496,14 @@ _HEADER_CASES = [(run, field) for field in _HEADER_EDITS for run in _HEADER_RUNS
     ids=[run if field == "alpha" else f"{run}-{field}" for run, field in _HEADER_CASES],
 )
 def test_cli_rejects_codebook_alpha_its_fingerprint_did_not_hash(tmp_path, capsys, run, field):
-    # the fingerprint hashes the configured tau, alpha and r_min, while the stored header,
-    # which the runs read, can state others
+    # every stored build value is checked against the run's scenario, by name; tau, alpha
+    # and r_min, which the runs read, are stored only there
     config = small_config_text(tmp_path)
     assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
     path = tmp_path / "cb.json"
     payload = json.loads(path.read_text())
-    payload[field] = _HEADER_EDITS[field]
+    assert set(payload["fingerprint"]) == set(_HEADER_EDITS)
+    payload["fingerprint"][field] = _HEADER_EDITS[field]
     path.write_text(json.dumps(payload))
     out = tmp_path / "fresh"
     command, *extra = _HEADER_RUNS[run]
@@ -495,6 +511,29 @@ def test_cli_rejects_codebook_alpha_its_fingerprint_did_not_hash(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("codebook error:") and err.count("\n") == 1
     assert f"codebook {field} {_HEADER_EDITS[field]!r} is not the scenario's" in err
+    assert not out.exists()
+
+
+def test_cli_rejects_codebook_built_at_another_distance(tmp_path, capsys):
+    # with an explicit r_min the path distance reaches the scenario only through the cells,
+    # so the fingerprint must state it
+    config = small_config_text(tmp_path)
+    text = config.read_text().replace("r_min_bps = auto", "r_min_bps = 5000000000.0")
+    config.write_text(text)
+    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
+    # at half the distance and a quarter of the speed every period's interval is on the grid
+    nearer = tmp_path / "nearer.ini"
+    distance = "perpendicular_distance_m = "
+    text = text.replace(f"{distance}100.0", f"{distance}50.0")
+    nearer.write_text(text.replace("velocity_mps = 20.0", "velocity_mps = 5.0"))
+    capsys.readouterr()
+    out = tmp_path / "fresh"
+    argv = ["simulate", "--config", str(nearer), "--out", str(out), "--scheme", "proposed"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "codebook error: codebook perpendicular_distance 100.0 is not the scenario's 50.0; "
+        "rebuild the codebook\n"
+    )
     assert not out.exists()
 
 

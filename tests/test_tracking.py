@@ -45,6 +45,7 @@ from thztrack.exports import (
     write_sweep,
     write_trace,
 )
+from thztrack.codebook import _template_perpendicular_distance, check_scenario
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
 from thztrack import tracking
@@ -123,7 +124,8 @@ def test_outage_flags_consistent(small_scenario, small_codebook):
 def test_fingerprint_mismatch_rejected(small_cfg, small_budget, small_codebook):
     sc = make_scenario(small_cfg, small_budget, velocity=20.0, time_step=TAU / 50.0)
     bad = replace(sc, r_min=sc.r_min * 2.0)
-    with pytest.raises(CodebookError, match="different scenario"):
+    message = f"^codebook r_min {sc.r_min!r} is not the scenario's {bad.r_min!r}; rebuild"
+    with pytest.raises(CodebookError, match=message):
         run_sensing_assisted(bad, small_codebook)
 
 
@@ -131,12 +133,33 @@ def test_fingerprint_mismatch_rejected(small_cfg, small_budget, small_codebook):
 def test_header_the_fingerprint_did_not_hash_rejected(
     small_cfg, small_budget, small_codebook, field, value
 ):
-    # the fingerprint hashes the scenario's tau and r_min, so a stored header that differs
-    # would pass it; the run must still name the field
+    # tau and r_min are stored once, in the fingerprint, so the values the run reads are
+    # the values it checks, and the check names the field
     sc = make_scenario(small_cfg, small_budget, velocity=20.0, time_step=TAU / 50.0)
-    edited = replace(small_codebook, **{field: value})
+    edited = replace(small_codebook, fingerprint={**small_codebook.fingerprint, field: value})
+    assert getattr(edited, field) == value
     with pytest.raises(CodebookError, match=f"codebook {field} {value!r} is not the scenario's"):
         run_sensing_assisted(sc, edited)
+
+
+def test_rotated_geometry_check_binds_the_path_distance(small_cfg, small_budget, small_pso):
+    # the check computes the scenario's distance as the build does; on a rotated or moved BS
+    # that is not always sc.perpendicular_distance to the last bit
+    rng = np.random.default_rng(23)
+    grid = CodebookGrid(theta_step=0.01, delta_step=0.002, theta_range=(0.0, 0.0), delta_max=0.0)
+    exact = []
+    for origin, angle in zip(rng.uniform(-50.0, 50.0, (8, 2)), rng.uniform(-math.pi, math.pi, 8)):
+        geom = BsGeometry(origin=tuple(origin), boresight=(math.cos(angle), math.sin(angle)))
+        sc = replace(make_scenario(small_cfg, small_budget, velocity=20.0), geom=geom)
+        spec = sc.period_spec(0.0, 10.0, 16)
+        cb = build_codebook(grid, spec, small_pso)
+        assert cb.fingerprint["perpendicular_distance"] == _template_perpendicular_distance(spec)
+        exact.append(cb.fingerprint["perpendicular_distance"] == sc.perpendicular_distance)
+        check_scenario(cb, sc, 10.0)
+        nearer = replace(sc, perpendicular_distance=0.5 * sc.perpendicular_distance)
+        with pytest.raises(CodebookError, match="^codebook perpendicular_distance "):
+            check_scenario(cb, nearer, 10.0)
+    assert not all(exact)
 
 
 def test_interval_outside_grid_names_epoch(small_cfg, small_budget, small_codebook):
@@ -161,6 +184,23 @@ def test_event_moving_target_realigns(small_scenario):
     assert rec1.realignment_times == rec2.realignment_times
     assert np.array_equal(rec1.rates, rec2.rates)
     assert np.mean(np.diff(rec1.realignment_times)) / params.slot >= 1.0  # mean gap in slots
+
+
+def test_event_slot_with_no_sample_builds_no_beam(small_scenario, monkeypatch):
+    # a 1 ms slot is shorter than the 3.3 ms time step, so most slots hold no sample
+    params = EventBasedParams(slot=0.001)
+    starts = _Episode(small_scenario).starts(params.slot)
+    filled = sum(b > a for a, b in zip(starts, starts[1:]))
+    assert 0 < filled < len(starts) - 1
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _event_beam(*args)
+
+    monkeypatch.setattr(tracking, "_event_beam", counted)
+    run_event_based(small_scenario, params)
+    assert len(calls) == filled
 
 
 def test_event_beam_at_zero_width_is_mrt(small_scenario):
