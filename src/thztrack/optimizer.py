@@ -109,8 +109,9 @@ def pso_bounds(cfg: ArrayConfig) -> tuple[float, float]:
     return (0.0, half) if cfg.n_antennas % 2 == 0 else (0.0, 2.0 * half)
 
 
-# Specs per lockstep batch; each spec peaks at about 0.29 MB with steering, one step's arrays
-# and stream, so a full batch at about 4.6 MB. 32 was no faster than 16, and 64 slower.
+# Specs per lockstep batch. 32 takes 2-4% less CPU per cell than 16 and 64 about the same,
+# but each spec adds about 0.3 MB to the peak: codebook-build's peak RSS went from 45.2 MB at
+# 16 to 50.0 MB at 32 and 58.9 MB at 64 (2-core AMD EPYC), so 16 stays.
 SWARM_CHUNK = 16
 
 

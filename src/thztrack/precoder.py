@@ -44,13 +44,17 @@ class Precoder:
 def sample_fn(x):
     """Sampling kernel Sa(x) = sin(x)/x, exactly 1 where x == 0. Accepts arrays.
 
-    Dividing sin(x) by x directly keeps full relative accuracy as x -> 0. sin runs
-    only where x != 0, so an all-zero input (a delta = 0 beam) costs no trig call.
+    Dividing sin(x) by x directly keeps full relative accuracy as x -> 0. sin and the
+    division run unmasked over the whole input, which is faster than ``where=`` passes;
+    the 0/0 entries are then overwritten with 1.
     """
     x = np.asarray(x, dtype=float)
-    out, nonzero = np.ones_like(x), x != 0.0
-    np.sin(x, out=out, where=nonzero)
-    return np.divide(out, x, out=out, where=nonzero)
+    out = np.empty_like(x)  # an array even for 0-d x, where np.sin returns a scalar
+    np.sin(x, out=out)
+    with np.errstate(invalid="ignore"):
+        np.divide(out, x, out=out)
+    out[x == 0.0] = 1.0
+    return out
 
 
 TAPER_DIRECT = 0.25
@@ -70,14 +74,17 @@ def taper(a: np.ndarray, b: np.ndarray, rot: np.ndarray) -> np.ndarray:
     a instead of one per antenna. Where |a - b_n| < TAPER_DIRECT that difference
     loses relative accuracy, so Sa takes a - b_n directly, which is exact where
     a and b_n are that close; those entries are gathered once by flat index.
+    x = a - b_n is the K = 2 product [a, 1] @ [1; -b_n]: both of its products are
+    exact and their sum is rounded once, so it has the bits of the subtraction.
     """
-    x = np.subtract(a[..., None], b)
+    pair = np.empty(a.shape + (2,))
+    pair[..., 0], pair[..., 1] = a, 1.0
+    x = np.matmul(pair, np.concatenate([np.ones_like(b), -b], axis=-2))
     g = np.abs(x)
     near = np.less(g, TAPER_DIRECT)
-    trig = np.empty(a.shape + (2,))
-    np.sin(a, out=trig[..., 0])
-    np.cos(a, out=trig[..., 1])
-    np.matmul(trig, rot, out=g)
+    np.sin(a, out=pair[..., 0])
+    np.cos(a, out=pair[..., 1])
+    np.matmul(pair, rot, out=g)
     with np.errstate(divide="ignore", invalid="ignore"):
         g /= x  # x == 0 only where near
     flat = np.flatnonzero(near)

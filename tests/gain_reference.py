@@ -24,6 +24,7 @@ from thztrack import (
     sample_fn,
 )
 from thztrack.optimizer import _PeriodEvaluator, _omega_row
+from thztrack.precoder import TAPER_DIRECT
 
 
 def direction_of(position, geom: BsGeometry) -> tuple[float, float]:
@@ -71,6 +72,31 @@ def g_coeff(n: int, omega: float, delta: float) -> float:
     if delta < 0.0:
         raise ValueError(f"half-width must be non-negative, got {delta!r}")
     return float(sample_fn(delta * (omega - (n - 1) * np.pi)))
+
+
+def sample_fn_masked(x):
+    """Sa(x) = sin(x)/x with sin and the division masked to x != 0, 1 elsewhere."""
+    x = np.asarray(x, dtype=float)
+    out, nonzero = np.ones_like(x), x != 0.0
+    np.sin(x, out=out, where=nonzero)
+    return np.divide(out, x, out=out, where=nonzero)
+
+
+def taper_subtract_form(a: np.ndarray, b: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """:func:`~thztrack.precoder.taper` with x = a - b_n by ``np.subtract`` and its near
+    entries by :func:`sample_fn_masked`."""
+    x = np.subtract(a[..., None], b)
+    g = np.abs(x)
+    near = np.less(g, TAPER_DIRECT)
+    trig = np.empty(a.shape + (2,))
+    np.sin(a, out=trig[..., 0])
+    np.cos(a, out=trig[..., 1])
+    np.matmul(trig, rot, out=g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g /= x  # x == 0 only where near
+    flat = np.flatnonzero(near)
+    g.put(flat, sample_fn_masked(x.take(flat)))
+    return g
 
 
 def bf_gain_closed_form(

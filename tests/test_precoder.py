@@ -24,6 +24,7 @@ from gain_reference import (
     bf_gain_direct,
     bf_gain_profile_outer,
     g_coeff,
+    taper_subtract_form,
 )
 
 CFG128 = ArrayConfig(128, CARRIER_HZ)
@@ -97,6 +98,37 @@ def test_taper_near_entries_are_sample_fn_bits(n_antennas):
     got = taper(a, b, rot)
     assert np.array_equal(got[near], sample_fn(x[near]))
     assert np.all(got[0] == 1.0)
+
+
+def test_sample_fn_is_sin_over_x_and_one_at_zero():
+    rng = np.random.default_rng(24)
+    x = np.concatenate([rng.normal(0.0, 10.0, 4000), rng.uniform(-1e-6, 1e-6, 100), [1e-300, -5e-324]])
+    assert np.array_equal(sample_fn(x).view(np.int64), (np.sin(x) / x).view(np.int64))
+    assert np.all(sample_fn(np.array([0.0, -0.0, 0.0])) == 1.0)
+    zero = sample_fn(0.0)
+    assert zero.shape == () and zero == 1.0 and sample_fn(-0.0) == 1.0
+    assert np.all(sample_fn(np.zeros((3, 128))) == 1.0)  # an MRT beam's taper
+
+
+@pytest.mark.parametrize("n_antennas", [3, 128])
+def test_taper_bits_match_the_subtract_form(n_antennas):
+    # x = a - b_n as a K = 2 product gives every entry the bits of the subtraction
+    rng = np.random.default_rng(n_antennas)
+    lo, hi = pso_bounds(ArrayConfig(n_antennas, CARRIER_HZ))
+    deltas = np.array([0.0, 0.002, 0.084, 0.3])
+    grid = math.pi * np.arange(n_antennas)[:: max(1, n_antennas // 16)]  # a - b_n exactly 0
+    omegas = np.concatenate([[lo, hi], grid, rng.uniform(lo, hi, 40 - 2 - len(grid))])
+    # the objective's layout: deltas x [a, mirrored a] x omegas against a half-size table
+    b, rot = taper_table(deltas[:, None], n_antennas)
+    a = np.empty((len(deltas), 2, len(omegas)))
+    a[:, 0] = deltas[:, None] * omegas
+    a[:, 1] = deltas[:, None] * (math.pi * (2 * n_antennas - 1)) - a[:, 0]
+    assert np.any(np.subtract(a[1:, ..., None], b[1:]) == 0.0)  # at delta > 0 too
+    for width in (1, 2, 3, 4, 5, 40):
+        cols = rng.choice(len(omegas), width, replace=False) if width < 40 else slice(None)
+        part = np.ascontiguousarray(a[:, :, cols])
+        got, expected = taper(part, b, rot), taper_subtract_form(part, b, rot)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), width
 
 
 def test_g_coeff_values():
