@@ -47,7 +47,6 @@ from .geometry import (
     BsGeometry,
     SensedState,
     path_to_interval,
-    point_at_direction,
     pose_to_direction,
     positions_to_directions,
     predict_pose,

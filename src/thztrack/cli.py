@@ -1,8 +1,8 @@
 """Command-line entry points: codebook-build, simulate, sweep, pattern.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 codebook error
-(missing file, version, a build value that is not the scenario's, corrupt payload), 4
-run failure, including an output directory or file that cannot be created or written.
+Exit codes: 0 success, 2 configuration or usage error, 3 codebook error (missing file,
+version, a build value that is not the scenario's, corrupt payload), 4 run failure, including
+an output that cannot be created or written and an input-sized allocation memory cannot hold.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TrackingRunError as exc:
+    except (TrackingRunError, MemoryError) as exc:  # MemoryError: an allocation sized by input
         print(f"run error: {exc}", file=sys.stderr)
         return EXIT_RUN
     except CodebookError as exc:

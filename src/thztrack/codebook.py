@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .geometry import AngularInterval, SensedState, point_at_direction
+from .geometry import AngularInterval, SensedState
 from .optimizer import MIN_QUAD_NODES, ObjectiveSpec, PsoConfig, optimize_omegas
 from .precoder import Precoder, adaptive_precoder
 from .seeding import derive_seed
@@ -168,20 +168,18 @@ def check_fingerprint(cb: Codebook, expected: dict[str, float]) -> None:
 def check_scenario(cb: Codebook, sc, alpha: float) -> None:
     """Raise CodebookError unless ``cb`` serves scenario ``sc`` with penalty weight ``alpha``.
 
-    The scenario's values come from its first period's spec, as the build template's do, so
-    its path distance takes the same arithmetic on the same inputs.
+    The scenario's values are read from its first period's spec, as the build's are from its
+    template.
     """
     check_fingerprint(cb, _spec_fingerprint(sc.period_spec(0.0, alpha, cb.n_quad)))
 
 
 def _template_perpendicular_distance(template: ObjectiveSpec) -> float:
-    """Distance from the BS to the template's position along boresight.
+    """The path distance D: the x of the template's position in the BS frame.
 
     Cell paths run parallel to the array, so this holds for a static target too.
     """
-    (ox, oy), (px, py) = template.geom.origin, template.state.position
-    bx, by = template.geom.boresight
-    return (px - ox) * bx + (py - oy) * by
+    return template.state.position[0]
 
 
 def _cell_spec(
@@ -189,16 +187,14 @@ def _cell_spec(
 ) -> ObjectiveSpec:
     """Canonical period spec whose path sweeps exactly [theta-delta, theta+delta].
 
-    The target rides a line parallel to the array at the template's
-    perpendicular distance, so the cell-centre range follows that geometry.
+    In the BS frame the target rides the line x = ``distance_scale``, parallel to the
+    array, from the point at sine theta-delta to the one at theta+delta in one period.
     """
     interval = AngularInterval(theta_m, delta)
-    p0, p1 = (
-        point_at_direction(template.geom, s, distance_scale / math.sqrt(1.0 - s * s))
-        for s in (interval.lo, interval.hi)
-    )
-    velocity = ((p1[0] - p0[0]) / template.tau, (p1[1] - p0[1]) / template.tau)
-    state = SensedState(position=p0, velocity=velocity)
+    ends = [(s, distance_scale / math.sqrt(1.0 - s * s)) for s in (interval.lo, interval.hi)]
+    (x0, y0), (x1, y1) = ((d * math.sqrt(max(0.0, 1.0 - s * s)), d * s) for s, d in ends)
+    velocity = ((x1 - x0) / template.tau, (y1 - y0) / template.tau)
+    state = SensedState(position=(x0, y0), velocity=velocity)
     return replace(template, state=state, interval=interval)
 
 

@@ -1,8 +1,11 @@
 """Constant-velocity target kinematics and sine-space geometry seen from a fixed base station.
 
 All angular quantities that cross module boundaries are expressed as the sine
-of the angle from the array broadside, i.e. values in [-1, 1]. Conversion from
-Cartesian poses happens here and nowhere else.
+of the angle from the array broadside, i.e. values in [-1, 1]; positions become
+sines only through :func:`positions_to_directions`. Sensed states and the paths
+predicted from them are in the BS frame: the BS at the origin, x along boresight
+(so a path parallel to the array sits at x = D) and y lateral. That frame is the
+default ``geom``; only the true path a scenario samples is placed by another.
 """
 
 from __future__ import annotations
@@ -46,11 +49,8 @@ class BsGeometry:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"boresight must be a unit vector, got norm {norm!r}")
 
-    @property
-    def lateral(self) -> Point:
-        """Unit vector perpendicular to boresight (90 degrees counter-clockwise)."""
-        bx, by = self.boresight
-        return (-by, bx)
+
+BS_FRAME = BsGeometry()  # the frame of sensed states and predicted paths
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def predict_pose(state: SensedState, t: float, tau: float) -> Point:
     )
 
 
-def positions_to_directions(xs, ys, geom: BsGeometry) -> tuple[np.ndarray, np.ndarray]:
+def positions_to_directions(xs, ys, geom: BsGeometry = BS_FRAME) -> tuple[np.ndarray, np.ndarray]:
     """(signed sines of the boresight angle, distances) of Cartesian positions (xs, ys).
 
     The sine is positive towards the geometry's lateral direction. For a target
@@ -118,7 +118,7 @@ def pose_to_direction(position: Point, geom: BsGeometry) -> tuple[float, float]:
     return float(sin_dir), float(distance)
 
 
-def path_to_interval(state: SensedState, tau: float, geom: BsGeometry) -> AngularInterval:
+def path_to_interval(state: SensedState, tau: float, geom: BsGeometry = BS_FRAME) -> AngularInterval:
     """Sine-space interval swept by the predicted path over one sensing period.
 
     The centre is the midpoint of the endpoint sines and the half-width their
@@ -129,19 +129,4 @@ def path_to_interval(state: SensedState, tau: float, geom: BsGeometry) -> Angula
     return AngularInterval(
         theta_m=0.5 * (sin0 + sin1),
         delta=0.5 * abs(sin1 - sin0),
-    )
-
-
-def point_at_direction(geom: BsGeometry, sin_dir: float, distance: float) -> Point:
-    """World position at a given signed sine direction and range from the BS."""
-    if not -1.0 <= sin_dir <= 1.0:
-        raise ValueError(f"sine direction must lie in [-1, 1], got {sin_dir!r}")
-    if distance <= 0.0:
-        raise ValueError(f"distance must be positive, got {distance!r}")
-    cos_dir = math.sqrt(max(0.0, 1.0 - sin_dir * sin_dir))
-    bx, by = geom.boresight
-    px, py = geom.lateral
-    return (
-        geom.origin[0] + distance * (cos_dir * bx + sin_dir * px),
-        geom.origin[1] + distance * (cos_dir * by + sin_dir * py),
     )

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
 from .channel import ArrayConfig, LinkBudget, channel_gain
-from .geometry import AngularInterval, BsGeometry, SensedState, positions_to_directions
+from .geometry import AngularInterval, SensedState, positions_to_directions
 from .precoder import taper, taper_table
 
 
@@ -35,7 +35,7 @@ MIN_QUAD_NODES = 8
 class ObjectiveSpec:
     """Everything needed to evaluate the per-period objective for one interval.
 
-    ``geom`` defaults to a BS at the origin with boresight along +x.
+    ``state`` is the sensed state in the BS frame (see :mod:`thztrack.geometry`).
     """
 
     state: SensedState
@@ -46,7 +46,6 @@ class ObjectiveSpec:
     r_min: float
     alpha: float
     n_quad: int = 64
-    geom: BsGeometry = field(default_factory=BsGeometry)
 
     def __post_init__(self):
         if not self.tau > 0.0:
@@ -153,7 +152,7 @@ class _PeriodEvaluator:
         for spec in specs:
             t = spec.tau * unit  # predicted path p0 + v0 * t at the nodes
             (x0, y0), (vx, vy) = spec.state.position, spec.state.velocity
-            sins, dists = positions_to_directions(x0 + vx * t, y0 + vy * t, spec.geom)
+            sins, dists = positions_to_directions(x0 + vx * t, y0 + vy * t)
             phase = np.outer(offsets, sins - spec.interval.theta_m)
             cos = np.cos(phase)
             if self.odd:
@@ -297,7 +296,12 @@ def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
     lo, hi = pso.bounds
     # each swarm's whole stream, drawn in the order of one random(n_particles) per use
     shape = (2 * pso.n_iterations + 2, pso.n_particles)
-    draws = np.stack([np.random.default_rng(seed).random(shape) for seed in seeds], axis=1)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    try:
+        draws = np.stack([rng.random(shape) for rng in rngs], axis=1)
+    except (MemoryError, ValueError) as exc:  # numpy's error for more bytes than it can index
+        msg = f"{pso.n_particles} particles over {pso.n_iterations} iterations need more random"
+        raise MemoryError(f"{msg} draws than memory holds") from exc
 
     span = hi - lo
     v_max = 0.2 * span

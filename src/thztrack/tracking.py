@@ -80,7 +80,9 @@ class Scenario:
 
     The target rides a line parallel to the array at perpendicular distance
     ``perpendicular_distance``, from ``start_angle`` to ``end_angle`` (radians
-    from broadside) at constant speed. ``r_min`` is the outage threshold.
+    from broadside) at constant speed. ``r_min`` is the outage threshold. ``geom``
+    places only the true path that traces sample (:meth:`position_at`,
+    :meth:`directions_at`); the BS senses and predicts in its own frame.
     """
 
     cfg: ArrayConfig
@@ -130,7 +132,7 @@ class Scenario:
     def position_at(self, t):
         """Target position at time ``t``; an array of times gives arrays of coordinates."""
         bx, by = self.geom.boresight
-        px, py = self.geom.lateral
+        px, py = -by, bx  # lateral: boresight turned 90 degrees counter-clockwise
         lateral = self.lateral_start + self.velocity * t
         d = self.perpendicular_distance
         return (
@@ -139,11 +141,10 @@ class Scenario:
         )
 
     def state_at(self, t: float) -> SensedState:
-        px, py = self.geom.lateral
-        return SensedState(
-            position=self.position_at(t),
-            velocity=(self.velocity * px, self.velocity * py),
-        )
+        """The state the BS senses at time ``t``, in its own frame: position (D, lateral offset)
+        and velocity (0, v), whatever ``geom`` is."""
+        position = (self.perpendicular_distance, self.lateral_start + self.velocity * t)
+        return SensedState(position=position, velocity=(0.0, self.velocity))
 
     def directions_at(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(sines, distances) of the target at every time in ``times``."""
@@ -156,13 +157,12 @@ class Scenario:
         return ObjectiveSpec(
             state=state,
             tau=self.tau,
-            interval=path_to_interval(state, self.tau, self.geom),
+            interval=path_to_interval(state, self.tau),
             budget=self.budget,
             cfg=self.cfg,
             r_min=self.r_min,
             alpha=alpha,
             n_quad=n_quad,
-            geom=self.geom,
         )
 
 
@@ -298,7 +298,7 @@ def _scheme_rule(key: str, ep: _Episode, cb, event_params, direct=None) -> tuple
         check_scenario(cb, sc, cb.alpha)
         cells = []
         for k, epoch in enumerate(epochs):
-            interval = path_to_interval(sc.state_at(epoch), sc.tau, sc.geom)
+            interval = path_to_interval(sc.state_at(epoch), sc.tau)
             try:
                 cells.append(lookup_indices(cb, interval))
             except CodebookError as exc:

@@ -23,6 +23,7 @@ from thztrack import (
     predict_pose,
     sample_fn,
 )
+from thztrack.geometry import BS_FRAME
 from thztrack.optimizer import _PeriodEvaluator, _omega_row
 from thztrack.precoder import TAPER_DIRECT
 
@@ -141,7 +142,7 @@ def period_rates(spec: ObjectiveSpec, omegas) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(spec.n_quad)
     t = 0.5 * spec.tau * (nodes + 1.0)
     directions = [
-        direction_of(predict_pose(spec.state, float(tk), spec.tau), spec.geom) for tk in t
+        direction_of(predict_pose(spec.state, float(tk), spec.tau), BS_FRAME) for tk in t
     ]
     sins, dists = (np.array(v) for v in zip(*directions))
     h0 = channel_gain(dists, spec.budget, spec.cfg)

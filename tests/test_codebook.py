@@ -423,6 +423,6 @@ def test_cell_spec_reproduces_interval(small_cfg, small_budget):
     distance = _template_perpendicular_distance(template)
     assert distance == pytest.approx(100.0, rel=1e-12)
     spec = _cell_spec(template, 0.12, 0.03, distance)
-    interval = path_to_interval(spec.state, spec.tau, spec.geom)
+    interval = path_to_interval(spec.state, spec.tau)
     assert interval.theta_m == pytest.approx(0.12, abs=1e-12)
     assert interval.delta == pytest.approx(0.03, abs=1e-12)

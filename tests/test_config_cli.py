@@ -701,6 +701,65 @@ def test_cli_episode_too_long_to_sample_exit_code(tmp_path, capsys, velocity):
         assert not (tmp_path / "out").exists()
 
 
+# 40 particles over 10**15 iterations draw 2e15 x 40 floats of 8 bytes, 568 PiB: past a 57-bit
+# address space, so no host can map them, whatever its overcommit setting
+_HUGE_SWARMS = {
+    "n_iterations": {"n_particles": 40, "n_iterations": 10**15},
+    "n_particles": {"n_particles": 10**18},
+}
+
+
+def _huge_swarm_error(case: str) -> str:
+    sizes = {"n_particles": 8, "n_iterations": 10, **_HUGE_SWARMS[case]}
+    return (
+        f"run error: {sizes['n_particles']} particles over {sizes['n_iterations']} iterations"
+        " need more random draws than memory holds\n"
+    )
+
+
+def _edited(config: Path, **values) -> Path:
+    """A copy of ``config`` beside it, with each named key set to its value."""
+    lines = []
+    for line in config.read_text().splitlines():
+        key = line.split(" = ")[0]
+        lines.append(f"{key} = {values[key]}" if key in values else line)
+    edited = config.with_name("edited.ini")
+    edited.write_text("\n".join(lines) + "\n")
+    return edited
+
+
+@pytest.mark.parametrize("case", _HUGE_SWARMS)
+def test_cli_pattern_swarm_too_large_for_memory_exit_code(tmp_path, capsys, case):
+    config = _edited(small_config_text(tmp_path), **_HUGE_SWARMS[case])
+    assert main(["pattern", "--config", str(config), "--velocities", "10"]) == 4
+    assert capsys.readouterr().err == _huge_swarm_error(case)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_codebook_build_swarm_too_large_for_memory_exit_code(tmp_path, capsys):
+    # 18 of the small grid's 27 cells run swarms, in two chunks, so the error crosses the pool
+    config = _edited(small_config_text(tmp_path), **_HUGE_SWARMS["n_iterations"])
+    assert main(["codebook-build", "--config", str(config), "--jobs", "2"]) == 4
+    assert capsys.readouterr().err == _huge_swarm_error("n_iterations")
+    assert not (tmp_path / "cb.json").exists()
+
+
+def test_cli_power_sweep_swarm_too_large_for_memory_exit_code(tmp_path, capsys):
+    # the power axis re-optimises each period with the codebook's stored swarm settings
+    config = _edited(small_config_text(tmp_path), theta_hi=0.0, delta_max=0.0)  # one cell
+    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
+    path = tmp_path / "cb.json"
+    payload = json.loads(path.read_text())
+    assert len(payload["omega"]) == 1
+    payload["pso"].update(_HUGE_SWARMS["n_iterations"])
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    argv = ["sweep", "--config", str(config), "--axis", "tx_power", "--values", "30,40"]
+    assert main([*argv, "--schemes", "proposed", "--jobs", "1"]) == 4
+    assert capsys.readouterr().err == _huge_swarm_error("n_iterations")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

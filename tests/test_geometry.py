@@ -12,7 +12,6 @@ from thztrack import (
     BsGeometry,
     SensedState,
     path_to_interval,
-    point_at_direction,
     pose_to_direction,
     predict_pose,
 )
@@ -151,16 +150,3 @@ def test_interval_validation():
 def test_boresight_must_be_unit():
     with pytest.raises(ValueError):
         BsGeometry(origin=(0.0, 0.0), boresight=(1.0, 1.0))
-
-
-def test_point_at_direction_round_trip():
-    rng = np.random.default_rng(3)
-    geom = BsGeometry(origin=(5.0, -2.0), boresight=(0.0, 1.0))
-    for _ in range(200):
-        s = rng.uniform(-0.99, 0.99)
-        d = rng.uniform(1.0, 500.0)
-        pos = point_at_direction(geom, s, d)
-        sin_dir, dist = pose_to_direction(pos, geom)
-        assert sin_dir == pytest.approx(s, abs=1e-12)
-        assert dist == pytest.approx(d, rel=1e-12)
-

@@ -30,6 +30,7 @@ from thztrack import (
 )
 from thztrack.codebook import _cell_spec, _template_perpendicular_distance
 from thztrack.config import build_grid, build_objective_template, build_pso, parse_config_file
+from thztrack.geometry import BS_FRAME
 from thztrack.optimizer import SWARM_CHUNK, _gauss_legendre, _lockstep_swarms, _PeriodEvaluator
 from thztrack.precoder import taper
 from conftest import CARRIER_HZ, aligned_rate, make_budget, make_objective_spec, make_scenario
@@ -77,7 +78,7 @@ def test_objective_zero_alpha_matches_manual_quadrature():
     beam = adaptive_precoder(spec.interval, omega, spec.cfg)
     total = 0.0
     for tk, wk in zip(t, w):
-        sin_dir, dist = direction_of(predict_pose(spec.state, float(tk), spec.tau), spec.geom)
+        sin_dir, dist = direction_of(predict_pose(spec.state, float(tk), spec.tau), BS_FRAME)
         rate = achievable_rate(bf_gain_direct(sin_dir, beam, spec.cfg), dist, spec.budget, spec.cfg)
         total += wk * rate
     assert objectives([omega], spec)[0] == pytest.approx(total / spec.tau, rel=1e-10)
@@ -433,7 +434,7 @@ def test_optimize_omegas_passes_spec_error_through(jobs):
     # a target at the BS origin has no direction; its ValueError reaches the caller, from a worker too
     specs = _mixed_specs(CFG, SWARM_CHUNK + 4, np.random.default_rng(12))
     bad = SWARM_CHUNK + 2  # in the second chunk
-    at_origin = SensedState(position=specs[bad].geom.origin, velocity=(0.0, 0.0))
+    at_origin = SensedState(position=BS_FRAME.origin, velocity=(0.0, 0.0))
     specs[bad] = replace(specs[bad], state=at_origin)
     pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=8, n_iterations=5)
     with pytest.raises(ValueError, match="origin"):

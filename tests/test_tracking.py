@@ -143,8 +143,8 @@ def test_header_the_fingerprint_did_not_hash_rejected(
 
 
 def test_rotated_geometry_check_binds_the_path_distance(small_cfg, small_budget, small_pso):
-    # the check computes the scenario's distance as the build does; on a rotated or moved BS
-    # that is not always sc.perpendicular_distance to the last bit
+    # the check computes the scenario's distance as the build does; both sense in the BS
+    # frame, so on a rotated or moved BS that is sc.perpendicular_distance to the last bit
     rng = np.random.default_rng(23)
     grid = CodebookGrid(theta_step=0.01, delta_step=0.002, theta_range=(0.0, 0.0), delta_max=0.0)
     exact = []
@@ -159,7 +159,35 @@ def test_rotated_geometry_check_binds_the_path_distance(small_cfg, small_budget,
         nearer = replace(sc, perpendicular_distance=0.5 * sc.perpendicular_distance)
         with pytest.raises(CodebookError, match="^codebook perpendicular_distance "):
             check_scenario(cb, nearer, 10.0)
-    assert not all(exact)
+    assert all(exact)
+
+
+def test_period_specs_and_codebooks_do_not_depend_on_the_bs_placement(
+    small_cfg, small_budget, small_pso
+):
+    # the BS senses, predicts and optimises in its own frame; its placement moves only the
+    # true path a trace samples, so every spec field and every codebook bit stays put
+    rng = np.random.default_rng(23)
+    grid = CodebookGrid(theta_step=0.02, delta_step=0.005, theta_range=(0.0, 0.04), delta_max=0.01)
+    default = make_scenario(small_cfg, small_budget, velocity=20.0)
+
+    def specs(sc):
+        return [sc.period_spec(k * sc.tau, 10.0, 16) for k in range(5)]
+
+    def bits(sc):
+        cb = build_codebook(grid, specs(sc)[0], small_pso)
+        cells = [(e.omega.hex(), e.objective_value.hex()) for _, e in sorted(cb.entries.items())]
+        return repr(cb.fingerprint), cells
+
+    expected_specs, expected_bits = specs(default), bits(default)
+    assert len(expected_bits[1]) == 9
+    for origin, angle in zip(rng.uniform(-50.0, 50.0, (8, 2)), rng.uniform(-math.pi, math.pi, 8)):
+        geom = BsGeometry(origin=tuple(origin), boresight=(math.cos(angle), math.sin(angle)))
+        sc = replace(default, geom=geom)
+        for spec, expected in zip(specs(sc), expected_specs):
+            for f in fields(spec):
+                assert repr(getattr(spec, f.name)) == repr(getattr(expected, f.name)), f.name
+        assert bits(sc) == expected_bits
 
 
 def test_interval_outside_grid_names_epoch(small_cfg, small_budget, small_codebook):
