@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +61,10 @@ def _out_dir(args, config: RunConfig) -> Path:
     return out
 
 
-def _load_codebook(args, config: RunConfig, scenario):
+def _load_codebook(args, config: RunConfig):
+    template = build_objective_template(config)  # a config error is exit 2 whatever the codebook
     cb = cbmod.load(args.codebook or config.codebook.path)
-    cbmod.check_scenario(cb, scenario, config.optimizer.alpha)
+    cbmod.check_scenario(cb, template)
     return cb
 
 
@@ -89,7 +91,7 @@ def cmd_simulate(args) -> int:
     config = parse_config_file(args.config)
     scenario = build_scenario(config)
     keys = list(SCHEMES) if args.scheme == "all" else [args.scheme]
-    cb = _load_codebook(args, config, scenario) if "proposed" in keys else None
+    cb = _load_codebook(args, config) if "proposed" in keys else None
     event_params = build_event_params(config) if "event" in keys else None
     records = run_schemes(scenario, keys, cb, event_params)
     out = _out_dir(args, config)  # only once every scheme has run, so a failed run writes nothing
@@ -111,7 +113,7 @@ def cmd_sweep(args) -> int:
     template = build_scenario(config)
     values = _parse_values(args.values)
     keys = [k.strip() for k in args.schemes.split(",") if k.strip()]
-    cb = _load_codebook(args, config, template) if "proposed" in keys else None
+    cb = _load_codebook(args, config) if "proposed" in keys else None
     try:
         rows = sweep(template, args.axis, values, keys, cb, build_event_params(config), args.jobs)
     except ValueError as exc:  # bad schemes or axis values; runs raise TrackingRunError
@@ -138,13 +140,12 @@ def cmd_pattern(args) -> int:
         if name in names[:i]:  # the later pattern would overwrite the earlier one
             first = velocities[names.index(name)]
             raise ConfigError(f"velocities {first!r} and {velocities[i]!r} would both write {name}")
-    template = build_scenario(config)
+    template, scenario = build_objective_template(config), build_scenario(config)
     try:
-        scenarios = [axis_scenario(template, "velocity", v) for v in velocities]
+        scenarios = [axis_scenario(scenario, "velocity", v) for v in velocities]
     except ValueError as exc:  # a velocity no scenario accepts, named as sweep names it
         raise ConfigError(str(exc)) from exc
-    opt = config.optimizer
-    specs = [sc.period_spec(0.0, opt.alpha, opt.n_quad) for sc in scenarios]
+    specs = [sc.period_spec(0.0, template.alpha, template.n_quad) for sc in scenarios]
     seeds = [derive_seed("pattern", pso.seed, v) for v in velocities]
     results = optimize_omegas(specs, pso, seeds)
     out = _out_dir(args, config)
@@ -214,22 +215,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        if getattr(args, "jobs", 1) < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TrackingRunError, MemoryError) as exc:  # MemoryError: an allocation sized by input
-        print(f"run error: {exc}", file=sys.stderr)
-        return EXIT_RUN
-    except CodebookError as exc:
-        print(f"codebook error: {exc}", file=sys.stderr)
-        return EXIT_CODEBOOK
-    except OSError as exc:  # an unwritable output; config and codebook reads raise the above
-        print(f"run error: {exc}", file=sys.stderr)
-        return EXIT_RUN
+    with warnings.catch_warnings():  # forked pool workers inherit the one-line format
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if getattr(args, "jobs", 1) < 1:
+                raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except CodebookError as exc:
+            print(f"codebook error: {exc}", file=sys.stderr)
+            return EXIT_CODEBOOK
+        # MemoryError: an input-sized allocation; OSError: an unwritable output, not a read
+        except (TrackingRunError, MemoryError, OSError) as exc:
+            print(f"run error: {exc}", file=sys.stderr)
+            return EXIT_RUN
 
 
 if __name__ == "__main__":

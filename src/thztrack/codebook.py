@@ -10,7 +10,7 @@ builds are byte-identical). Cells are not listed: their intervals follow from
 the grid and their seeds from the PSO seed, so only omega and the objective
 are stored, one value per cell in row-major order (centre index, then row).
 The fingerprint states by name every build value a cell's objective depends
-on, each once; :func:`check_scenario` compares them with a run's scenario:
+on, each once; :func:`check_scenario` compares them with those of a run's spec:
 
     {
       "fingerprint": {"absorption_coeff": f, "alpha": f, "bandwidth": f,
@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .geometry import AngularInterval, SensedState
-from .optimizer import MIN_QUAD_NODES, ObjectiveSpec, PsoConfig, optimize_omegas
+from .optimizer import MAX_QUAD_NODES, MIN_QUAD_NODES, ObjectiveSpec, PsoConfig, optimize_omegas
 from .precoder import Precoder, adaptive_precoder
 from .seeding import derive_seed
 from .textio import write_text
@@ -145,12 +145,12 @@ class Codebook:
 
 
 def _spec_fingerprint(spec: ObjectiveSpec) -> dict[str, float]:
-    """The :data:`FINGERPRINT` values of a period spec, by name."""
+    """The :data:`FINGERPRINT` values of a period spec, by name; D is its BS-frame x."""
     cfg, budget = spec.cfg, spec.budget
     values = (
         int(cfg.n_antennas), cfg.carrier_freq,
         budget.tx_power, budget.noise_psd, budget.bandwidth, budget.absorption_coeff,
-        _template_perpendicular_distance(spec), spec.tau, spec.alpha, spec.r_min,
+        spec.state.position[0], spec.tau, spec.alpha, spec.r_min,
     )
     return dict(zip(FINGERPRINT, values))
 
@@ -165,33 +165,19 @@ def check_fingerprint(cb: Codebook, expected: dict[str, float]) -> None:
             )
 
 
-def check_scenario(cb: Codebook, sc, alpha: float) -> None:
-    """Raise CodebookError unless ``cb`` serves scenario ``sc`` with penalty weight ``alpha``.
-
-    The scenario's values are read from its first period's spec, as the build's are from its
-    template.
-    """
-    check_fingerprint(cb, _spec_fingerprint(sc.period_spec(0.0, alpha, cb.n_quad)))
+def check_scenario(cb: Codebook, spec: ObjectiveSpec) -> None:
+    """Raise CodebookError unless ``cb`` was built with the values of the period spec ``spec``."""
+    check_fingerprint(cb, _spec_fingerprint(spec))
 
 
-def _template_perpendicular_distance(template: ObjectiveSpec) -> float:
-    """The path distance D: the x of the template's position in the BS frame.
-
-    Cell paths run parallel to the array, so this holds for a static target too.
-    """
-    return template.state.position[0]
-
-
-def _cell_spec(
-    template: ObjectiveSpec, theta_m: float, delta: float, distance_scale: float
-) -> ObjectiveSpec:
+def _cell_spec(template: ObjectiveSpec, interval: AngularInterval) -> ObjectiveSpec:
     """Canonical period spec whose path sweeps exactly [theta-delta, theta+delta].
 
-    In the BS frame the target rides the line x = ``distance_scale``, parallel to the
-    array, from the point at sine theta-delta to the one at theta+delta in one period.
+    In the BS frame the target rides the template's line x = D, parallel to the array,
+    from the point at sine theta-delta to the one at theta+delta in one period.
     """
-    interval = AngularInterval(theta_m, delta)
-    ends = [(s, distance_scale / math.sqrt(1.0 - s * s)) for s in (interval.lo, interval.hi)]
+    distance = template.state.position[0]
+    ends = [(s, distance / math.sqrt(1.0 - s * s)) for s in (interval.lo, interval.hi)]
     (x0, y0), (x1, y1) = ((d * math.sqrt(max(0.0, 1.0 - s * s)), d * s) for s, d in ends)
     velocity = ((x1 - x0) / template.tau, (y1 - y0) / template.tau)
     state = SensedState(position=(x0, y0), velocity=velocity)
@@ -206,9 +192,8 @@ def build_codebook(
     Cells are independent; each gets a deterministic seed derived from the PSO
     seed and its grid indices, so builds are reproducible for any job count.
     """
-    distance = _template_perpendicular_distance(template)
     cells = grid.cells()
-    specs = [_cell_spec(template, iv.theta_m, iv.delta, distance) for _, iv in cells]
+    specs = [_cell_spec(template, interval) for _, interval in cells]
     seeds = [derive_seed("cell", pso.seed, ti, di) for (ti, di), _ in cells]
     results = optimize_omegas(specs, pso, seeds, jobs)
     entries = {
@@ -290,10 +275,10 @@ def _typed(value, name: str, kinds: tuple = (int,)):
 def load(path, expected_fingerprint: dict[str, float] | None = None) -> Codebook:
     """Read a codebook from a path, validating version and payload.
 
-    Non-finite numbers, mistyped or invalid settings, fewer than MIN_QUAD_NODES nodes, a
-    negative alpha, omega and objective lists without one number per grid cell and
-    out-of-bounds omegas are rejected. A given ``expected_fingerprint`` must equal the stored
-    one, value by value; use :func:`check_scenario` to tie the codebook to a run.
+    Non-finite numbers, mistyped or invalid settings, an n_quad outside MIN_QUAD_NODES to
+    MAX_QUAD_NODES, a negative alpha, omega and objective lists without one number per grid
+    cell and out-of-bounds omegas are rejected. A given ``expected_fingerprint`` must equal
+    the stored one, value by value; :func:`check_scenario` ties the codebook to a run's spec.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -342,6 +327,8 @@ def load(path, expected_fingerprint: dict[str, float] | None = None) -> Codebook
 
     if n_quad < MIN_QUAD_NODES:
         raise CodebookError(f"codebook n_quad {n_quad!r} is below {MIN_QUAD_NODES}")
+    if n_quad > MAX_QUAD_NODES:  # building the nodes is cubic in the count
+        raise CodebookError(f"codebook n_quad {n_quad!r} is above {MAX_QUAD_NODES}")
     if fingerprint["alpha"] < 0.0:  # runs build their period specs with the stored alpha
         raise CodebookError(f"codebook alpha {fingerprint['alpha']!r} is negative")
     n_cells = grid.theta_count * grid.delta_count  # checked before any cell is built

@@ -223,7 +223,7 @@ def build_budget(config: RunConfig) -> LinkBudget:
 
 
 @_builder
-def build_scenario(config: RunConfig, velocity: float | None = None) -> Scenario:
+def build_scenario(config: RunConfig) -> Scenario:
     sc, r_min = config.scenario, config.optimizer.r_min_bps
     scenario = Scenario(
         cfg=build_array(config),
@@ -231,7 +231,7 @@ def build_scenario(config: RunConfig, velocity: float | None = None) -> Scenario
         perpendicular_distance=sc.perpendicular_distance_m,
         start_angle=sc.start_angle_rad,
         end_angle=sc.end_angle_rad,
-        velocity=sc.velocity_mps if velocity is None else velocity,
+        velocity=sc.velocity_mps,
         tau=sc.sensing_period_s,
         time_step=sc.time_step_s,
         r_min=0.0 if r_min is None else r_min,
@@ -270,7 +270,7 @@ def build_grid(config: RunConfig) -> CodebookGrid:
 
 @_builder
 def build_objective_template(config: RunConfig) -> ObjectiveSpec:
-    """Template spec for codebook builds; state and interval get replaced per cell."""
+    """The configuration's first period spec: the one place alpha and n_quad become a spec."""
     opt = config.optimizer
     return build_scenario(config).period_spec(0.0, opt.alpha, opt.n_quad)
 

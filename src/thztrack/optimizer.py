@@ -28,7 +28,9 @@ from .geometry import AngularInterval, SensedState, positions_to_directions
 from .precoder import taper, taper_table
 
 
+# Quadrature node counts a spec accepts; building the nodes is cubic in the count.
 MIN_QUAD_NODES = 8
+MAX_QUAD_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class ObjectiveSpec:
     cfg: ArrayConfig
     r_min: float
     alpha: float
-    n_quad: int = 64
+    n_quad: int
 
     def __post_init__(self):
         if not self.tau > 0.0:
@@ -54,8 +56,10 @@ class ObjectiveSpec:
             raise ValueError(f"minimum rate must be >= 0, got {self.r_min!r}")
         if not 0.0 <= self.alpha < math.inf:  # 0 * inf would make every unpenalised node NaN
             raise ValueError(f"penalty weight must be finite and >= 0, got {self.alpha!r}")
-        if self.n_quad < MIN_QUAD_NODES:
-            raise ValueError(f"need at least {MIN_QUAD_NODES} quadrature nodes, got {self.n_quad!r}")
+        if not MIN_QUAD_NODES <= self.n_quad <= MAX_QUAD_NODES:
+            raise ValueError(
+                f"need {MIN_QUAD_NODES} to {MAX_QUAD_NODES} quadrature nodes, got {self.n_quad!r}"
+            )
 
 
 @dataclass(frozen=True)

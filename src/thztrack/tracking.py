@@ -69,6 +69,9 @@ EVENT_VARIANCE_UNIT = 4.8e-5
 # Width multiplier: the event beam covers +/- k * sqrt(accumulated variance).
 EVENT_COVERAGE_SIGMAS = 2.0
 
+# Most sensing periods or event slots an episode is split into; each keeps a start index.
+MAX_SEGMENTS = 1_000_000
+
 
 class TrackingRunError(Exception):
     """A tracking episode could not be completed."""
@@ -241,7 +244,10 @@ class _Episode:
         """First sample of each segment of length ``period``, then the sample count: segment k
         holds the samples with floor(t / period + 1e-9) == k (the last also any later ones), and
         some may hold none."""
-        count = max(1, int(math.ceil(self.sc.duration / period - 1e-9)))
+        segments = self.sc.duration / period
+        if not segments <= MAX_SEGMENTS:  # also inf and NaN
+            raise TrackingRunError(f"{segments:.6g} segments of {period!r} s, over {MAX_SEGMENTS}")
+        count = max(1, int(math.ceil(segments - 1e-9)))
         seg_of = np.minimum(np.floor(self.times / period + 1e-9).astype(int), count - 1)
         return np.searchsorted(seg_of, np.arange(count + 1)).tolist()
 
@@ -295,7 +301,7 @@ def _scheme_rule(key: str, ep: _Episode, cb, event_params, direct=None) -> tuple
     if key == "proposed":
         if cb is None:
             raise TrackingRunError("the proposed scheme requires a codebook")
-        check_scenario(cb, sc, cb.alpha)
+        check_scenario(cb, sc.period_spec(0.0, cb.alpha, cb.n_quad))
         cells = []
         for k, epoch in enumerate(epochs):
             interval = path_to_interval(sc.state_at(epoch), sc.tau)
@@ -386,7 +392,7 @@ def run_conventional(sc: Scenario) -> TrackRecord:
 
 
 def run_sensing_assisted_direct(
-    sc: Scenario, pso: PsoConfig, alpha: float, n_quad: int = 64
+    sc: Scenario, pso: PsoConfig, alpha: float, n_quad: int
 ) -> TrackRecord:
     """Proposed scheme with per-period re-optimisation instead of a codebook.
 

@@ -43,7 +43,7 @@ from thztrack.config import (
     parse_config,
     render_config,
 )
-from thztrack.codebook import _cell_spec, _template_perpendicular_distance
+from thztrack.codebook import _cell_spec
 from conftest import CARRIER_HZ, make_budget, make_objective_spec, make_scenario
 from gain_reference import bf_gain_closed_form, bf_gain_direct, g_coeff
 
@@ -256,11 +256,10 @@ def test_criterion_5_pso_quality_floor():
 def test_default_codebook_meets_grid_floor(default_codebook):
     """Every default-grid cell is within 1e-4 relative of a 257-point grid search."""
     template = build_objective_template(RunConfig())
-    distance = _template_perpendicular_distance(template)
     grid = np.linspace(*default_codebook.pso.bounds, 257)
     short = []
     for key, entry in sorted(default_codebook.entries.items()):
-        spec = _cell_spec(template, entry.interval.theta_m, entry.interval.delta, distance)
+        spec = _cell_spec(template, entry.interval)
         best = float(np.max(objectives(grid, spec)))
         if entry.objective_value < best * (1.0 - 1e-4):
             short.append((key, entry.objective_value, best))
@@ -271,7 +270,7 @@ def test_criterion_6_outage_at_100ms(default_codebook):
     """Proposed scheme at 100 m/s keeps outage probability under 10%."""
     started = time.perf_counter()
     rc = RunConfig()
-    sc = build_scenario(rc, velocity=100.0)
+    sc = replace(build_scenario(rc), velocity=100.0)
     rec = run_sensing_assisted(sc, default_codebook)
     metrics = compute_metrics(rec, (sc.start_angle, sc.end_angle))
     elapsed = time.perf_counter() - started
@@ -322,7 +321,7 @@ def test_criterion_8_pattern_trends():
     sin_grid = np.linspace(-1.0, 1.0, 2001)
     widths, peaks = [], []
     for velocity in (10.0, 50.0, 90.0):
-        sc = build_scenario(rc, velocity=velocity)
+        sc = replace(build_scenario(rc), velocity=velocity)
         spec = sc.period_spec(0.0, 10.0, 64)
         result = optimize_omega(spec, replace(pso, seed=pso.seed + int(velocity)))
         beam = adaptive_precoder(spec.interval, result.omega_star, sc.cfg)
@@ -354,7 +353,7 @@ def test_criterion_9_event_based_fairness():
     params = build_event_params(rc)
     spacings = []
     for velocity in VELOCITIES:
-        sc = build_scenario(rc, velocity=velocity)
+        sc = replace(build_scenario(rc), velocity=velocity)
         rec = run_event_based(sc, params)
         if len(rec.realignment_times) > 1:  # mean realignment gap in slots
             spacings.append(float(np.mean(np.diff(rec.realignment_times)) / params.slot))

@@ -26,7 +26,7 @@ from thztrack import (
     optimize_omega,
     save,
 )
-from thztrack.codebook import _cell_spec, _template_perpendicular_distance
+from thztrack.codebook import _cell_spec
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
 from conftest import make_objective_spec, make_scenario
@@ -89,8 +89,7 @@ def test_single_cell_equals_direct_optimization(small_cfg, small_budget, small_p
     entry = cb.entries[(0, 0)]
 
     cell_seed = derive_seed("cell", small_pso.seed, 0, 0)
-    distance = _template_perpendicular_distance(template)
-    spec = _cell_spec(template, 0.05, 0.0, distance)
+    spec = _cell_spec(template, AngularInterval(0.05, 0.0))
     direct = optimize_omega(spec, replace(small_pso, seed=cell_seed))
     assert entry.omega == direct.omega_star
     assert entry.objective_value == direct.objective_value
@@ -105,9 +104,8 @@ def test_single_cell_equals_direct_optimization(small_cfg, small_budget, small_p
 def test_stored_objective_is_the_value_at_its_omega(small_codebook, small_scenario):
     # the swarms were 10 wide; a one-omega call at a cell's omega gives its stored bits
     template = make_objective_spec(small_scenario, n_quad=16)
-    distance = _template_perpendicular_distance(template)
     for entry in small_codebook.entries.values():
-        spec = _cell_spec(template, entry.interval.theta_m, entry.interval.delta, distance)
+        spec = _cell_spec(template, entry.interval)
         assert objectives([entry.omega], spec)[0] == entry.objective_value
 
 
@@ -385,11 +383,10 @@ def test_entry_optimality_floor(tiny_build):
     from thztrack import objectives
 
     grid, template, cb = tiny_build
-    distance = _template_perpendicular_distance(template)
     lo, hi = cb.pso.bounds
     for ti, di in [(0, 1), (1, 2), (2, 1)]:
         entry = cb.entries[(ti, di)]
-        spec = _cell_spec(template, entry.interval.theta_m, entry.interval.delta, distance)
+        spec = _cell_spec(template, entry.interval)
         best = float(np.max(objectives(np.linspace(lo, hi, 257), spec)))
         assert entry.objective_value >= best * (1.0 - 1e-4)
 
@@ -401,7 +398,7 @@ def test_static_template_builds_at_the_moving_template_distance(small_cfg, small
     for velocity in (0.0, 20.0):
         sc = replace(make_scenario(small_cfg, small_budget, velocity=velocity), start_angle=0.2)
         template = make_objective_spec(sc, n_quad=16)
-        distances.append(_template_perpendicular_distance(template))
+        distances.append(template.state.position[0])
         sink = io.StringIO()
         save(build_codebook(grid, template, small_pso), sink)
         books.append(sink.getvalue())
@@ -420,9 +417,8 @@ def test_cell_spec_reproduces_interval(small_cfg, small_budget):
 
     sc = make_scenario(small_cfg, small_budget, velocity=20.0, time_step=0.165 / 50.0)
     template = make_objective_spec(sc)
-    distance = _template_perpendicular_distance(template)
-    assert distance == pytest.approx(100.0, rel=1e-12)
-    spec = _cell_spec(template, 0.12, 0.03, distance)
+    assert template.state.position[0] == pytest.approx(100.0, rel=1e-12)
+    spec = _cell_spec(template, AngularInterval(0.12, 0.03))
     interval = path_to_interval(spec.state, spec.tau)
     assert interval.theta_m == pytest.approx(0.12, abs=1e-12)
     assert interval.delta == pytest.approx(0.03, abs=1e-12)

@@ -288,7 +288,7 @@ def test_cli_pattern_matches_direct_gain(tmp_path):
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
 
     rc = parse_config_file(config)
-    scenario = build_scenario(rc, velocity=30.0)
+    scenario = replace(build_scenario(rc), velocity=30.0)
     spec = scenario.period_spec(0.0, rc.optimizer.alpha, rc.optimizer.n_quad)
     interval = spec.interval
     pso = build_pso(rc)
@@ -758,6 +758,68 @@ def test_cli_power_sweep_swarm_too_large_for_memory_exit_code(tmp_path, capsys):
     assert main([*argv, "--schemes", "proposed", "--jobs", "1"]) == 4
     assert capsys.readouterr().err == _huge_swarm_error("n_iterations")
     assert not (tmp_path / "out").exists()
+
+
+_ALPHA = "configuration error: invalid value: penalty weight must be finite and >= 0, got -1.0"
+_NODES = "configuration error: invalid value: need 8 to 1024 quadrature nodes, got "
+_SLOTS = "1.54668e+300 segments of 1e-300 s, over 1000000"
+_FAR = "warning: link distance inside the Fraunhofer range; far-field model inaccurate"
+_VELOCITY_SWEEP = ["sweep", "--axis", "velocity", "--values", "20", "--jobs", "1"]
+_POWER_SWEEP = ["sweep", "--axis", "tx_power", "--values", "30,40", "--jobs", "2"]
+_BUILD = ["codebook-build", "--jobs"]
+_NEAR = {"perpendicular_distance_m": 5.0, "n_antennas": 128}  # inside the 10.99 m range
+
+# name: (config edits, codebook header edits or None for no codebook, command, exit code,
+# every stderr line in order); the header edits apply to a codebook built first
+_ONE_LINE_CASES = {
+    "alpha-simulate": ({"alpha": -1.0}, None, ["simulate"], 2, [_ALPHA]),
+    "alpha-velocity-sweep": ({"alpha": -1.0}, None, _VELOCITY_SWEEP, 2, [_ALPHA]),
+    "alpha-power-sweep": ({"alpha": -1.0}, None, _POWER_SWEEP, 2, [_ALPHA]),
+    "alpha-pattern": ({"alpha": -1.0}, None, ["pattern", "--velocities", "30"], 2, [_ALPHA]),
+    "n_quad-4-pattern": ({"n_quad": 4}, None, ["pattern", "--velocities", "30"], 2, [_NODES + "4"]),
+    "slot-simulate": (
+        {"slot_s": 1e-300}, None, ["simulate", "--scheme", "event"], 4, [f"run error: {_SLOTS}"]
+    ),
+    "slot-sweep": (
+        {"slot_s": 1e-300}, None, [*_VELOCITY_SWEEP, "--schemes", "event"], 4,
+        [f"run error: sweep point (value=20.0, scheme='event'): {_SLOTS}"],
+    ),
+    "n_quad-huge-pattern": (
+        {"n_quad": 10**9}, None, ["pattern", "--velocities", "30"], 2, [_NODES + "1000000000"]
+    ),
+    # the proposed scheme serves the codebook's n_quad, but the configured one must be valid
+    "n_quad-huge-simulate": ({"n_quad": 10**9}, {}, ["simulate"], 2, [_NODES + "1000000000"]),
+    "n_quad-huge-header": (
+        {}, {"n_quad": 10**9}, _POWER_SWEEP, 3,
+        ["codebook error: codebook n_quad 1000000000 is above 1024"],
+    ),
+    "far-field-simulate": (_NEAR, None, ["simulate", "--scheme", "conventional"], 0, [_FAR]),
+    "far-field-build-jobs-1": (_NEAR, None, [*_BUILD, "1"], 0, [_FAR, _FAR]),
+    "far-field-build-jobs-2": (_NEAR, None, [*_BUILD, "2"], 0, [_FAR, _FAR]),
+}
+
+
+@pytest.mark.parametrize(
+    "edits, header, argv, code, lines", _ONE_LINE_CASES.values(), ids=list(_ONE_LINE_CASES)
+)
+def test_cli_reports_each_failure_and_warning_in_one_line(
+    tmp_path, capfd, edits, header, argv, code, lines
+):
+    # capfd, since pool workers write their warnings to fd 2
+    config = small_config_text(tmp_path)
+    if header is not None:
+        assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
+        path = tmp_path / "cb.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **header}))
+    config = _edited(config, **edits)
+    capfd.readouterr()
+    assert main([*argv, "--config", str(config)]) == code
+    err = capfd.readouterr().err
+    assert err.splitlines() == lines and err.endswith("\n")
+    assert "Traceback" not in err
+    if code:  # a failing run writes nothing
+        assert not (tmp_path / "out").exists()
+        assert (tmp_path / "cb.json").exists() == (header is not None)
 
 
 @pytest.mark.parametrize(

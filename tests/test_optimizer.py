@@ -28,7 +28,7 @@ from thztrack import (
     predict_pose,
     pso_bounds,
 )
-from thztrack.codebook import _cell_spec, _template_perpendicular_distance
+from thztrack.codebook import _cell_spec
 from thztrack.config import build_grid, build_objective_template, build_pso, parse_config_file
 from thztrack.geometry import BS_FRAME
 from thztrack.optimizer import SWARM_CHUNK, _gauss_legendre, _lockstep_swarms, _PeriodEvaluator
@@ -197,8 +197,10 @@ def test_spec_validation():
     for alpha in (-1.0, math.inf):
         with pytest.raises(ValueError, match="penalty weight"):
             make_objective_spec(sc, alpha=alpha)
-    with pytest.raises(ValueError):
-        make_objective_spec(sc, n_quad=4)
+    for n_quad in (4, 1025):  # MIN_QUAD_NODES and MAX_QUAD_NODES bound it
+        with pytest.raises(ValueError, match=f"need 8 to 1024 quadrature nodes, got {n_quad}"):
+            make_objective_spec(sc, n_quad=n_quad)
+    assert make_objective_spec(sc, n_quad=1024).n_quad == 1024
 
 
 def _mixed_specs(cfg: ArrayConfig, count: int, rng, n_quad: int = 64) -> list[ObjectiveSpec]:
@@ -303,12 +305,8 @@ def test_values_do_not_depend_on_call_width():
     # width, gets the bits of the full call, and so does one spec alone
     config = parse_config_file(REPO_CONFIG)
     template, cells = build_objective_template(config), build_grid(config).cells()
-    distance = _template_perpendicular_distance(template)
     rng = np.random.default_rng(5)
-    specs = [
-        _cell_spec(template, cells[i][1].theta_m, cells[i][1].delta, distance)
-        for i in rng.choice(len(cells), 16, replace=False)
-    ]
+    specs = [_cell_spec(template, cells[i][1]) for i in rng.choice(len(cells), 16, replace=False)]
     omegas = rng.uniform(*build_pso(config).bounds, (16, 40))
     evaluator = _PeriodEvaluator(specs)
     values, rates = evaluator.values(omegas), evaluator.rates(omegas)

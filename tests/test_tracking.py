@@ -45,7 +45,7 @@ from thztrack.exports import (
     write_sweep,
     write_trace,
 )
-from thztrack.codebook import _template_perpendicular_distance, check_scenario
+from thztrack.codebook import check_scenario
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
 from thztrack import tracking
@@ -153,12 +153,12 @@ def test_rotated_geometry_check_binds_the_path_distance(small_cfg, small_budget,
         sc = replace(make_scenario(small_cfg, small_budget, velocity=20.0), geom=geom)
         spec = sc.period_spec(0.0, 10.0, 16)
         cb = build_codebook(grid, spec, small_pso)
-        assert cb.fingerprint["perpendicular_distance"] == _template_perpendicular_distance(spec)
+        assert cb.fingerprint["perpendicular_distance"] == spec.state.position[0]
         exact.append(cb.fingerprint["perpendicular_distance"] == sc.perpendicular_distance)
-        check_scenario(cb, sc, 10.0)
+        check_scenario(cb, spec)
         nearer = replace(sc, perpendicular_distance=0.5 * sc.perpendicular_distance)
         with pytest.raises(CodebookError, match="^codebook perpendicular_distance "):
-            check_scenario(cb, nearer, 10.0)
+            check_scenario(cb, nearer.period_spec(0.0, 10.0, 16))
     assert all(exact)
 
 
