@@ -51,6 +51,10 @@ FINGERPRINT = (
 )
 
 
+# Most cells a grid may hold; the default grid holds 1634, and a build lists every cell.
+MAX_CELLS = 1_000_000
+
+
 class CodebookError(Exception):
     """A codebook that cannot be read, does not fit the scenario or does not cover a query."""
 
@@ -69,7 +73,8 @@ class CodebookGrid:
 
     Centres run from theta_range[0] to at least theta_range[1] in steps of
     theta_step; half-width rows run from 0 to at least delta_max in steps of
-    delta_step. Every cell's interval lies strictly inside sine space (-1, 1).
+    delta_step. Every cell's interval lies strictly inside sine space (-1, 1), and there are
+    at most :data:`MAX_CELLS` cells.
     """
 
     theta_step: float
@@ -85,6 +90,9 @@ class CodebookGrid:
             raise ValueError(f"theta range {self.theta_range!r} outside (-1, 1)")
         if self.delta_max < 0.0:
             raise ValueError(f"delta_max must be >= 0, got {self.delta_max!r}")
+        n_cells = self.theta_count * self.delta_count  # before any list of cells is built
+        if n_cells > MAX_CELLS:
+            raise ValueError(f"grid of {n_cells} cells is over {MAX_CELLS}")
         # float addition is monotone, so the outermost cells bound every cell's edges;
         # each end value is the same float as the last entry of its value list
         reach = (self.delta_count - 1) * self.delta_step

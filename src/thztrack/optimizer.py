@@ -16,6 +16,7 @@ bounds, deterministic bit-for-bit for a fixed seed, also when swarms step in loc
 from __future__ import annotations
 
 import math
+import os
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
@@ -256,9 +257,9 @@ def optimize_omegas(
 
     The swarms of :data:`SWARM_CHUNK` specs step in lockstep, one batched
     evaluation per iteration; each keeps its own random stream, so every
-    result is bit-identical to the one-spec run. With ``jobs > 1`` and more
-    than one chunk, the chunks run in a pool of up to ``jobs`` worker
-    processes; the pool module is imported only then.
+    result is bit-identical to the one-spec run. The chunks run in a pool of
+    ``min(jobs, chunks, os.cpu_count())`` worker processes when that is above 1,
+    and in this process otherwise; the pool module is imported only then.
 
     A zero-width spec (``interval.delta == 0``) has a taper of exactly 1, so
     every omega has the same objective. Such a spec runs no swarm and draws no
@@ -280,12 +281,13 @@ def optimize_omegas(
         for i, value in zip(chunk, values[:, 0]):
             results[i] = OptResult(lo, float(value), 1, 0)
     swarmed = chunked([i for i, spec in enumerate(specs) if spec.interval.delta != 0.0])
+    workers = min(jobs, len(swarmed), os.cpu_count() or 1)
     with ExitStack() as stack:
         run = map
-        if jobs > 1 and len(swarmed) > 1:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            run = stack.enter_context(ProcessPoolExecutor(min(jobs, len(swarmed)))).map
+            run = stack.enter_context(ProcessPoolExecutor(workers)).map
         spec_chunks = [[specs[i] for i in chunk] for chunk in swarmed]
         seed_chunks = [[seeds[i] for i in chunk] for chunk in swarmed]
         parts = run(_lockstep_swarms, spec_chunks, repeat(pso), seed_chunks)

@@ -14,7 +14,9 @@ this one family. The beamforming gain towards a direction is |a^H f|^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +38,7 @@ class Precoder:
     beta: float
 
     def __post_init__(self):
-        power = float(np.sum(np.abs(self.weights) ** 2))
+        power = float(np.vdot(self.weights, self.weights).real)  # sum |w_n|^2 in one pass
         if not abs(power - 1.0) <= _UNIT_POWER_TOL:  # also rejects NaN weights
             raise ValueError(f"precoder power {power!r} violates the unit constraint")
 
@@ -92,15 +94,36 @@ def taper(a: np.ndarray, b: np.ndarray, rot: np.ndarray) -> np.ndarray:
     return g
 
 
+@lru_cache(maxsize=8)
+def _antenna_indices(n_antennas: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices n = 0, ..., N-1 and pi * n, built once per antenna count."""
+    n = np.arange(n_antennas)
+    pi_n = np.pi * n
+    n.flags.writeable = pi_n.flags.writeable = False
+    return n, pi_n
+
+
 def adaptive_precoder(interval: AngularInterval, omega: float, cfg: ArrayConfig) -> Precoder:
-    """Construct the unit-power precoder covering ``interval`` with shape ``omega``."""
+    """Construct the unit-power precoder covering ``interval`` with shape ``omega``.
+
+    At delta = 0 the taper is exactly 1 for any finite omega, so its sum of squares is N
+    and the product with it changes no bit: that beam skips the taper.
+    """
     delta = interval.delta
-    g = sample_fn(delta * omega - delta * (np.pi * np.arange(cfg.n_antennas)))
-    total = float(np.dot(g, g))
-    if total <= _DEGENERATE_SUM:
-        raise ValueError("taper coefficients sum to zero; degenerate parameters")
-    beta = 1.0 / np.sqrt(total)
-    weights = beta * np.exp(-1j * np.pi * interval.theta_m * np.arange(cfg.n_antennas)) * g
+    n, pi_n = _antenna_indices(cfg.n_antennas)
+    steering = np.exp(-1j * np.pi * interval.theta_m * n)
+    if delta == 0.0:
+        if not math.isfinite(omega):
+            raise ValueError(f"shape parameter omega must be finite, got {omega!r}")
+        beta = 1.0 / np.sqrt(float(cfg.n_antennas))
+        weights = beta * steering
+    else:
+        g = sample_fn(delta * omega - delta * pi_n)
+        total = float(np.dot(g, g))
+        if total <= _DEGENERATE_SUM:
+            raise ValueError("taper coefficients sum to zero; degenerate parameters")
+        beta = 1.0 / np.sqrt(total)
+        weights = beta * steering * g
     return Precoder(
         weights=weights,
         theta_m=interval.theta_m,

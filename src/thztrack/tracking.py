@@ -261,19 +261,24 @@ def _event_beam(sc: Scenario, centre: float, half_width: float) -> Precoder:
 
 def _event_beams(ep: _Episode, params: EventBasedParams, realignments: list[float]):
     """The slot loop of :func:`run_event_based`: yields each slot's beam, None for a slot with no
-    sample, and is sent its outage."""
+    sample, and is sent its outage. Only a slot with a sample can have an outage, so the sines at
+    the start and at those slots' ends are read in one call; (k + 1) * slot has the same bits as
+    a float64 product as it has as a Python float."""
     sc = ep.sc
-    (estimate,), _ = sc.directions_at([0.0])
     variance, segment = 0.0, 0
     growth = params.weight * params.rw_var * EVENT_VARIANCE_UNIT
     starts = ep.starts(params.slot)
+    held_ends = (np.flatnonzero(np.diff(starts)) + 1) * params.slot
+    sines = iter(sc.directions_at(np.append(0.0, held_ends))[0])
+    estimate = next(sines)
     for k in range(len(starts) - 1):
         half_width = EVENT_COVERAGE_SIGMAS * math.sqrt(variance)
         beam = _event_beam(sc, estimate, half_width) if starts[k + 1] > starts[k] else None
         had_outage = yield beam, f"event[{segment}]"
+        end_sine = None if beam is None else next(sines)
         boundary = (k + 1) * params.slot
         if had_outage and boundary < sc.duration:
-            (estimate,), _ = sc.directions_at([boundary])
+            estimate = end_sine
             variance = 0.0
             segment += 1
             realignments.append(boundary)

@@ -7,18 +7,17 @@ Run it at two commits and diff the outputs to check that a change moved no byte:
 It runs the package in this checkout's ``src/``, in a temporary directory:
 the default codebook built at ``--jobs 1`` and ``--jobs 2``, ``simulate --scheme
 all`` at the configured 20 m/s and, on a copy of the configuration with
-``velocity_mps`` replaced, at 10 and 100 m/s, ``simulate --scheme event`` and
-``--scheme proposed`` alone at 20 m/s (their traces must equal the ``all`` run's,
-or the script fails), ``simulate --scheme event`` on a copy with ``slot_s =
-0.001``, whose slots mostly hold no sample, the velocity sweep 10-100 m/s,
-the ``tx_power`` sweep 20-50 dBm at ``--jobs 1`` and ``--jobs 2``, and
-``pattern`` at 10, 50 and 90 m/s. Each line
-is ``sha256  relative-path``; a run's stdout counts as ``<run>/stdout``, with
-the temporary directory and the build's wall time masked. Each built codebook
-also gets a ``<run>/cells`` line: the digest of its loaded entries'
-``(ti, di, theta_m, delta, omega, objective)`` reprs, which stays put when a
-new file format moves the bytes but no value. It prints 43 lines and takes about
-9 s on two cores.
+``velocity_mps`` replaced, at 10 and 100 m/s, ``simulate --scheme event``,
+``--scheme proposed`` and ``--scheme conventional`` alone at 20 m/s (their traces
+must equal the ``all`` run's, or the script fails), ``simulate --scheme event`` on
+a copy with ``slot_s = 0.001``, whose slots mostly hold no sample, the velocity
+sweep 10-100 m/s, the ``tx_power`` sweep 20-50 dBm at ``--jobs 1`` and ``--jobs
+2``, and ``pattern`` at 10, 50 and 90 m/s. Each line is ``sha256  relative-path``;
+a run's stdout counts as ``<run>/stdout``, with the temporary directory and the
+build's wall time masked. Each built codebook also gets a ``<run>/cells`` line:
+the digest of its loaded entries' ``(ti, di, theta_m, delta, omega, objective)``
+reprs, which stays put when a new file format moves the bytes but no value. It
+prints 45 lines and takes about 9 s on two cores.
 The file name keeps pytest from collecting it.
 """
 
@@ -48,6 +47,7 @@ RUNS = [
     ("simulate_event", ["simulate", "--scheme", "event"], None),
     ("simulate_event_slot1ms", ["simulate", "--scheme", "event"], ("slot_s", 0.001)),
     ("simulate_proposed", ["simulate", "--scheme", "proposed"], None),
+    ("simulate_conventional", ["simulate", "--scheme", "conventional"], None),
     ("sweep_velocity", ["sweep", "--axis", "velocity", "--values", "10,20,30,40,50,60,70,80,90,100"], None),
     ("sweep_power_jobs1", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "1"], None),
     ("sweep_power_jobs2", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "2"], None),
@@ -120,9 +120,10 @@ def main() -> None:
         for name, (command, *_), _ in RUNS:
             if command == "codebook-build":
                 digests[f"{name}/cells"] = _cell_digest(work / name / "codebook.json")
-    for name, slug in (("simulate_event", "event_based"), ("simulate_proposed", "proposed")):
-        trace = f"trace_{slug}.csv"  # a scheme run alone writes what it writes beside the others
-        if digests[f"{name}/{trace}"] != digests[f"simulate/{trace}"]:
+    alone = ("event", "event_based"), ("proposed", "proposed"), ("conventional", "conventional")
+    for scheme, slug in alone:
+        name, trace = f"simulate_{scheme}", f"trace_{slug}.csv"
+        if digests[f"{name}/{trace}"] != digests[f"simulate/{trace}"]:  # alone as beside the others
             raise SystemExit(f"{name}/{trace} differs from simulate/{trace}")
     for path in sorted(digests):
         print(f"{digests[path]}  {path}")

@@ -353,12 +353,12 @@ def test_cli_incomplete_codebook_exit_code(tmp_path, capsys):
 
 
 def test_cli_oversized_codebook_header_exits_before_building_cells(tmp_path, capsys, monkeypatch):
-    # the header claims 37001 x 43 = 1591043 cells for the file's one omega
+    # the header claims 3701 x 43 = 159143 cells, under codebook.MAX_CELLS, for the file's one omega
     config = small_config_text(tmp_path)
     assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
     path = tmp_path / "cb.json"
     payload = json.loads(path.read_text())
-    payload["grid"].update(theta_step=1e-5, theta_hi=0.37, delta_step=0.002, delta_max=0.084)
+    payload["grid"].update(theta_step=1e-4, theta_hi=0.37, delta_step=0.002, delta_max=0.084)
     payload["omega"], payload["objective"] = payload["omega"][:1], payload["objective"][:1]
     path.write_text(json.dumps(payload))
     capsys.readouterr()
@@ -371,7 +371,7 @@ def test_cli_oversized_codebook_header_exits_before_building_cells(tmp_path, cap
     assert main(["simulate", "--config", str(config), "--scheme", "proposed"]) == 3
     assert time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
-    assert err == "codebook error: 1 omegas and 1 objectives for 1591043 cells\n"
+    assert err == "codebook error: 1 omegas and 1 objectives for 159143 cells\n"
 
 
 def _omega_above_bounds(payload) -> None:
@@ -768,6 +768,10 @@ _VELOCITY_SWEEP = ["sweep", "--axis", "velocity", "--values", "20", "--jobs", "1
 _POWER_SWEEP = ["sweep", "--axis", "tx_power", "--values", "30,40", "--jobs", "2"]
 _BUILD = ["codebook-build", "--jobs"]
 _NEAR = {"perpendicular_distance_m": 5.0, "n_antennas": 128}  # inside the 10.99 m range
+# the small grid at theta_step = 1e-12: 320000000001 centres x 3 rows
+_FINE_GRID = {"theta_step": 1e-12, "delta_step": 0.01, "theta_lo": 0.0, "theta_hi": 0.32,
+              "delta_max": 0.02}
+_CELLS = "grid of 960000000003 cells is over 1000000"
 
 # name: (config edits, codebook header edits or None for no codebook, command, exit code,
 # every stderr line in order); the header edits apply to a codebook built first
@@ -792,6 +796,14 @@ _ONE_LINE_CASES = {
     "n_quad-huge-header": (
         {}, {"n_quad": 10**9}, _POWER_SWEEP, 3,
         ["codebook error: codebook n_quad 1000000000 is above 1024"],
+    ),
+    "cells-build": (
+        {"theta_step": 1e-12}, None, [*_BUILD, "1"], 2,
+        [f"configuration error: invalid value: {_CELLS}"],
+    ),
+    "cells-header": (
+        {}, {"grid": _FINE_GRID}, ["simulate"], 3,
+        [f"codebook error: codebook payload incomplete or invalid: {_CELLS}"],
     ),
     "far-field-simulate": (_NEAR, None, ["simulate", "--scheme", "conventional"], 0, [_FAR]),
     "far-field-build-jobs-1": (_NEAR, None, [*_BUILD, "1"], 0, [_FAR, _FAR]),

@@ -406,11 +406,49 @@ def test_optimize_omegas_mixed_widths_keep_input_order(jobs, monkeypatch):
         expected.append(replace(swarm, evaluations=1) if spec.interval.delta == 0.0 else swarm)
     monkeypatch.setattr(_CountingPool, "made", 0)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool is also capped at the cores
     assert optimize_omegas(specs, pso, seeds, jobs=jobs) == expected
     assert _CountingPool.made == (jobs > 1)  # a silent fallback to serial fails here
     # zero-width specs alone run no swarm, so no pool either
     assert optimize_omegas(specs[::2], pso, seeds[::2], jobs=jobs) == expected[::2]
     assert _CountingPool.made == (jobs > 1)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and maps in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "jobs, cores, workers",
+    [(1000, 2, 2), (1000, 8, 3), (2, 8, 2), (1000, 1, None), (1000, None, None), (1, 8, None)],
+)
+def test_optimize_omegas_pool_is_capped_at_chunks_and_cores(jobs, cores, workers, monkeypatch):
+    # 33 swarm specs make 3 chunks; a pool of 1 would be a process doing what this one does
+    cfg = ArrayConfig(16, CARRIER_HZ)
+    specs = _mixed_specs(cfg, 2 * SWARM_CHUNK + 2, np.random.default_rng(29), n_quad=16)
+    assert sum(s.interval.delta > 0.0 for s in specs) == 2 * SWARM_CHUNK + 1
+    pso = PsoConfig(bounds=pso_bounds(cfg), n_particles=4, n_iterations=3)
+    seeds = [90 + i for i in range(len(specs))]
+    expected = optimize_omegas(specs, pso, seeds, jobs=1)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert optimize_omegas(specs, pso, seeds, jobs=jobs) == expected
+    assert _RecordingPool.sizes == ([] if workers is None else [workers])
 
 
 def test_importing_the_package_loads_no_worker_pool():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from thztrack import (
     pso_bounds,
     sample_fn,
 )
-from thztrack.precoder import TAPER_DIRECT, taper, taper_table
+from thztrack.precoder import TAPER_DIRECT, Precoder, taper, taper_table
 from conftest import CARRIER_HZ
 from gain_reference import (
     array_response,
@@ -167,6 +168,51 @@ def test_adaptive_collapses_to_mrt_at_zero_width():
             adaptive = adaptive_precoder(AngularInterval(s, 0.0), omega, CFG128)
             assert np.array_equal(adaptive.weights, mrt.weights)
         assert mrt.beta == 1.0 / math.sqrt(128.0)
+
+
+def _general_zero_width_weights(theta, omega, n_antennas):
+    """The delta = 0 weights by the general formula, taper and its sum of squares included."""
+    n = np.arange(n_antennas)
+    g = sample_fn(0.0 * omega - 0.0 * (np.pi * n))
+    beta = 1.0 / np.sqrt(float(np.dot(g, g)))
+    return beta * np.exp(-1j * np.pi * theta * n) * g
+
+
+@pytest.mark.parametrize("n_antennas", [2, 3, 127, 128])
+def test_zero_width_skips_the_taper_without_moving_a_bit(n_antennas):
+    cfg = ArrayConfig(n_antennas, CARRIER_HZ)
+    thetas = [0.0, -0.0, *np.random.default_rng(n_antennas).uniform(-0.999, 0.999, 60)]
+    for theta in thetas:
+        for omega in (0.0, 17.3, (n_antennas - 1) * math.pi):
+            beam = adaptive_precoder(AngularInterval(float(theta), 0.0), omega, cfg)
+            expected = _general_zero_width_weights(theta, omega, n_antennas)
+            assert beam.weights.tobytes() == expected.tobytes()
+            assert beam.beta == 1.0 / math.sqrt(n_antennas)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_zero_width_rejects_a_non_finite_omega(omega):
+    with pytest.raises(ValueError, match="omega"):
+        adaptive_precoder(AngularInterval(0.1, 0.0), omega, CFG128)
+
+
+def test_zero_width_rejects_a_nan_centre():
+    with pytest.raises(ValueError):  # the interval rejects it first
+        mrt_precoder(math.nan, CFG128)
+    # past the interval's check, NaN weights fail the unit-power check
+    unchecked = SimpleNamespace(theta_m=math.nan, delta=0.0)
+    with pytest.raises(ValueError, match="unit constraint"):
+        adaptive_precoder(unchecked, 0.0, CFG128)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_precoder_rejects_non_finite_weights(bad):
+    weights = np.full(4, 0.5, dtype=complex)
+    weights[2] = bad
+    with pytest.raises(ValueError, match="unit constraint"):
+        Precoder(weights, theta_m=0.0, delta=0.0, omega=0.0, beta=0.5)
+    weights[2] = 0.5
+    Precoder(weights, theta_m=0.0, delta=0.0, omega=0.0, beta=0.5)  # unit power passes
 
 
 def test_adaptive_converges_to_mrt_as_width_vanishes():

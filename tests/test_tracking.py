@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import suppress
 from dataclasses import fields, replace
 
 import numpy as np
@@ -229,6 +230,29 @@ def test_event_slot_with_no_sample_builds_no_beam(small_scenario, monkeypatch):
     monkeypatch.setattr(tracking, "_event_beam", counted)
     run_event_based(small_scenario, params)
     assert len(calls) == filled
+
+
+@pytest.mark.parametrize("slot", [0.05, 0.001])
+def test_event_realigns_to_the_sine_read_at_its_boundary(small_scenario, slot):
+    # an outage in every slot with a sample realigns at each of their ends, and each later beam
+    # is centred on the last estimate: the one-element read at that boundary, bit for bit
+    sc, params = small_scenario, EventBasedParams(slot=slot)
+    ep = _Episode(sc)
+    starts = ep.starts(params.slot)
+    realignments = [0.0]
+    beams = tracking._event_beams(ep, params, realignments)
+    centres = []
+    beam, _ = next(beams)
+    with suppress(StopIteration):
+        while True:
+            if beam is not None:
+                centres.append((float(beam.theta_m), realignments[-1]))
+            beam, _ = beams.send(beam is not None)
+    assert len(centres) == sum(b > a for a, b in zip(starts, starts[1:]))
+    assert len(realignments) > 10
+    for centre, boundary in centres:
+        (expected,), _ = sc.directions_at([boundary])
+        assert centre.hex() == float(expected).hex()
 
 
 def test_event_beam_at_zero_width_is_mrt(small_scenario):
