@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
+# far above the paper's 128; a larger count is rejected before any array is sized by it
+MAX_ANTENNAS = 1_000_000
 
 
 class FarFieldWarning(UserWarning):
@@ -35,7 +37,7 @@ class ArrayConfig:
 
     Parameters
     ----------
-    n_antennas : number of elements (>= 2)
+    n_antennas : number of elements, 2 to :data:`MAX_ANTENNAS`
     carrier_freq : carrier frequency in Hz
     """
 
@@ -46,6 +48,8 @@ class ArrayConfig:
         n = self.n_antennas  # a float such as 128.0 would fail later, inside numpy
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
             raise ValueError(f"need an integer antenna count >= 2, got {n!r}")
+        if n > MAX_ANTENNAS:
+            raise ValueError(f"antenna count {n} is over {MAX_ANTENNAS}")
         if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0.0):
             raise ValueError(f"carrier frequency must be positive, got {self.carrier_freq!r}")
 

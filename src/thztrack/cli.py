@@ -3,6 +3,8 @@
 Exit codes: 0 success, 2 configuration or usage error, 3 codebook error (missing file,
 version, a build value that is not the scenario's, corrupt payload), 4 run failure, including
 an output that cannot be created or written and an input-sized allocation memory cannot hold.
+Every argument and configuration value is checked before the codebook is read, and every
+failure is one stderr line: ``usage error: <prog>: <message>`` for a bad command line.
 """
 
 from __future__ import annotations
@@ -34,12 +36,29 @@ from .exports import pattern_gain_db, write_pattern, write_sweep, write_trace
 from .optimizer import optimize_omegas
 from .precoder import adaptive_precoder, bf_gain_profile
 from .seeding import derive_seed
-from .tracking import SCHEMES, TrackingRunError, axis_scenario, compute_metrics, run_schemes, sweep
+from .tracking import (
+    SCHEMES,
+    TrackingRunError,
+    axis_scenario,
+    compute_metrics,
+    run_schemes,
+    sweep,
+    sweep_scenarios,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CODEBOOK = 3
 EXIT_RUN = 4
+
+
+class UsageError(Exception):
+    """A command line argparse rejects, as ``<prog>: <message>``."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would print its usage block first, then exit
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _parse_values(raw: str) -> list[float]:
@@ -91,8 +110,8 @@ def cmd_simulate(args) -> int:
     config = parse_config_file(args.config)
     scenario = build_scenario(config)
     keys = list(SCHEMES) if args.scheme == "all" else [args.scheme]
-    cb = _load_codebook(args, config) if "proposed" in keys else None
     event_params = build_event_params(config) if "event" in keys else None
+    cb = _load_codebook(args, config) if "proposed" in keys else None
     records = run_schemes(scenario, keys, cb, event_params)
     out = _out_dir(args, config)  # only once every scheme has run, so a failed run writes nothing
     window = (scenario.start_angle, scenario.end_angle)
@@ -113,11 +132,13 @@ def cmd_sweep(args) -> int:
     template = build_scenario(config)
     values = _parse_values(args.values)
     keys = [k.strip() for k in args.schemes.split(",") if k.strip()]
-    cb = _load_codebook(args, config) if "proposed" in keys else None
+    event_params = build_event_params(config)
     try:
-        rows = sweep(template, args.axis, values, keys, cb, build_event_params(config), args.jobs)
-    except ValueError as exc:  # bad schemes or axis values; runs raise TrackingRunError
+        sweep_scenarios(template, args.axis, values, keys)
+    except ValueError as exc:  # bad schemes or axis values, checked before the codebook
         raise ConfigError(str(exc)) from exc
+    cb = _load_codebook(args, config) if "proposed" in keys else None
+    rows = sweep(template, args.axis, values, keys, cb, event_params, args.jobs)
     out = _out_dir(args, config)
     table_path = out / "sweep.csv"
     write_sweep(rows, table_path, config.output.delimiter)
@@ -164,7 +185,7 @@ def cmd_pattern(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thztrack",
         description="Sensing-assisted THz beam tracking simulator",
         epilog="exit codes: 0 ok, 2 config/usage, 3 codebook, 4 run failure or unwritable output",
@@ -213,8 +234,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     with warnings.catch_warnings():  # forked pool workers inherit the one-line format
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:

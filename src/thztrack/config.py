@@ -101,21 +101,17 @@ class RunConfig:
 _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
-# keys not listed here parse as float; r_min_bps also accepts the word "auto"
-_INT_KEYS = {"n_antennas", "n_quad", "n_particles", "n_iterations", "seed"}
-_STR_KEYS = {"path", "directory", "delimiter"}
-
-
-def _parse_value(section: str, key: str, raw: str):
+def _parse_value(section: str, key: str, annotation: str, raw: str):
+    """``raw`` as the field's annotated type; r_min_bps also accepts the word "auto"."""
     raw = raw.strip()
     if key == "r_min_bps" and raw == "auto":
         return None
     if key == "delimiter" and (len(raw) != 1 or raw == '"'):
         raise ConfigError(f"[{section}] {key}: {raw!r} is not one character other than '\"'")
-    if key in _STR_KEYS:
+    if annotation == "str":
         return raw
     try:
-        value = int(raw) if key in _INT_KEYS else float(raw)
+        value = int(raw) if annotation == "int" else float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
     if not math.isfinite(value):  # nan, inf, and literals such as 1e999 that overflow to inf
@@ -140,12 +136,12 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     for section, cls in _SECTIONS.items():
         if not parser.has_section(section):
             raise ConfigError(f"missing section [{section}]")
-        known = {f.name for f in fields(cls)}
+        known = {f.name: f.type for f in fields(cls)}  # annotations are strings here
         values = {}
         for key, raw in parser.items(section):
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[key] = _parse_value(section, key, raw)
+            values[key] = _parse_value(section, key, known[key], raw)
         for key in known:
             if key not in values:
                 raise ConfigError(f"missing key {key!r} in section [{section}]")

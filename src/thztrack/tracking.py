@@ -456,6 +456,22 @@ def axis_scenario(template: Scenario, axis: str, value: float) -> Scenario:
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
+def sweep_scenarios(template: Scenario, axis: str, values, schemes) -> list[Scenario]:
+    """Each axis value's scenario, once the values and schemes are checked.
+
+    A ValueError names the first value or scheme no sweep accepts, so a caller
+    can check them all before it reads a codebook.
+    """
+    if not values:
+        raise ValueError("sweep requires at least one axis value")
+    if not schemes or len(set(schemes)) < len(schemes):
+        raise ValueError(f"sweep requires at least one scheme, each once; got {schemes!r}")
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
+    return [axis_scenario(template, axis, v) for v in values]
+
+
 def _point_error(value: float, scheme: str, exc: Exception) -> TrackingRunError:
     return TrackingRunError(f"sweep point (value={value!r}, scheme={scheme!r}): {exc}")
 
@@ -478,19 +494,10 @@ def sweep(
     build power; only this optimisation, one call for every period of every
     power, uses up to ``jobs`` worker processes. Rows come back in input order.
     """
-    values = [float(v) for v in values]
-    if not values:
-        raise ValueError("sweep requires at least one axis value")
-    schemes = list(schemes)
-    if not schemes or len(set(schemes)) < len(schemes):
-        raise ValueError(f"sweep requires at least one scheme, each once; got {schemes!r}")
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
+    values, schemes = [float(v) for v in values], list(schemes)
+    scenarios = sweep_scenarios(template, axis, values, schemes)
     event_params = event_params or EventBasedParams()
     window = (template.start_angle, template.end_angle)
-
-    scenarios = [axis_scenario(template, axis, v) for v in values]
 
     episodes, optimised = [], [None] * len(values)
     if axis == "tx_power" and "proposed" in schemes and cb is not None:
