@@ -110,7 +110,7 @@ def cmd_simulate(args) -> int:
     config = parse_config_file(args.config)
     scenario = build_scenario(config)
     keys = list(SCHEMES) if args.scheme == "all" else [args.scheme]
-    event_params = build_event_params(config) if "event" in keys else None
+    event_params = build_event_params(config)
     cb = _load_codebook(args, config) if "proposed" in keys else None
     records = run_schemes(scenario, keys, cb, event_params)
     out = _out_dir(args, config)  # only once every scheme has run, so a failed run writes nothing

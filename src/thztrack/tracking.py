@@ -72,6 +72,9 @@ EVENT_COVERAGE_SIGMAS = 2.0
 # Most sensing periods or event slots an episode is split into; each keeps a start index.
 MAX_SEGMENTS = 1_000_000
 
+# Most samples an episode holds; every trace array is sized by this count.
+MAX_SAMPLES = 1_000_000
+
 
 class TrackingRunError(Exception):
     """A tracking episode could not be completed."""
@@ -228,13 +231,11 @@ class _Episode:
 
     def __init__(self, sc: Scenario):
         self.sc = sc
-        try:
-            count = int(math.floor(sc.duration / sc.time_step + 1e-9))
-            self.times = np.arange(count + 1) * sc.time_step
-        except (OverflowError, ValueError, MemoryError) as exc:
-            n = sc.duration / sc.time_step + 1.0
-            msg = f"velocity {sc.velocity!r} m/s needs {n:.6g} samples, too many to sample"
-            raise TrackingRunError(msg) from exc
+        samples = sc.duration / sc.time_step + 1.0
+        if not samples <= MAX_SAMPLES:  # also inf and NaN
+            at = f"velocity {sc.velocity!r} m/s at time step {sc.time_step!r} s"
+            raise TrackingRunError(f"{at} needs {samples:.6g} samples, over {MAX_SAMPLES}")
+        self.times = np.arange(math.floor(sc.duration / sc.time_step + 1e-9) + 1) * sc.time_step
         self.sins, self.dists = sc.directions_at(self.times)
         self.generators = response_generator(self.sins)
         self.powers = link_power(self.dists, sc.budget, sc.cfg)
@@ -472,8 +473,12 @@ def sweep_scenarios(template: Scenario, axis: str, values, schemes) -> list[Scen
     return [axis_scenario(template, axis, v) for v in values]
 
 
-def _point_error(value: float, scheme: str, exc: Exception) -> TrackingRunError:
-    return TrackingRunError(f"sweep point (value={value!r}, scheme={scheme!r}): {exc}")
+def _at_point(value: float, scheme: str, fn, *args):
+    """``fn(*args)``; a documented run failure of it is raised again naming the sweep point."""
+    try:
+        return fn(*args)
+    except (ValueError, TrackingRunError) as exc:
+        raise TrackingRunError(f"sweep point (value={value!r}, scheme={scheme!r}): {exc}") from exc
 
 
 def sweep(
@@ -485,39 +490,32 @@ def sweep(
     event_params: EventBasedParams | None = None,
     jobs: int = 1,
 ) -> list[SweepRow]:
-    """Metrics for every (value, scheme) pair along a velocity or power axis.
+    """Metrics for every (value, scheme) pair along a velocity or power axis, in input order.
 
-    ``axis`` is "velocity" (m/s) or "tx_power" (dBm). Each value's scenario is
-    sampled once, and its schemes share each sensing period's response rows
-    (see :func:`run_schemes`). On the power axis the proposed scheme
-    re-optimises beams per period because the codebook's fingerprint holds its
-    build power; only this optimisation, one call for every period of every
-    power, uses up to ``jobs`` worker processes. Rows come back in input order.
+    ``axis`` is "velocity" (m/s) or "tx_power" (dBm). Each value's scenario is sampled once, as
+    it runs, and its schemes share each sensing period's response rows (see :func:`run_schemes`).
+    On the power axis the proposed scheme re-optimises beams per period, since the codebook's
+    fingerprint holds its build power: one call for every period of every power, the only work
+    on up to ``jobs`` worker processes. A point's ValueError or TrackingRunError is raised again
+    as a TrackingRunError naming its value and a scheme: the first for its sampling and shared
+    run, its own for its rule and metrics, and ``proposed`` at the first value for the
+    optimisation. Any other exception propagates unwrapped.
     """
     values, schemes = [float(v) for v in values], list(schemes)
     scenarios = sweep_scenarios(template, axis, values, schemes)
     event_params = event_params or EventBasedParams()
     window = (template.start_angle, template.end_angle)
 
-    episodes, optimised = [], [None] * len(values)
+    episodes = (_at_point(v, schemes[0], _Episode, sc) for v, sc in zip(values, scenarios))
+    optimised = [None] * len(values)
     if axis == "tx_power" and "proposed" in schemes and cb is not None:
-        try:
-            episodes = [_Episode(sc) for sc in scenarios]
-            optimised = _optimised(episodes, cb.pso, cb.alpha, cb.n_quad, jobs)
-        except (ValueError, TrackingRunError) as exc:  # no check here depends on the power
-            raise _point_error(values[0], "proposed", exc) from exc
+        episodes = list(episodes)  # no check of the optimisation depends on the power
+        args = episodes, cb.pso, cb.alpha, cb.n_quad, jobs
+        optimised = _at_point(values[0], "proposed", _optimised, *args)
 
     rows = []
-    for i, (value, sc) in enumerate(zip(values, scenarios)):
-        key = schemes[0]  # the episode and its walk are every scheme's; the first names them
-        try:
-            ep = episodes[i] if episodes else _Episode(sc)
-            rules = []
-            for key in schemes:
-                rules.append(_scheme_rule(key, ep, cb, event_params, optimised[i]))
-            key = schemes[0]
-            for key, rec in zip(schemes, _run(ep, rules)):
-                rows.append(SweepRow(value, rec.scheme, compute_metrics(rec, window)))
-        except Exception as exc:
-            raise _point_error(value, key, exc) from exc
+    for v, ep, direct in zip(values, episodes, optimised):
+        rules = [_at_point(v, k, _scheme_rule, k, ep, cb, event_params, direct) for k in schemes]
+        for k, rec in zip(schemes, _at_point(v, schemes[0], _run, ep, rules)):
+            rows.append(SweepRow(v, rec.scheme, _at_point(v, k, compute_metrics, rec, window)))
     return rows

@@ -16,8 +16,9 @@ sweep 10-100 m/s, the ``tx_power`` sweep 20-50 dBm at ``--jobs 1`` and ``--jobs
 a run's stdout counts as ``<run>/stdout``, with the temporary directory and the
 build's wall time masked. Each built codebook also gets a ``<run>/cells`` line:
 the digest of its loaded entries' ``(ti, di, theta_m, delta, omega, objective)``
-reprs, which stays put when a new file format moves the bytes but no value. It
-prints 45 lines and takes about 9 s on two cores.
+reprs, which stays put when a new file format moves the bytes but no value. Every
+file and cells digest of a ``--jobs 2`` run must equal its ``--jobs 1`` twin's, or
+the script fails. It prints 45 lines and takes about 26 s on a 2-core Xeon.
 The file name keeps pytest from collecting it.
 """
 
@@ -101,6 +102,16 @@ def _cell_digest(path: Path) -> str:
     return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
+def _data_digests(digests: dict[str, str], run: str) -> dict[str, str]:
+    """The digest of each of ``run``'s files and cells by its name in the run; not its stdout,
+    which names the run's paths."""
+    return {
+        path.removeprefix(f"{run}/"): digest
+        for path, digest in digests.items()
+        if path.startswith(f"{run}/") and path != f"{run}/stdout"
+    }
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work, configs = Path(tmp) / "runs", Path(tmp) / "configs"
@@ -125,6 +136,9 @@ def main() -> None:
         name, trace = f"simulate_{scheme}", f"trace_{slug}.csv"
         if digests[f"{name}/{trace}"] != digests[f"simulate/{trace}"]:  # alone as beside the others
             raise SystemExit(f"{name}/{trace} differs from simulate/{trace}")
+    for twin in ("build", "sweep_power"):  # --jobs moves no data byte
+        if _data_digests(digests, f"{twin}_jobs2") != _data_digests(digests, f"{twin}_jobs1"):
+            raise SystemExit(f"{twin}_jobs2 wrote other data than {twin}_jobs1")
     for path in sorted(digests):
         print(f"{digests[path]}  {path}")
 

@@ -607,9 +607,12 @@ def _huge_swarm_error(case: str) -> str:
 
 
 def _too_long(velocity: str, samples: str) -> list[Row]:
-    # a near-zero speed makes the episode's sample count infinite or too large for an array
-    # index, so the run fails with one line before it allocates anything
-    needs = f"velocity {float(velocity)!r} m/s needs {samples} samples, too many to sample"
+    # a near-zero speed puts the episode's sample count over tracking.MAX_SAMPLES, or makes it
+    # infinite, so the run fails with one line before it allocates anything
+    needs = (
+        f"velocity {float(velocity)!r} m/s at time step 0.00825 s needs {samples} samples, "
+        "over 1000000"
+    )
     point = "run error: sweep point (value={!r}, scheme='proposed'): " + needs
     slow = {"velocity_mps": velocity}
     return [
@@ -732,6 +735,12 @@ _FAILURES = {
     "test_cli_episode_too_long_to_sample_exit_code": {
         "5e-324": _too_long("5e-324", "inf"),
         "1e-300": _too_long("1e-300", "3.74953e+303"),
+        "0.001": _too_long("0.001", "3.74953e+06"),
+        "time-step-1e-9": [
+            Row(["simulate", "--scheme", "all"], 4,
+                ["run error: velocity 20.0 m/s at time step 1e-09 s needs 1.54668e+09 samples, "
+                 "over 1000000"], {"time_step_s": 1e-9}, {}),
+        ],
     },
     "test_cli_pattern_swarm_too_large_for_memory_exit_code": _one({
         case: Row(["pattern", "--velocities", "10"], 4, [_huge_swarm_error(case)], edits)
@@ -811,6 +820,12 @@ _FAILURES = {
         },
         # every argument and config value is checked before the codebook is read
         "order-slot-simulate": Row(["simulate"], 2, [_SLOT_ZERO], {"slot_s": 0.0}),
+        **{  # whichever scheme runs, as sweep checks it whichever schemes run
+            f"order-slot-simulate-{scheme}": Row(
+                ["simulate", "--scheme", scheme], 2, [_SLOT_ZERO], {"slot_s": 0.0}
+            )
+            for scheme in ("proposed", "conventional")
+        },
         "order-slot-sweep": Row(
             [*_VELOCITY, "10", "--schemes", "proposed"], 2, [_SLOT_ZERO], {"slot_s": 0.0}
         ),

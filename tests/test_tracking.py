@@ -559,6 +559,43 @@ def test_power_sweep_error_names_its_point(small_scenario, small_codebook):
         sweep(small_scenario, "tx_power", [30.0, 40.0], ["proposed"], cb, jobs=2)
 
 
+@pytest.mark.parametrize("axis", ["velocity", "tx_power"])
+def test_sweep_lets_other_errors_through(small_scenario, small_codebook, monkeypatch, axis):
+    # only a ValueError or TrackingRunError names its point; a programming error keeps its type
+    def broken(rec, window):
+        raise TypeError("not a run failure")
+
+    monkeypatch.setattr(tracking, "compute_metrics", broken)
+    with pytest.raises(TypeError, match="^not a run failure$"):
+        sweep(small_scenario, axis, [30.0], ["proposed", "conventional"], small_codebook)
+
+
+def test_velocity_sweep_codebook_of_another_power_is_a_codebook_error(
+    small_scenario, small_codebook
+):
+    cb = replace(small_codebook, fingerprint={**small_codebook.fingerprint, "tx_power": 1.0})
+    with pytest.raises(CodebookError, match=r"^codebook tx_power 1\.0 is not the scenario's"):
+        sweep(small_scenario, "velocity", [20.0], ["conventional", "proposed"], cb)
+
+
+def test_velocity_sweep_samples_each_point_as_it_runs(small_scenario, small_codebook, monkeypatch):
+    calls = []
+
+    class Spy(_Episode):
+        def __init__(self, sc):
+            calls.append(("episode", sc.velocity))
+            super().__init__(sc)
+
+    def run(ep, rules):
+        calls.append(("run", ep.sc.velocity))
+        return _run(ep, rules)
+
+    monkeypatch.setattr(tracking, "_Episode", Spy)
+    monkeypatch.setattr(tracking, "_run", run)
+    sweep(small_scenario, "velocity", [10.0, 25.0], ["proposed", "conventional"], small_codebook)
+    assert calls == [("episode", 10.0), ("run", 10.0), ("episode", 25.0), ("run", 25.0)]
+
+
 def test_direct_run_trace_symmetry(small_scenario, small_pso):
     # rate trace within each full period correlates with its own reversal
     rec = run_sensing_assisted_direct(small_scenario, small_pso, alpha=10.0, n_quad=16)
