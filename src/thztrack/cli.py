@@ -112,7 +112,10 @@ def cmd_simulate(args) -> int:
     keys = list(SCHEMES) if args.scheme == "all" else [args.scheme]
     event_params = build_event_params(config)
     cb = _load_codebook(args, config) if "proposed" in keys else None
-    records = run_schemes(scenario, keys, cb, event_params)
+    try:
+        records = run_schemes(scenario, keys, cb, event_params)
+    except ValueError as exc:  # a run failure, reported as sweep reports one
+        raise TrackingRunError(str(exc)) from exc
     out = _out_dir(args, config)  # only once every scheme has run, so a failed run writes nothing
     window = (scenario.start_angle, scenario.end_angle)
     for key, rec in zip(keys, records):

@@ -83,6 +83,9 @@ class CodebookGrid:
     delta_max: float
 
     def __post_init__(self):
+        for name in ("theta_step", "delta_step", "delta_max"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.theta_step <= 0.0 or self.delta_step <= 0.0:
             raise ValueError("grid steps must be positive")
         lo, hi = self.theta_range
@@ -262,7 +265,7 @@ def _to_payload(cb: Codebook) -> dict:
 
 def save(cb: Codebook, sink) -> None:
     """Write the codebook to a path or text file object (deterministic bytes)."""
-    write_text(sink, json.dumps(_to_payload(cb), sort_keys=True, separators=(",", ":")))
+    write_text(sink, [json.dumps(_to_payload(cb), sort_keys=True, separators=(",", ":"))])
 
 
 def _finite(text: str) -> float:

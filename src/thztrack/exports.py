@@ -24,6 +24,11 @@ PATTERN_COLUMNS = ("sin_dir", "gain_db")
 
 PATTERN_FLOOR_DB = -120.0
 
+# Rows per written chunk: a table's text is built a block at a time, so a long episode's trace
+# text never sets its peak memory. A trace of the default path at 10 m/s (1875 rows), a
+# pattern (2001 rows) and a sweep are one block each.
+BLOCK_ROWS = 4096
+
 
 def _quoted(column: list[str], delimiter: str) -> list[str]:
     """The column with every field that holds the delimiter or a double quote quoted CSV-style."""
@@ -33,31 +38,41 @@ def _quoted(column: list[str], delimiter: str) -> list[str]:
     return ['"' + v.replace('"', '""') + '"' if delimiter in v or '"' in v else v for v in column]
 
 
-def _reprs(name: str, values) -> list[str]:
-    """Shortest round-trip text of each value of column ``name`` as a float, all finite."""
+def _finite(name: str, values) -> np.ndarray:
+    """Column ``name`` as floats, all finite."""
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"refusing to export non-finite values in column {name!r}")
-    return [repr(v) for v in values.tolist()]
+    return values
 
 
-def _write_rows(sink, header: tuple[str, ...], columns: list[list[str]], delimiter: str) -> None:
-    """Write the header and the rows formed by ``columns``, quoting fields column by column."""
-    quoted = [_quoted(column, delimiter) for column in columns]
-    lines = [delimiter.join(_quoted(list(header), delimiter))]
-    lines.extend(delimiter.join(row) for row in zip(*quoted))
-    write_text(sink, "\n".join(lines) + "\n")
+def _fields(column) -> list[str]:
+    """A column's text: the shortest round-trip text of each number of an array, or the strings."""
+    return [repr(v) for v in column.tolist()] if isinstance(column, np.ndarray) else column
+
+
+def _write_rows(sink, header: tuple[str, ...], columns: list, delimiter: str) -> None:
+    """Write the header and the rows formed by ``columns``, quoting fields column by column,
+    a chunk of :data:`BLOCK_ROWS` rows at a time."""
+
+    def chunks():
+        yield delimiter.join(_quoted(list(header), delimiter)) + "\n"
+        for i in range(0, len(columns[0]), BLOCK_ROWS):
+            block = [_quoted(_fields(column[i : i + BLOCK_ROWS]), delimiter) for column in columns]
+            yield "\n".join(delimiter.join(row) for row in zip(*block)) + "\n"
+
+    write_text(sink, chunks())
 
 
 def write_trace(rec: TrackRecord, sink, delimiter: str = ",") -> None:
     columns = [
-        _reprs("time_s", rec.times),
+        _finite("time_s", rec.times),
         [rec.scheme] * len(rec.times),
-        _reprs("sin_dir", rec.sin_dirs),
-        _reprs("distance_m", rec.distances),
-        _reprs("bf_gain", rec.bf_gains),
-        _reprs("rate_bps", rec.rates),
-        [str(v) for v in np.asarray(rec.outages, dtype=int).tolist()],
+        _finite("sin_dir", rec.sin_dirs),
+        _finite("distance_m", rec.distances),
+        _finite("bf_gain", rec.bf_gains),
+        _finite("rate_bps", rec.rates),
+        np.asarray(rec.outages, dtype=int),
         rec.beam_ids,
     ]
     _write_rows(sink, TRACE_COLUMNS, columns, delimiter)
@@ -65,10 +80,10 @@ def write_trace(rec: TrackRecord, sink, delimiter: str = ",") -> None:
 
 def write_sweep(rows: list[SweepRow], sink, delimiter: str = ",") -> None:
     columns = [
-        _reprs("value", [row.value for row in rows]),
+        _finite("value", [row.value for row in rows]),
         [row.scheme for row in rows],
-        _reprs("avg_rate_bps", [row.metrics.avg_rate for row in rows]),
-        _reprs("outage_prob", [row.metrics.outage_prob for row in rows]),
+        _finite("avg_rate_bps", [row.metrics.avg_rate for row in rows]),
+        _finite("outage_prob", [row.metrics.outage_prob for row in rows]),
         [str(row.metrics.realignment_count) for row in rows],
     ]
     _write_rows(sink, SWEEP_COLUMNS, columns, delimiter)
@@ -81,5 +96,5 @@ def pattern_gain_db(gains: np.ndarray) -> np.ndarray:
 
 
 def write_pattern(sin_dirs: np.ndarray, gains_db: np.ndarray, sink, delimiter: str = ",") -> None:
-    columns = [_reprs("sin_dir", sin_dirs), _reprs("gain_db", gains_db)]
+    columns = [_finite("sin_dir", sin_dirs), _finite("gain_db", gains_db)]
     _write_rows(sink, PATTERN_COLUMNS, columns, delimiter)

@@ -34,6 +34,12 @@ MIN_QUAD_NODES = 8
 MAX_QUAD_NODES = 1024
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is no integer (a float such as 2.5 would fail later, inside numpy)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Everything needed to evaluate the per-period objective for one interval.
@@ -57,6 +63,7 @@ class ObjectiveSpec:
             raise ValueError(f"minimum rate must be >= 0, got {self.r_min!r}")
         if not 0.0 <= self.alpha < math.inf:  # 0 * inf would make every unpenalised node NaN
             raise ValueError(f"penalty weight must be finite and >= 0, got {self.alpha!r}")
+        _check_count("n_quad", self.n_quad)
         if not MIN_QUAD_NODES <= self.n_quad <= MAX_QUAD_NODES:
             raise ValueError(
                 f"need {MIN_QUAD_NODES} to {MAX_QUAD_NODES} quadrature nodes, got {self.n_quad!r}"
@@ -79,6 +86,8 @@ class PsoConfig:
         lo, hi = self.bounds
         if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
             raise ValueError(f"invalid search bounds {self.bounds!r}; need 0 <= lo < hi")
+        _check_count("n_particles", self.n_particles)
+        _check_count("n_iterations", self.n_iterations)
         if self.n_particles < 2:
             raise ValueError(f"need at least 2 particles, got {self.n_particles!r}")
         if self.n_iterations < 1:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import os
 import stat
+from collections.abc import Iterable
 
 
-def write_text(sink, text: str) -> None:
-    """Write ``text`` to a text file object, or as UTF-8 to a path.
+def write_text(sink, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` in order to a text file object, or as UTF-8 to a path.
 
     An existing regular file is overwritten in place and then truncated to the
     written length, never truncated first: on ext4, truncating a non-empty 60 kB
@@ -16,9 +17,11 @@ def write_text(sink, text: str) -> None:
     created as ``open(path, "w")`` would.
     """
     if hasattr(sink, "write"):
-        sink.write(text)
+        for chunk in chunks:
+            sink.write(chunk)
         return
     with open(os.open(sink, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
-        handle.write(text.encode("utf-8"))
+        for chunk in chunks:
+            handle.write(chunk.encode("utf-8"))
         if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # a FIFO or terminal has no length
             handle.truncate()  # at the end of what was written

@@ -80,6 +80,11 @@ class TrackingRunError(Exception):
     """A tracking episode could not be completed."""
 
 
+_SCENARIO_FLOATS = (
+    "perpendicular_distance", "start_angle", "end_angle", "velocity", "tau", "time_step", "r_min"
+)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Simulation scenario: link physics plus a straight target path.
@@ -103,6 +108,9 @@ class Scenario:
     geom: BsGeometry = field(default_factory=BsGeometry)
 
     def __post_init__(self):
+        for name in _SCENARIO_FLOATS:
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.perpendicular_distance > 0.0:
             raise ValueError("perpendicular distance must be positive")
         if not self.end_angle > self.start_angle:
@@ -270,7 +278,7 @@ def _event_beams(ep: _Episode, params: EventBasedParams, realignments: list[floa
     growth = params.weight * params.rw_var * EVENT_VARIANCE_UNIT
     starts = ep.starts(params.slot)
     held_ends = (np.flatnonzero(np.diff(starts)) + 1) * params.slot
-    sines = iter(sc.directions_at(np.append(0.0, held_ends))[0])
+    sines = iter(sc.directions_at(np.append(0.0, held_ends))[0].tolist())
     estimate = next(sines)
     for k in range(len(starts) - 1):
         half_width = EVENT_COVERAGE_SIGMAS * math.sqrt(variance)

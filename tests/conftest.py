@@ -1,6 +1,8 @@
-"""Shared fixtures: reference link parameters and a small, fast codebook."""
+"""Shared fixtures: reference link parameters and a small, fast codebook; table tests."""
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
@@ -97,3 +99,37 @@ def small_codebook(small_cfg, small_budget, small_pso):
 @pytest.fixture(scope="session")
 def small_scenario(small_cfg, small_budget) -> Scenario:
     return make_scenario(small_cfg, small_budget, velocity=20.0, time_step=TAU_S / 50.0)
+
+
+def table_tests(families: dict, run) -> dict:
+    """One test per family, named by its key, that calls ``run(rows, request)``. A family is a
+    list of rows, or a dict from case id to its rows, so every case keeps its id; a lone row
+    stands for a list of one."""
+
+    def table_test(name, cases):
+        if isinstance(cases, dict):
+            @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
+            def test(request, rows):
+                run(rows if isinstance(rows, list) else [rows], request)
+        else:
+            def test(request):
+                run(cases if isinstance(cases, list) else [cases], request)
+        test.__name__ = test.__qualname__ = name
+        return test
+
+    return {name: table_test(name, cases) for name, cases in families.items()}
+
+
+def check_rejections(rows, request) -> None:
+    """Each row is an API call and the one line it raises, ``"<exception type>: <message>"``,
+    as a traceback ends, or None for a call that must not raise, such as a value at a bound.
+    The call's parameters without a default name the fixtures it is given."""
+    for call, line in rows:
+        params = inspect.signature(call).parameters.values()
+        kwargs = {p.name: request.getfixturevalue(p.name) for p in params if p.default is p.empty}
+        if line is None:
+            call(**kwargs)
+            continue
+        with pytest.raises(Exception) as caught:
+            call(**kwargs)
+        assert f"{type(caught.value).__name__}: {caught.value}" == line and "\n" not in line

@@ -17,7 +17,7 @@ from thztrack import (
     fraunhofer_distance,
     response_matrix,
 )
-from conftest import CARRIER_HZ, aligned_rate, make_budget
+from conftest import CARRIER_HZ, aligned_rate, check_rejections, make_budget, table_tests
 from gain_reference import array_response
 
 C = 299_792_458.0
@@ -39,13 +39,6 @@ def test_array_response_half_sine():
     assert np.allclose(response_matrix([0.5], cfg)[0], [1.0, -1.0j, -1.0], atol=1e-12)
 
 
-def test_array_response_rejects_out_of_range():
-    cfg = ArrayConfig(4, CARRIER_HZ)
-    for bad in (1.0001, math.nan):
-        with pytest.raises(ValueError):
-            response_matrix([bad], cfg)
-
-
 def test_response_matrix_rows_are_array_responses():
     cfg = ArrayConfig(33, CARRIER_HZ)
     dirs = np.array([-1.0, -0.37, 0.0, 0.5, 1.0])
@@ -54,13 +47,6 @@ def test_response_matrix_rows_are_array_responses():
     assert np.all(rows[:, 0] == 1.0)
     for s, row in zip(dirs, rows):
         assert np.allclose(row, array_response(float(s), cfg), rtol=0.0, atol=1e-13)
-
-
-def test_response_matrix_rejects_out_of_range():
-    cfg = ArrayConfig(8, CARRIER_HZ)
-    for bad in ([1.0 + 1e-12], [0.0, -1.5]):
-        with pytest.raises(ValueError):
-            response_matrix(np.array(bad), cfg)
 
 
 def test_array_response_norm_and_conjugate():
@@ -107,12 +93,6 @@ def test_channel_gain_inverse_distance_law():
 def test_channel_gain_reference_value():
     cfg = ArrayConfig(128, CARRIER_HZ)
     assert channel_gain(100.0, make_budget(), cfg) == pytest.approx(1.085e-6, rel=1e-3)
-
-
-def test_channel_gain_rejects_nonpositive_distance():
-    cfg = ArrayConfig(4, CARRIER_HZ)
-    with pytest.raises(ValueError):
-        channel_gain(0.0, make_budget(), cfg)
 
 
 def test_channel_gain_absorption_identity():
@@ -190,22 +170,37 @@ def test_dbm_conversions():
     assert 10.0 * math.log10(dbm_to_watt(7.5)) + 30.0 == pytest.approx(7.5, abs=1e-12)
 
 
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        LinkBudget(tx_power=0.0, noise_psd=1e-20, bandwidth=1e9)
-    with pytest.raises(ValueError):
-        LinkBudget(tx_power=1.0, noise_psd=1e-20, bandwidth=1e9, absorption_coeff=-0.1)
-
-
-def test_array_config_validation():
-    with pytest.raises(ValueError):
-        ArrayConfig(1, CARRIER_HZ)
-    with pytest.raises(ValueError):
-        ArrayConfig(8, 0.0)
-
-
-@pytest.mark.parametrize("count", [128.0, np.float64(16.0), math.inf, math.nan, True, "16"])
-def test_array_config_rejects_non_integer_count(count):
-    with pytest.raises(ValueError, match="integer antenna count"):
-        ArrayConfig(count, CARRIER_HZ)
-    assert ArrayConfig(np.int64(16), CARRIER_HZ).n_antennas == 16  # numpy integers are fine
+_SINES = "ValueError: sine directions must lie in [-1, 1]"
+_COUNT = "ValueError: need an integer antenna count >= 2, got "
+_REJECTIONS = {
+    "test_array_response_rejects_out_of_range": [
+        (lambda s=bad: response_matrix([s], ArrayConfig(4, CARRIER_HZ)), _SINES)
+        for bad in (1.0001, math.nan)
+    ],
+    "test_response_matrix_rejects_out_of_range": [
+        (lambda s=bad: response_matrix(np.array(s), ArrayConfig(8, CARRIER_HZ)), _SINES)
+        for bad in ([1.0 + 1e-12], [0.0, -1.5])
+    ],
+    "test_channel_gain_rejects_nonpositive_distance": (
+        lambda: channel_gain(0.0, make_budget(), ArrayConfig(4, CARRIER_HZ)),
+        "ValueError: distance must be positive"),
+    "test_rate_rejects_negative_gain": (
+        lambda: achievable_rate(-1.0, 100.0, make_budget(), ArrayConfig(4, CARRIER_HZ)),
+        "ValueError: beamforming gain must be non-negative"),
+    "test_budget_validation": [
+        (lambda: LinkBudget(0.0, 1e-20, 1e9), "ValueError: tx_power must be positive, got 0.0"),
+        (lambda: LinkBudget(1.0, 1e-20, 1e9, absorption_coeff=-0.1),
+         "ValueError: absorption_coeff must be >= 0, got -0.1"),
+    ],
+    "test_array_config_validation": [
+        (lambda: ArrayConfig(1, CARRIER_HZ), f"{_COUNT}1"),
+        (lambda: ArrayConfig(8, 0.0), "ValueError: carrier frequency must be positive, got 0.0"),
+    ],
+    "test_array_config_rejects_non_integer_count": {  # numpy integers are fine
+        case: [(lambda n=count: ArrayConfig(n, CARRIER_HZ), f"{_COUNT}{count!r}"),
+               (lambda: ArrayConfig(np.int64(16), CARRIER_HZ), None)]
+        for case, count in [("128.0", 128.0), ("16.0", np.float64(16.0)), ("inf", math.inf),
+                            ("nan", math.nan), ("True", True), ("16", "16")]
+    },
+}
+globals().update(table_tests(_REJECTIONS, check_rejections))

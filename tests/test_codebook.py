@@ -6,6 +6,7 @@ import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,7 @@ from thztrack import (
 from thztrack.codebook import _cell_spec
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
-from conftest import make_objective_spec, make_scenario
+from conftest import check_rejections, make_objective_spec, make_scenario, table_tests
 
 
 @pytest.fixture(scope="module")
@@ -56,19 +57,8 @@ def test_grid_counts_and_ends_need_no_value_list():
     assert len(grid.cells()) == 75 * 43
     assert grid.theta_values()[-1] == -0.37 + 74 * 0.01 and grid.delta_values()[-1] == 42 * 0.002
     # a step that no float count can reach is a ValueError, not an OverflowError
-    with pytest.raises(ValueError, match="too small"):
+    with pytest.raises(ValueError, match="^grid step 5e-324 is too small for a span of 0.3$"):
         CodebookGrid(theta_step=5e-324, delta_step=0.01, theta_range=(0.0, 0.3), delta_max=0.0)
-
-
-def test_load_rejects_grid_step_without_finite_count(tiny_build, tmp_path):
-    _, _, cb = tiny_build
-    path = tmp_path / "cb.json"
-    save(cb, path)
-    payload = json.loads(path.read_text())
-    payload["grid"]["delta_step"] = 5e-324
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CodebookError, match="grid step 5e-324 is too small"):
-        load(path)
 
 
 def test_every_cell_present(tiny_build):
@@ -229,14 +219,6 @@ def test_lookup_indices_match_grid_scan(case):
         assert lookup_indices(SimpleNamespace(grid=grid), interval) == expected
 
 
-def test_lookup_out_of_range(tiny_build):
-    _, _, cb = tiny_build
-    with pytest.raises(CodebookError, match="outside grid range"):
-        lookup_indices(cb, AngularInterval(0.2, 0.0))
-    with pytest.raises(CodebookError, match="outside grid range"):
-        lookup_indices(cb, AngularInterval(0.05, 0.05))
-
-
 def test_save_load_round_trip(tiny_build, tmp_path):
     _, _, cb = tiny_build
     path = tmp_path / "cb.json"
@@ -247,6 +229,8 @@ def test_save_load_round_trip(tiny_build, tmp_path):
     assert loaded.tau == cb.tau
     assert loaded.alpha == cb.alpha
     assert loaded.r_min == cb.r_min
+    edited = replace(cb, fingerprint={**cb.fingerprint, "tau": 0.2, "r_min": 1.0})
+    assert (edited.tau, edited.r_min) == (0.2, 1.0)  # stored once, in the fingerprint
     assert loaded.pso == cb.pso
     assert loaded.entries == cb.entries
 
@@ -270,112 +254,6 @@ def test_parallel_build_matches_serial(tiny_build, small_pso):
     save(cb, buf1)
     save(parallel, buf2)
     assert buf1.getvalue() == buf2.getvalue()
-
-
-def test_load_fingerprint_mismatch(tiny_build, tmp_path):
-    _, _, cb = tiny_build
-    path = tmp_path / "cb.json"
-    save(cb, path)
-    altered = {**cb.fingerprint, "n_antennas": 64}
-    expected = "^codebook n_antennas 32 is not the scenario's 64; rebuild the codebook$"
-    with pytest.raises(CodebookError, match=expected):
-        load(path, expected_fingerprint=altered)
-    # matching fingerprint loads fine
-    load(path, expected_fingerprint=cb.fingerprint)
-
-
-def test_load_truncated_payload(tiny_build, tmp_path):
-    _, _, cb = tiny_build
-    path = tmp_path / "cb.json"
-    save(cb, path)
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
-    with pytest.raises(CodebookError, match="not valid JSON"):
-        load(path)
-
-
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
-def test_load_rejects_non_finite_numbers(tiny_build, tmp_path, constant):
-    _, _, cb = tiny_build
-    path = tmp_path / "cb.json"
-    save(cb, path)
-    payload = json.loads(path.read_text())
-    payload["omega"][0] = "OMEGA"
-    path.write_text(json.dumps(payload).replace('"OMEGA"', constant))
-    with pytest.raises(CodebookError, match="non-finite"):
-        load(path)
-
-
-def _negative_omega(payload) -> None:
-    payload["omega"][2] = -1e-9
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda payload: payload["omega"].pop(4), "8 omegas and 9 objectives for 9 cells"),
-        (lambda payload: payload["objective"].append(1.0), "9 omegas and 10 objectives for 9 cells"),
-        (_negative_omega, r"cell \(0, 2\) has omega -1e-09 outside the bounds"),
-    ],
-    ids=["missing", "surplus", "omega-below-bounds"],
-)
-def test_load_rejects_incomplete_or_inconsistent_cells(tiny_build, tmp_path, edit, message):
-    _, _, cb = tiny_build
-    path = tmp_path / "cb.json"
-    save(cb, path)
-    payload = json.loads(path.read_text())
-    edit(payload)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CodebookError, match=message):
-        load(path)
-
-
-@pytest.mark.parametrize(
-    "theta_range, delta_max",
-    [((0.5, 0.75), 0.25), ((0.5, 0.75), 0.5), ((-0.75, 0.0), 0.25), ((-0.75, 0.0), 0.5)],
-    ids=["at-plus-1", "past-plus-1", "at-minus-1", "past-minus-1"],
-)
-def test_grid_rejects_cells_reaching_sine_edge(tiny_build, tmp_path, theta_range, delta_max):
-    # a cell path that touches sin = +-1 runs to infinity, so no such grid is built or loaded;
-    # steps of 0.25 make the outermost edges exactly +-1 or beyond
-    with pytest.raises(ValueError, match="reaches sine-space edge"):
-        CodebookGrid(0.25, 0.25, theta_range, delta_max)
-    CodebookGrid(0.25, 0.125, theta_range, 0.125)  # one row less stays inside
-    _, _, cb = tiny_build
-    path = tmp_path / "cb.json"
-    save(cb, path)
-    payload = json.loads(path.read_text())
-    lo, hi = theta_range
-    payload["grid"].update(theta_step=0.25, delta_step=0.25, theta_lo=lo, theta_hi=hi,
-                           delta_max=delta_max)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CodebookError, match="reaches sine-space edge"):
-        load(path)
-
-
-def test_load_version_mismatch(tiny_build, tmp_path):
-    # format 1, which listed every cell as a row, and format 2, which hashed the build
-    # scenario, have no reader either
-    _, _, cb = tiny_build
-    path = tmp_path / "cb.json"
-    save(cb, path)
-    payload = json.loads(path.read_text())
-    for version in (1, 2, 999):
-        payload["format_version"] = version
-        path.write_text(json.dumps(payload))
-        expected = f"unsupported codebook format {version}, expected 3; rebuild the codebook"
-        with pytest.raises(CodebookError, match=f"^{expected}$"):
-            load(path)
-    del payload["format_version"]
-    for unversioned in (payload, [payload]):  # a JSON array holds no version either
-        path.write_text(json.dumps(unversioned))
-        with pytest.raises(CodebookError, match="^codebook payload missing format_version$"):
-            load(path)
-
-
-def test_load_missing_file(tmp_path):
-    with pytest.raises(CodebookError, match="cannot read codebook"):
-        load(tmp_path / "missing.json")
 
 
 def test_entry_optimality_floor(tiny_build):
@@ -422,3 +300,96 @@ def test_cell_spec_reproduces_interval(small_cfg, small_budget):
     interval = path_to_interval(spec.state, spec.tau)
     assert interval.theta_m == pytest.approx(0.12, abs=1e-12)
     assert interval.delta == pytest.approx(0.03, abs=1e-12)
+
+
+def _loaded(edit=None, expected=None):
+    """A call that saves the tiny codebook, applies any ``edit`` to its payload and loads the text
+    ``edit`` returns, or else the payload it leaves, expecting the fingerprint ``expected(cb)``."""
+
+    def call(tiny_build, tmp_path):
+        cb, path = tiny_build[2], tmp_path / "cb.json"
+        save(cb, path)
+        payload = json.loads(path.read_text())
+        text = edit and edit(payload)
+        path.write_text(text if isinstance(text, str) else json.dumps(payload))
+        return load(path, expected_fingerprint=expected and expected(cb))
+
+    return call
+
+
+_MISSING = Path(__file__).with_name("missing.json")
+_GRID = {"theta_step": 0.05, "delta_step": 0.01, "theta_range": (0.0, 0.3), "delta_max": 0.02}
+_INVALID = "CodebookError: codebook payload incomplete or invalid: "
+_REJECTIONS = {
+    "test_load_rejects_grid_step_without_finite_count": (
+        _loaded(lambda payload: payload["grid"].update(delta_step=5e-324)),
+        f"{_INVALID}grid step 5e-324 is too small for a span of 0.02"),
+    "test_grid_rejects_non_finite_values": {
+        f"{field}-{value!r}": (lambda f=field, v=value: CodebookGrid(**{**_GRID, f: v}),
+                               f"ValueError: {field} must be finite, got {value!r}")
+        for field, value in [("theta_step", math.nan), ("delta_step", math.inf),
+                             ("delta_max", math.nan)]
+    },
+    "test_lookup_out_of_range": [
+        (lambda tiny_build, i=interval: lookup_indices(tiny_build[2], i),
+         f"CodebookError: interval (theta={interval.theta_m!r}, delta={interval.delta!r}) "
+         "outside grid range; rebuild with a wider grid")
+        for interval in (AngularInterval(0.2, 0.0), AngularInterval(0.05, 0.05))
+    ],
+    "test_load_fingerprint_mismatch": [  # and the matching fingerprint loads
+        (_loaded(expected=lambda cb: {**cb.fingerprint, "n_antennas": 64}),
+         "CodebookError: codebook n_antennas 32 is not the scenario's 64; rebuild the codebook"),
+        (_loaded(expected=lambda cb: cb.fingerprint), None),
+    ],
+    "test_load_truncated_payload": (
+        _loaded(lambda payload: json.dumps(payload)[:1]), "CodebookError: codebook payload is not "
+        "valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "test_load_rejects_non_finite_numbers": {
+        literal: (_loaded(lambda payload, c=literal: json.dumps({**payload, "omega": [c]})
+                          .replace(f'"{c}"', c)),
+                  f"CodebookError: codebook payload holds a non-finite number {literal!r}")
+        for literal in ["NaN", "Infinity", "-Infinity", "1e999"]
+    },
+    "test_load_rejects_incomplete_or_inconsistent_cells": {
+        "missing": (_loaded(lambda payload: payload["omega"].pop(4)),
+                    "CodebookError: 8 omegas and 9 objectives for 9 cells"),
+        "surplus": (_loaded(lambda payload: payload["objective"].append(1.0)),
+                    "CodebookError: 9 omegas and 10 objectives for 9 cells"),
+        "omega-below-bounds": (  # the 32-antenna bounds are (0, 31 pi / 2)
+            _loaded(lambda payload: payload["omega"].__setitem__(2, -1e-9)),
+            "CodebookError: codebook cell (0, 2) has omega -1e-09 outside the bounds "
+            "(0.0, 48.69468613064179)",
+        ),
+    },
+    # a cell path that touches sin = +-1 runs to infinity, so no such grid is built or loaded;
+    # steps of 0.25 make the outermost edges exactly +-1 or beyond, and one row less stays inside
+    "test_grid_rejects_cells_reaching_sine_edge": {
+        case: [
+            (lambda r=span, d=reach: CodebookGrid(0.25, 0.25, r, d), "ValueError: " + cell),
+            (_loaded(lambda payload, r=span, d=reach: payload["grid"].update(
+                theta_step=0.25, delta_step=0.25, theta_lo=r[0], theta_hi=r[1], delta_max=d)),
+             f"{_INVALID}{cell}"),
+            (lambda r=span: CodebookGrid(0.25, 0.125, r, 0.125), None),
+        ]
+        for case, span, reach, centre in [
+            ("at-plus-1", (0.5, 0.75), 0.25, 0.75), ("past-plus-1", (0.5, 0.75), 0.5, 0.5),
+            ("at-minus-1", (-0.75, 0.0), 0.25, -0.75), ("past-minus-1", (-0.75, 0.0), 0.5, -0.75),
+        ]  # the first outermost centre whose row reaches the edge
+        for cell in [f"cell theta={centre} delta={reach} reaches sine-space edge"]
+    },
+    # format 1, which listed every cell as a row, and format 2, which hashed the build
+    # scenario, have no reader either; nor has a payload without a version, or a JSON array
+    "test_load_version_mismatch": [
+        *[(_loaded(lambda payload, v=v: payload.update(format_version=v)),
+           f"CodebookError: unsupported codebook format {v}, expected 3; rebuild the codebook")
+          for v in (1, 2, 999)],
+        (_loaded(lambda payload: payload.pop("format_version")),
+         "CodebookError: codebook payload missing format_version"),
+        (_loaded(lambda payload: json.dumps([payload])),
+         "CodebookError: codebook payload missing format_version"),
+    ],
+    "test_load_missing_file": (
+        lambda: load(_MISSING), "CodebookError: cannot read codebook: "
+        f"[Errno 2] No such file or directory: {str(_MISSING)!r}"),
+}
+globals().update(table_tests(_REJECTIONS, check_rejections))

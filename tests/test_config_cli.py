@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from thztrack import (
     CodebookGrid,
-    ConfigError,
     RunConfig,
     achievable_rate,
     build_array,
@@ -26,6 +26,7 @@ from thztrack import (
 from thztrack.cli import _build_parser, main
 from thztrack.codebook import FINGERPRINT
 from thztrack.config import _SECTIONS
+from conftest import check_rejections, table_tests
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "table1.ini"
 
@@ -114,37 +115,37 @@ def test_round_trip_arbitrary_config(rc):
     assert parse_config(render_config(rc)) == rc
 
 
-@pytest.mark.parametrize("field, value", [("delimiter", "\t"), ("path", "a\nb"), ("directory", "out ")])
-def test_render_refuses_strings_ini_cannot_hold(field, value):
+def _with_field(name: str, value) -> RunConfig:
     rc = RunConfig()
-    section = "output" if field in ("delimiter", "directory") else "codebook"
-    rc = replace(rc, **{section: replace(getattr(rc, section), **{field: value})})
-    with pytest.raises(ConfigError, match="cannot be written"):
-        render_config(rc)
+    section = next(s for s, cls in _SECTIONS.items() if name in {f.name for f in fields(cls)})
+    return replace(rc, **{section: replace(getattr(rc, section), **{name: value})})
 
 
-def test_unknown_key_rejected():
-    text = render_config(RunConfig()).replace("alpha = 10.0", "alpha = 10.0\nbogus = 1")
-    with pytest.raises(ConfigError, match="bogus"):
-        parse_config(text)
+def _parsed(old: str, new: str):
+    """A call parsing the default config text with ``old`` replaced by ``new``."""
+    return lambda: parse_config(render_config(RunConfig()).replace(old, new))
 
 
-def test_unknown_section_rejected():
-    text = render_config(RunConfig()) + "\n[mystery]\nx = 1\n"
-    with pytest.raises(ConfigError, match="mystery"):
-        parse_config(text)
-
-
-def test_missing_key_rejected():
-    text = render_config(RunConfig()).replace("alpha = 10.0\n", "")
-    with pytest.raises(ConfigError, match="alpha"):
-        parse_config(text)
-
-
-def test_bad_number_named():
-    text = render_config(RunConfig()).replace("tx_power_dbm = 40.0", "tx_power_dbm = loud")
-    with pytest.raises(ConfigError, match="tx_power_dbm"):
-        parse_config(text)
+_REJECTIONS = {
+    "test_render_refuses_strings_ini_cannot_hold": {
+        f"{name}-{value}": (
+            lambda n=name, v=value: render_config(_with_field(n, v)),
+            f"ConfigError: {value!r} cannot be written: INI values lose edge spaces and breaks",
+        )
+        for name, value in [("delimiter", "\t"), ("path", "a\nb"), ("directory", "out ")]
+    },
+    "test_render_refuses_booleans": (lambda: render_config(_with_field("seed", True)),
+                                     "ConfigError: boolean config values are not supported"),
+    "test_unknown_key_rejected": (_parsed("alpha = 10.0", "alpha = 10.0\nbogus = 1"),
+                                  "ConfigError: unknown key 'bogus' in section [optimizer]"),
+    "test_unknown_section_rejected": (_parsed("[output]", "[mystery]\nx = 1\n\n[output]"),
+                                      "ConfigError: unknown section [mystery]"),
+    "test_missing_key_rejected": (_parsed("alpha = 10.0\n", ""),
+                                  "ConfigError: missing key 'alpha' in section [optimizer]"),
+    "test_bad_number_named": (_parsed("tx_power_dbm = 40.0", "tx_power_dbm = loud"),
+                              "ConfigError: [link] tx_power_dbm: cannot parse 'loud'"),
+}
+globals().update(table_tests(_REJECTIONS, check_rejections))
 
 
 def test_r_min_auto_resolution():
@@ -305,29 +306,6 @@ def test_cli_oversized_codebook_header_exits_before_building_cells(tmp_path, cap
     assert err == "codebook error: 1 omegas and 1 objectives for 159143 cells\n"
 
 
-def test_cli_rejects_codebook_built_at_another_distance(tmp_path, capsys):
-    # with an explicit r_min the path distance reaches the scenario only through the cells,
-    # so the fingerprint must state it
-    config = small_config_text(tmp_path)
-    text = config.read_text().replace("r_min_bps = auto", "r_min_bps = 5000000000.0")
-    config.write_text(text)
-    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
-    # at half the distance and a quarter of the speed every period's interval is on the grid
-    nearer = tmp_path / "nearer.ini"
-    distance = "perpendicular_distance_m = "
-    text = text.replace(f"{distance}100.0", f"{distance}50.0")
-    nearer.write_text(text.replace("velocity_mps = 20.0", "velocity_mps = 5.0"))
-    capsys.readouterr()
-    out = tmp_path / "fresh"
-    argv = ["simulate", "--config", str(nearer), "--out", str(out), "--scheme", "proposed"]
-    assert main(argv) == 3
-    assert capsys.readouterr().err == (
-        "codebook error: codebook perpendicular_distance 100.0 is not the scenario's 50.0; "
-        "rebuild the codebook\n"
-    )
-    assert not out.exists()
-
-
 def _blocked_output(tmp_path: Path) -> Path:
     """Config whose output directory lies under a regular file, so it cannot be created."""
     config = small_config_text(tmp_path)
@@ -335,22 +313,6 @@ def _blocked_output(tmp_path: Path) -> Path:
     text = config.read_text().replace(str(tmp_path / "out"), str(tmp_path / "blocker" / "out"))
     config.write_text(text)
     return config
-
-
-@pytest.mark.parametrize(
-    "command, extra",
-    [
-        ("simulate", ["--scheme", "conventional"]),
-        ("sweep", ["--axis", "velocity", "--values", "10", "--schemes", "conventional"]),
-        ("pattern", ["--velocities", "10"]),
-    ],
-)
-def test_cli_unwritable_output_exit_code(tmp_path, capsys, command, extra):
-    config = _blocked_output(tmp_path)
-    assert main([command, "--config", str(config), *extra]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("run error:") and "blocker" in err and err.count("\n") == 1
-    assert "Traceback" not in err
 
 
 def test_cli_codebook_build_unwritable_output_fails_before_building(tmp_path, capsys, monkeypatch):
@@ -378,40 +340,6 @@ def test_cli_codebook_build_into_directory_fails_before_building(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("run error:") and str(out) in err and err.count("\n") == 1
     assert list(out.iterdir()) == []
-
-
-@pytest.mark.parametrize(
-    "argv, named",
-    [
-        (["sweep", "--axis", "velocity", "--values", "-5"], "velocity value -5.0: velocity"),
-        (["sweep", "--axis", "tx_power", "--values", "-4000"], "tx_power value -4000.0: tx_power"),
-        (["sweep", "--axis", "tx_power", "--values", "4000"], "tx_power value 4000.0: 4000.0 dBm"),
-        (["sweep", "--axis", "tx_power", "--values", "30,nan"], "value list '30,nan' holds a"),
-        (["sweep", "--axis", "velocity", "--values", "nan"], "value list 'nan' holds a non-finite"),
-        (["sweep", "--axis", "velocity", "--values", "10,abc"], "cannot parse value list '10,abc'"),
-        (["pattern", "--velocities", "nan"], "value list 'nan' holds a non-finite"),
-        (["pattern", "--velocities", "10,-3"], "velocity value -3.0: velocity must be >= 0"),
-        (["pattern", "--velocities", "10,50,10"],
-         "velocities 10.0 and 10.0 would both write pattern_v10.csv\n"),
-        (["pattern", "--velocities", "10.0000001,10.0000002"],
-         "velocities 10.0000001 and 10.0000002 would both write pattern_v10.csv\n"),
-    ],
-    ids=["velocity-negative", "power-underflow", "power-overflow", "power-nan", "velocity-nan",
-         "velocity-unparsable", "pattern-nan", "pattern-negative", "pattern-repeated",
-         "pattern-same-file"],
-)
-def test_cli_rejects_axis_values_no_scenario_accepts(tmp_path, capsys, monkeypatch, argv, named):
-    def no_swarm(*args, **kw):
-        pytest.fail("a rejected value list reached the optimiser")
-
-    monkeypatch.setattr("thztrack.cli.optimize_omegas", no_swarm)
-    config = small_config_text(tmp_path)
-    extra = ["--schemes", "conventional", "--jobs", "1"] if argv[0] == "sweep" else []
-    assert main([*argv, *extra, "--config", str(config)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: {named}") and err.count("\n") == 1
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()  # every value is checked before anything is written
 
 
 def test_cli_help_prints_usage_and_exits_0(capsys):
@@ -449,7 +377,7 @@ class Row:
     text: str | None = None
 
 
-def _run_row(row: Row, tmp: Path, capfd) -> None:
+def _run_row(row: Row, tmp: Path, capfd, monkeypatch) -> None:
     tmp.mkdir()
     config = small_config_text(tmp)
     inputs = {"run.ini"}
@@ -470,7 +398,10 @@ def _run_row(row: Row, tmp: Path, capfd) -> None:
     config.write_text("\n".join(edited) + "\n" if row.text is None else row.text)
     capfd.readouterr()
     argv = [arg.replace("<tmp>", str(tmp)) for arg in row.argv]
-    code = main(argv if "--config" in argv or not argv else [*argv, "--config", str(config)])
+    with monkeypatch.context() as patch:
+        if row.code == 2:  # a configuration error is found before any swarm runs
+            patch.delattr("thztrack.cli.optimize_omegas")
+        code = main(argv if "--config" in argv or not argv else [*argv, "--config", str(config)])
     err = capfd.readouterr().err
     assert (code, err.replace(str(tmp), "<tmp>").splitlines()) == (row.code, row.lines)
     assert err.endswith("\n") and "Traceback" not in err
@@ -478,26 +409,11 @@ def _run_row(row: Row, tmp: Path, capfd) -> None:
         assert {p.name for p in tmp.iterdir()} == inputs
 
 
-def _run_rows(rows: list[Row], tmp_path: Path, capfd) -> None:
+def _run_rows(rows: list[Row], request) -> None:
+    # capfd, not capsys, since pool workers write to fd 2
+    tmp_path, capfd, patch = map(request.getfixturevalue, ["tmp_path", "capfd", "monkeypatch"])
     for i, row in enumerate(rows):  # in order, each in a directory of its own
-        _run_row(row, tmp_path / f"run{i}", capfd)
-
-
-def _table_test(name: str, cases):
-    """A test of ``cases``: a list of rows, or a dict from case id to rows, one case each."""
-    if isinstance(cases, dict):
-        @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
-        def test(tmp_path, capfd, rows):  # capfd, since pool workers write to fd 2
-            _run_rows(rows, tmp_path, capfd)
-    else:
-        def test(tmp_path, capfd):
-            _run_rows(cases, tmp_path, capfd)
-    test.__name__ = test.__qualname__ = name
-    return test
-
-
-def _one(rows: dict[str, Row]) -> dict[str, list[Row]]:
-    return {case: [row] for case, row in rows.items()}
+        _run_row(row, tmp_path / f"run{i}", capfd, patch)
 
 
 def _float_keys() -> list[tuple[str, str]]:
@@ -536,6 +452,9 @@ _UNKNOWN = (
 )
 _EACH_ONCE = "configuration error: sweep requires at least one scheme, each once; got "
 _UNRECOGNIZED = "usage error: thztrack: unrecognized arguments: "
+_NO_EVENT_SECTION = re.sub(r"\[event_based\][^[]*", "", render_config(RunConfig()))
+# the true path's sine rounds to 1.0 within the first sensing period, where no beam points
+_AT_EDGE = {"end_angle_rad": 1.5707963267948963, "velocity_mps": 1e15}
 
 # key path and value, then the message: a negative bound or alpha, too few quadrature nodes,
 # a float, bool or string where a count or seed belongs, header, grid and cell values that
@@ -625,21 +544,61 @@ def _too_long(velocity: str, samples: str) -> list[Row]:
 
 # each family of cases runs as one test of the family's name, so every case keeps its id
 _FAILURES = {
+    # every value is checked before anything is written or optimised
+    "test_cli_rejects_axis_values_no_scenario_accepts": {
+        case: Row(argv + (["--schemes", "conventional"] if argv[0] == "sweep" else []), 2,
+                  [f"configuration error: {line}"])
+        for case, argv, line in [
+            ("velocity-negative", [*_VELOCITY, "-5"], "velocity value -5.0: velocity must be >= 0"),
+            ("power-underflow", [*_POWER, "-4000"],
+             "tx_power value -4000.0: tx_power must be positive, got 0.0"),
+            ("power-overflow", [*_POWER, "4000"],
+             "tx_power value 4000.0: 4000.0 dBm is too large for a float in watts"),
+            ("power-nan", [*_POWER, "30,nan"], "value list '30,nan' holds a non-finite number"),
+            ("velocity-nan", [*_VELOCITY, "nan"], "value list 'nan' holds a non-finite number"),
+            ("velocity-unparsable", [*_VELOCITY, "10,abc"], "cannot parse value list '10,abc'"),
+            ("pattern-nan", ["pattern", "--velocities", "nan"],
+             "value list 'nan' holds a non-finite number"),
+            ("pattern-negative", ["pattern", "--velocities", "10,-3"],
+             "velocity value -3.0: velocity must be >= 0"),
+            ("pattern-repeated", ["pattern", "--velocities", "10,50,10"],
+             "velocities 10.0 and 10.0 would both write pattern_v10.csv"),
+            ("pattern-same-file", ["pattern", "--velocities", "10.0000001,10.0000002"],
+             "velocities 10.0000001 and 10.0000002 would both write pattern_v10.csv"),
+        ]
+    },
+    # an output directory under a regular file cannot be created
+    "test_cli_unwritable_output_exit_code": {
+        f"{argv[0]}-extra{i}": Row([*argv, "--out", "<tmp>/run.ini/out"], 4,
+                                   ["run error: [Errno 20] Not a directory: '<tmp>/run.ini/out'"])
+        for i, argv in enumerate([_CONVENTIONAL, [*_VELOCITY, "10", "--schemes", "conventional"],
+                                  ["pattern", "--velocities", "10"]])
+    },
+    # with an explicit r_min the path distance reaches the scenario only through the cells, so
+    # the fingerprint must state it; at half the distance and a quarter of the speed every
+    # period's interval is on the grid
+    "test_cli_rejects_codebook_built_at_another_distance": [
+        Row([*_PROPOSED, "--out", "<tmp>/fresh"], 3,
+            ["codebook error: codebook perpendicular_distance 100.0 is not the scenario's 50.0; "
+             "rebuild the codebook"],
+            {"r_min_bps": 5e9, "perpendicular_distance_m": 50.0, "velocity_mps": 5.0},
+            {("fingerprint", "r_min"): 5e9}),
+    ],
     "test_cli_sweep_empty_values_usage_error": [
         Row([*_VELOCITY, " , "], 2,
             ["configuration error: no values given; expected a comma-separated list"]),
     ],
-    "test_cli_sweep_rejects_empty_or_repeated_schemes": _one({
+    "test_cli_sweep_rejects_empty_or_repeated_schemes": {
         "empty": Row([*_VELOCITY, "10", "--schemes", ","], 2, [f"{_EACH_ONCE}[]"]),
         "repeated": Row([*_VELOCITY, "10", "--schemes", "conventional,conventional"], 2,
                         [f"{_EACH_ONCE}['conventional', 'conventional']"]),
         "unknown": Row([*_VELOCITY, "10", "--schemes", "conventional,bogus"], 2, [_UNKNOWN]),
-    }),
+    },
     "test_cli_malformed_config_exit_code": [
         Row(_CONVENTIONAL, 2, ["configuration error: [optimizer] alpha: cannot parse 'ten'"],
             {"alpha": "ten"}),
     ],
-    "test_cli_unreadable_config_one_line_error": _one({
+    "test_cli_unreadable_config_one_line_error": {
         case: Row([*_CONVENTIONAL, *argv], 2, [f"configuration error: {line}"], text=text)
         for case, text, argv, line in [
             ("no-section", "x = 1\n", [], "malformed configuration: File contains no section "
@@ -648,10 +607,11 @@ _FAILURES = {
              "headers. file: '<tmp>/run.ini', line: 1 '[array\\n'"),
             ("no-equals", "[array]\nn_antennas\n", [], "malformed configuration: Source contains "
              "parsing errors: '<tmp>/run.ini' [line  2]: 'n_antennas\\n'"),
+            ("missing-section", _NO_EVENT_SECTION, [], "missing section [event_based]"),
             ("missing-file", None, ["--config", "<tmp>/absent.ini"], "cannot read configuration "
              "'<tmp>/absent.ini': [Errno 2] No such file or directory: '<tmp>/absent.ini'"),
         ]
-    }),
+    },
     "test_cli_missing_codebook_exit_code": [
         Row(_PROPOSED, 3, ["codebook error: cannot read codebook: "
                            "[Errno 2] No such file or directory: '<tmp>/cb.json'"]),
@@ -660,7 +620,7 @@ _FAILURES = {
         Row(_PROPOSED, 3, ["codebook error: 12 omegas and 27 objectives for 27 cells"],
             header={("omega",): [1.0] * 12}),
     ],
-    "test_cli_rejected_codebook_exit_code": _one({
+    "test_cli_rejected_codebook_exit_code": {
         "omega-outside-bounds": Row(
             _PROPOSED, 3, [f"codebook error: codebook cell (1, 0) has omega {2.0 * _HI} outside the "
                            f"bounds (0.0, {_HI})"],
@@ -671,16 +631,16 @@ _FAILURES = {
             ["codebook error: unsupported codebook format 999, expected 3; rebuild the codebook"],
             header={("format_version",): 999},
         ),
-    }),
+    },
     # the power axis re-optimises with the stored settings, so load must reject bad ones
-    "test_cli_power_sweep_rejects_invalid_codebook": _one({
+    "test_cli_power_sweep_rejects_invalid_codebook": {
         case: Row([*_POWER_SWEEP, "--schemes", "proposed"], 3, [f"codebook error: codebook {line}"],
                   header={tuple(keys): value})
         for case, ((*keys, value), line) in _INVALID_HEADERS.items()
-    }),
+    },
     # every stored build value is checked against the run's scenario, by name; tau, alpha and
     # r_min, which the runs read, are stored only there
-    "test_cli_rejects_codebook_alpha_its_fingerprint_did_not_hash": _one({
+    "test_cli_rejects_codebook_alpha_its_fingerprint_did_not_hash": {
         run if name == "alpha" else f"{run}-{name}": Row(
             [*_HEADER_RUNS[run], "--out", "<tmp>/fresh"], 3,
             [f"codebook error: codebook {name} {stored!r} is not the scenario's {own!r}; "
@@ -689,18 +649,18 @@ _FAILURES = {
         )
         for name, (stored, own) in _HEADER_EDITS.items()
         for run in _HEADER_RUNS
-    }),
-    "test_cli_seed_only_where_the_swarm_runs": _one({
+    },
+    "test_cli_seed_only_where_the_swarm_runs": {
         "simulate": Row(["simulate", "--seed", "1"], 2, [f"{_UNRECOGNIZED}--seed 1"]),
         "sweep": Row([*_VELOCITY, "10", "--seed", "1"], 2, [f"{_UNRECOGNIZED}--seed 1"]),
-    }),
+    },
     # a build made at 40 dBm serves no run at 37 dBm
     "test_cli_fingerprint_mismatch_exit_code": [
         Row(argv, 3, ["codebook error: codebook tx_power 10.0 is not the scenario's "
                       "5.011872336272722; rebuild the codebook"], {"tx_power_dbm": 37.0}, {})
         for argv in (_PROPOSED, [*_VELOCITY, "10", "--jobs", "1"])
     ],
-    "test_cli_invalid_config_value_exit_code": _one({
+    "test_cli_invalid_config_value_exit_code": {
         f"{key}-{value}": Row(argv, 2, [f"{_INVALID}{line}"], {key: value})
         for key, value, argv, line in [
             ("n_antennas", "1", _CONVENTIONAL, "need an integer antenna count >= 2, got 1"),
@@ -712,8 +672,11 @@ _FAILURES = {
             ("n_particles", "1", [*_BUILD, "1"], "need at least 2 particles, got 1"),
             ("n_iterations", "0", [*_BUILD, "1"], "need at least 1 iteration, got 0"),
             ("theta_step", "0", [*_BUILD, "1"], "grid steps must be positive"),
+            ("theta_lo", "-1.0", [*_BUILD, "1"], "theta range (-1.0, 0.32) outside (-1, 1)"),
+            ("delta_max", "-0.01", [*_BUILD, "1"], "delta_max must be >= 0, got -0.01"),
+            ("end_angle_rad", "1.6", [*_BUILD, "1"], "end angle must lie in (-pi/2, pi/2)"),
         ]
-    }),
+    },
     "test_cli_non_finite_config_value_exit_code": {
         f"{section}-{key}": [
             Row(_CONVENTIONAL, 2,
@@ -732,6 +695,15 @@ _FAILURES = {
             {"velocity_mps": 40.0}, {})
         for scheme in ("proposed", "all")
     ],
+    "test_cli_beam_at_sine_edge_is_a_run_failure": {
+        case: Row(argv, 4, [f"run error: {at}beam centre must lie in (-1, 1), got 1.0"], _AT_EDGE)
+        for case, argv, at in [
+            ("simulate-conventional", _CONVENTIONAL, ""),
+            ("simulate-event", ["simulate", "--scheme", "event"], ""),
+            ("sweep", [*_VELOCITY, "1e15", "--schemes", "conventional"],
+             "sweep point (value=1000000000000000.0, scheme='conventional'): "),
+        ]
+    },
     "test_cli_episode_too_long_to_sample_exit_code": {
         "5e-324": _too_long("5e-324", "inf"),
         "1e-300": _too_long("1e-300", "3.74953e+303"),
@@ -742,10 +714,10 @@ _FAILURES = {
                  "over 1000000"], {"time_step_s": 1e-9}, {}),
         ],
     },
-    "test_cli_pattern_swarm_too_large_for_memory_exit_code": _one({
+    "test_cli_pattern_swarm_too_large_for_memory_exit_code": {
         case: Row(["pattern", "--velocities", "10"], 4, [_huge_swarm_error(case)], edits)
         for case, edits in _HUGE_SWARMS.items()
-    }),
+    },
     # 18 of the small grid's 27 cells run swarms, in two chunks, so the error crosses the pool
     "test_cli_codebook_build_swarm_too_large_for_memory_exit_code": [
         Row([*_BUILD, "2"], 4, [_huge_swarm_error("n_iterations")], _HUGE_SWARMS["n_iterations"]),
@@ -756,30 +728,30 @@ _FAILURES = {
             [_huge_swarm_error("n_iterations")],
             header={("pso", key): value for key, value in _HUGE_SWARMS["n_iterations"].items()}),
     ],
-    "test_cli_rejects_jobs_below_one": _one({
+    "test_cli_rejects_jobs_below_one": {
         f"argv{i}": Row(
             argv, 2, [f"configuration error: --jobs must be at least 1, got {argv[-1]}"]
         )
         for i, argv in enumerate([
             [*_BUILD, "0"], [*_POWER, "30", "--jobs", "-3"], [*_VELOCITY, "10", "--jobs", "0"]
         ])
-    }),
-    "test_cli_jobs_only_where_workers_run": _one({
+    },
+    "test_cli_jobs_only_where_workers_run": {
         "simulate": Row(["simulate", "--jobs", "2"], 2, [f"{_UNRECOGNIZED}--jobs 2"]),
         "pattern": Row([*_PATTERN, "--jobs", "2"], 2, [f"{_UNRECOGNIZED}--jobs 2"]),
-    }),
+    },
     # centre 0.9 with half-width 0.1 already reaches sine-space edge 1, so the grid is a
     # configuration error and nothing is built
     "test_cli_codebook_build_failure_names_cell": [
         Row([*_BUILD, "1"], 2, [f"{_INVALID}cell theta=0.9 delta=0.1 reaches sine-space edge"],
             {"theta_lo": 0.9, "theta_hi": 0.95, "delta_max": 0.1, "delta_step": 0.05}),
     ],
-    "test_cli_rejects_unusable_delimiter": _one({
+    "test_cli_rejects_unusable_delimiter": {
         value: Row(_CONVENTIONAL, 2, [f"configuration error: [output] delimiter: {value!r} is "
                                       "not one character other than '\"'"], {"delimiter": value})
         for value in ["", ";;", '"']
-    }),
-    "test_cli_reports_each_failure_and_warning_in_one_line": _one({
+    },
+    "test_cli_reports_each_failure_and_warning_in_one_line": {
         "alpha-simulate": Row(["simulate"], 2, [_ALPHA], {"alpha": -1.0}),
         "alpha-velocity-sweep": Row(_VELOCITY_SWEEP, 2, [_ALPHA], {"alpha": -1.0}),
         "alpha-power-sweep": Row(_POWER_SWEEP, 2, [_ALPHA], {"alpha": -1.0}),
@@ -851,6 +823,6 @@ _FAILURES = {
             ["usage error: thztrack sweep: argument --axis: invalid choice: 'speed' "
              "(choose from 'velocity', 'tx_power')"],
         ),
-    }),
+    },
 }
-globals().update({name: _table_test(name, cases) for name, cases in _FAILURES.items()})
+globals().update(table_tests(_FAILURES, _run_rows))

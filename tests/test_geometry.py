@@ -15,6 +15,7 @@ from thztrack import (
     pose_to_direction,
     predict_pose,
 )
+from conftest import check_rejections, table_tests
 
 GEOM = BsGeometry()
 TAU = 0.165
@@ -37,16 +38,6 @@ def test_predict_pose_static():
     state = SensedState(position=(50.0, -7.0), velocity=(0.0, 0.0))
     for t in (0.0, 0.01, TAU):
         assert predict_pose(state, t, TAU) == (50.0, -7.0)
-
-
-def test_predict_pose_rejects_out_of_period():
-    state = SensedState(position=(100.0, 0.0), velocity=(1.0, 0.0))
-    with pytest.raises(ValueError):
-        predict_pose(state, -0.01, TAU)
-    with pytest.raises(ValueError):
-        predict_pose(state, TAU + 0.01, TAU)
-    with pytest.raises(ValueError, match="outside the sensing period"):
-        predict_pose(state, math.nan, TAU)
 
 
 def test_urm_composition():
@@ -81,11 +72,6 @@ def test_pose_to_direction_end_of_reference_path():
     x = 100.0 * math.tan(0.3)
     sin_dir, _ = pose_to_direction((100.0, x), GEOM)
     assert sin_dir == pytest.approx(math.sin(0.3), abs=1e-12)
-
-
-def test_pose_to_direction_rejects_coincident():
-    with pytest.raises(ValueError):
-        pose_to_direction((0.0, 0.0), GEOM)
 
 
 def test_sine_direction_in_range():
@@ -138,15 +124,29 @@ def test_path_to_interval_bounds_property():
         assert interval.hi == pytest.approx(max(s0, s1), abs=1e-12)
 
 
-def test_interval_validation():
-    with pytest.raises(ValueError):
-        AngularInterval(theta_m=0.99, delta=0.05)
-    with pytest.raises(ValueError):
-        AngularInterval(theta_m=0.0, delta=-0.1)
-    with pytest.raises(ValueError):
-        AngularInterval(theta_m=1.0, delta=0.0)
-
-
-def test_boresight_must_be_unit():
-    with pytest.raises(ValueError):
-        BsGeometry(origin=(0.0, 0.0), boresight=(1.0, 1.0))
+_STATE = SensedState(position=(100.0, 0.0), velocity=(1.0, 0.0))
+_REJECTIONS = {
+    "test_predict_pose_rejects_out_of_period": [
+        *[(lambda t=t: predict_pose(_STATE, t, TAU),
+           f"ValueError: elapsed time {t!r} outside the sensing period [0, 0.165]")
+          for t in (-0.01, TAU + 0.01, math.nan)],
+        (lambda: predict_pose(_STATE, 0.0, 0.0),
+         "ValueError: sensing period must be positive, got 0.0"),
+    ],
+    "test_sensed_state_rejects_non_finite": (lambda: SensedState((math.nan, 0.0), (0.0, 0.0)),
+                                             "ValueError: sensed state fields must be finite"),
+    "test_pose_to_direction_rejects_coincident": (
+        lambda: pose_to_direction((0.0, 0.0), GEOM),
+        "ValueError: target position coincides with the base station origin"),
+    "test_interval_validation": [
+        (lambda: AngularInterval(0.99, 0.05),
+         "ValueError: interval extends outside the sine-space domain [-1, 1]"),
+        (lambda: AngularInterval(0.0, -0.1),
+         "ValueError: half-width must be non-negative, got -0.1"),
+        (lambda: AngularInterval(1.0, 0.0), "ValueError: beam centre must lie in (-1, 1), got 1.0"),
+    ],
+    "test_boresight_must_be_unit": (
+        lambda: BsGeometry(origin=(0.0, 0.0), boresight=(1.0, 1.0)),
+        "ValueError: boresight must be a unit vector, got norm 1.4142135623730951"),
+}
+globals().update(table_tests(_REJECTIONS, check_rejections))

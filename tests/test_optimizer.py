@@ -34,6 +34,7 @@ from thztrack.geometry import BS_FRAME
 from thztrack.optimizer import SWARM_CHUNK, _gauss_legendre, _lockstep_swarms, _PeriodEvaluator
 from thztrack.precoder import taper
 from conftest import CARRIER_HZ, aligned_rate, make_budget, make_objective_spec, make_scenario
+from conftest import check_rejections, table_tests
 from gain_reference import (
     bf_gain_direct,
     direction_of,
@@ -164,13 +165,6 @@ def test_optimize_mirror_domain():
     assert left.objective_value == pytest.approx(right.objective_value, rel=1e-8)
 
 
-def test_optimize_rejects_invalid_bounds():
-    with pytest.raises(ValueError):
-        PsoConfig(bounds=(3.0, 3.0), seed=1)
-    with pytest.raises(ValueError, match="need 0 <= lo < hi"):
-        PsoConfig(bounds=(-1.0, 10.0), seed=1)
-
-
 def test_violation_mass_non_increasing_in_alpha():
     # threshold high enough that the constraint binds at the optimum
     base = spec_for_velocity(80.0)
@@ -183,24 +177,6 @@ def test_violation_mass_non_increasing_in_alpha():
     assert masses[0] > 0.0
     for lo, hi in zip(masses[1:], masses[:-1]):
         assert lo <= hi * (1.0 + 1e-6) + 1e-9
-
-
-@pytest.mark.parametrize("field", ["tau", "r_min", "alpha", "inertia", "cognitive", "social"])
-def test_specs_and_swarms_reject_nan(field):
-    spec, pso = spec_for_velocity(50.0), PsoConfig(bounds=pso_bounds(CFG), seed=1)
-    with pytest.raises(ValueError):
-        replace(spec if hasattr(spec, field) else pso, **{field: math.nan})
-
-
-def test_spec_validation():
-    sc = make_scenario(CFG, BUDGET, velocity=10.0)
-    for alpha in (-1.0, math.inf):
-        with pytest.raises(ValueError, match="penalty weight"):
-            make_objective_spec(sc, alpha=alpha)
-    for n_quad in (4, 1025):  # MIN_QUAD_NODES and MAX_QUAD_NODES bound it
-        with pytest.raises(ValueError, match=f"need 8 to 1024 quadrature nodes, got {n_quad}"):
-            make_objective_spec(sc, n_quad=n_quad)
-    assert make_objective_spec(sc, n_quad=1024).n_quad == 1024
 
 
 def _mixed_specs(cfg: ArrayConfig, count: int, rng, n_quad: int = 64) -> list[ObjectiveSpec]:
@@ -262,7 +238,7 @@ def test_batch_entry_points_match_scalar_calls(n_antennas):
             assert value == pytest.approx(expected_value, rel=1e-12, abs=0.0)
             assert value == pytest.approx(objectives([float(omega)], spec)[0], rel=1e-12, abs=0.0)
             assert mass == pytest.approx(expected_mass, rel=1e-12, abs=1e-6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^omega must be finite, got \[1\.0, nan\]$"):
         objectives([1.0, math.nan], spec)
 
 
@@ -473,13 +449,56 @@ def test_optimize_omegas_passes_spec_error_through(jobs):
     at_origin = SensedState(position=BS_FRAME.origin, velocity=(0.0, 0.0))
     specs[bad] = replace(specs[bad], state=at_origin)
     pso = PsoConfig(bounds=pso_bounds(CFG), n_particles=8, n_iterations=5)
-    with pytest.raises(ValueError, match="origin"):
+    origin = "^target position coincides with the base station origin$"
+    with pytest.raises(ValueError, match=origin):
         optimize_omegas(specs, pso, list(range(len(specs))), jobs=jobs)
 
 
-def test_evaluator_rejects_mixed_shapes():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        _PeriodEvaluator(_mixed_specs(CFG, 1, rng) + _mixed_specs(CFG, 1, rng, n_quad=32))
-    with pytest.raises(ValueError):
-        optimize_omegas(_mixed_specs(CFG, 2, rng), PsoConfig(bounds=(0.0, 1.0)), [1])
+_WEIGHTS = "ValueError: inertia, cognitive and social must be finite, got "
+_PENALTY = "ValueError: penalty weight must be finite and >= 0, got "
+_NODES = "ValueError: need 8 to 1024 quadrature nodes, got "
+_REJECTIONS = {
+    "test_optimize_rejects_invalid_bounds": [
+        (lambda b=bounds: PsoConfig(bounds=b, seed=1),
+         f"ValueError: invalid search bounds {bounds}; need 0 <= lo < hi")
+        for bounds in [(3.0, 3.0), (-1.0, 10.0)]
+    ],
+    "test_pso_config_rejects_non_integer_counts": {
+        field: (lambda f=field: PsoConfig(bounds=(0.0, 1.0), **{f: 2.5}),
+                f"ValueError: {field} must be an integer, got 2.5")
+        for field in ("n_particles", "n_iterations")
+    },
+    "test_specs_and_swarms_reject_nan": {
+        **{field: (lambda f=field: replace(spec_for_velocity(50.0), **{f: math.nan}), line)
+           for field, line in [("tau", "ValueError: sensing period must be positive, got nan"),
+                               ("r_min", "ValueError: minimum rate must be >= 0, got nan"),
+                               ("alpha", f"{_PENALTY}nan")]},
+        **{field: (lambda f=field: PsoConfig((0.0, 1.0), **{f: math.nan}), _WEIGHTS + weights)
+           for field, weights in [("inertia", "(nan, 1.4962, 1.4962)"),
+                                  ("cognitive", "(0.7298, nan, 1.4962)"),
+                                  ("social", "(0.7298, 1.4962, nan)")]},
+    },
+    # MIN_QUAD_NODES and MAX_QUAD_NODES bound n_quad, and it is a count
+    "test_spec_validation": [
+        (lambda: spec_for_velocity(10.0, alpha=-1.0), f"{_PENALTY}-1.0"),
+        (lambda: spec_for_velocity(10.0, alpha=math.inf), f"{_PENALTY}inf"),
+        (lambda: spec_for_velocity(10.0, n_quad=4), f"{_NODES}4"),
+        (lambda: spec_for_velocity(10.0, n_quad=1025), f"{_NODES}1025"),
+        (lambda: spec_for_velocity(10.0, n_quad=16.5),
+         "ValueError: n_quad must be an integer, got 16.5"),
+        (lambda: spec_for_velocity(10.0, n_quad=1024), None),
+    ],
+    # at delta * omega = 5e159 each taper entry is at most 1 / x, so no norm reaches 1e-300
+    "test_objectives_reject_degenerate_taper": (
+        lambda: objectives([1e160], spec_for_velocity(50.0)),
+        "ValueError: degenerate taper normalisation"),
+    "test_evaluator_rejects_mixed_shapes": [
+        (lambda: _PeriodEvaluator(_mixed_specs(CFG, 1, np.random.default_rng(3))
+                                  + _mixed_specs(CFG, 1, np.random.default_rng(3), n_quad=32)),
+         "ValueError: batched specs must share the antenna count and n_quad"),
+        (lambda: optimize_omegas(_mixed_specs(CFG, 2, np.random.default_rng(3)),
+                                 PsoConfig(bounds=(0.0, 1.0)), [1]),
+         "ValueError: 2 specs but 1 seeds"),
+    ],
+}
+globals().update(table_tests(_REJECTIONS, check_rejections))

@@ -18,7 +18,7 @@ from thztrack import (
     sample_fn,
 )
 from thztrack.precoder import TAPER_DIRECT, Precoder, taper, taper_table
-from conftest import CARRIER_HZ
+from conftest import CARRIER_HZ, check_rejections, table_tests
 from gain_reference import (
     array_response,
     bf_gain_closed_form,
@@ -190,31 +190,6 @@ def test_zero_width_skips_the_taper_without_moving_a_bit(n_antennas):
             assert beam.beta == 1.0 / math.sqrt(n_antennas)
 
 
-@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
-def test_zero_width_rejects_a_non_finite_omega(omega):
-    with pytest.raises(ValueError, match="omega"):
-        adaptive_precoder(AngularInterval(0.1, 0.0), omega, CFG128)
-
-
-def test_zero_width_rejects_a_nan_centre():
-    with pytest.raises(ValueError):  # the interval rejects it first
-        mrt_precoder(math.nan, CFG128)
-    # past the interval's check, NaN weights fail the unit-power check
-    unchecked = SimpleNamespace(theta_m=math.nan, delta=0.0)
-    with pytest.raises(ValueError, match="unit constraint"):
-        adaptive_precoder(unchecked, 0.0, CFG128)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_precoder_rejects_non_finite_weights(bad):
-    weights = np.full(4, 0.5, dtype=complex)
-    weights[2] = bad
-    with pytest.raises(ValueError, match="unit constraint"):
-        Precoder(weights, theta_m=0.0, delta=0.0, omega=0.0, beta=0.5)
-    weights[2] = 0.5
-    Precoder(weights, theta_m=0.0, delta=0.0, omega=0.0, beta=0.5)  # unit power passes
-
-
 def test_adaptive_converges_to_mrt_as_width_vanishes():
     adaptive = adaptive_precoder(AngularInterval(0.1, 1e-9), 40.0, CFG128)
     mrt = mrt_precoder(0.1, CFG128)
@@ -235,12 +210,6 @@ def test_adaptive_unit_power_fuzz():
         omega = rng.uniform(0.0, (n - 1) * math.pi)
         p = adaptive_precoder(interval, omega, cfg)
         assert abs(np.sum(np.abs(p.weights) ** 2) - 1.0) < 1e-9
-
-
-def test_adaptive_rejects_nan_omega():
-    # NaN weights have NaN power, which no tolerance comparison may let through
-    with pytest.raises(ValueError, match="unit constraint"):
-        adaptive_precoder(AngularInterval(0.1, 0.02), math.nan, CFG128)
 
 
 def test_adaptive_main_lobe_covers_interval():
@@ -271,12 +240,6 @@ def test_gain_direct_range_and_orthogonal_nulls():
     for _ in range(200):
         g = bf_gain_direct(rng.uniform(-1, 1), mrt, CFG128)
         assert -1e-9 <= g <= 128.0 + 1e-9
-
-
-def test_gain_direct_rejects_length_mismatch():
-    mrt = mrt_precoder(0.0, ArrayConfig(16, CARRIER_HZ))
-    with pytest.raises(ValueError):
-        bf_gain_direct(0.0, mrt, CFG128)
 
 
 def test_closed_form_coherent_peak():
@@ -355,11 +318,6 @@ def test_gain_profile_matches_outer_product_reference(n_antennas):
         assert np.allclose(got, bf_gain_profile_outer(dirs, beam, cfg), rtol=0.0, atol=1e-12 * n_antennas)
 
 
-def test_gain_profile_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        bf_gain_profile(np.array([0.0, 0.1]), mrt_precoder(0.0, ArrayConfig(16, CARRIER_HZ)), CFG128)
-
-
 def test_integral_definition_oracle_small():
     # numerical integration of the defining integral over the covered interval
     rng = np.random.default_rng(77)
@@ -410,3 +368,40 @@ def test_precoder_parameters_reconstruct_weights():
     rebuilt = adaptive_precoder(AngularInterval(p.theta_m, p.delta), p.omega, CFG128)
     assert rebuilt.beta == p.beta
     assert np.array_equal(rebuilt.weights, p.weights)
+
+
+_CFG16 = ArrayConfig(16, CARRIER_HZ)
+# NaN weights have NaN power, which no tolerance comparison may let through
+_NAN_POWER = "ValueError: precoder power nan violates the unit constraint"
+_REJECTIONS = {
+    "test_zero_width_rejects_a_non_finite_omega": {
+        repr(omega): (lambda w=omega: adaptive_precoder(AngularInterval(0.1, 0.0), w, CFG128),
+                      f"ValueError: shape parameter omega must be finite, got {omega!r}")
+        for omega in (math.nan, math.inf, -math.inf)
+    },
+    # the interval rejects it first; past the interval's check, the unit-power check does
+    "test_zero_width_rejects_a_nan_centre": [
+        (lambda: mrt_precoder(math.nan, CFG128), "ValueError: interval parameters must be finite"),
+        (lambda: adaptive_precoder(SimpleNamespace(theta_m=math.nan, delta=0.0), 0.0, CFG128),
+         _NAN_POWER),
+    ],
+    "test_precoder_rejects_non_finite_weights": {  # and unit power passes
+        repr(bad): [(lambda w=weight: Precoder(np.array([0.5, 0.5, w, 0.5], complex), 0, 0, 0, 0.5),
+                     line) for weight, line in [(bad, _NAN_POWER), (0.5, None)]]
+        for bad in (math.nan, math.inf)
+    },
+    "test_adaptive_rejects_nan_omega": (
+        lambda: adaptive_precoder(AngularInterval(0.1, 0.02), math.nan, CFG128), _NAN_POWER
+    ),
+    # at delta * omega = 5e159 each taper entry is at most 1 / x, so the squares sum below 1e-300
+    "test_adaptive_rejects_degenerate_taper": (
+        lambda: adaptive_precoder(AngularInterval(0.0, 0.5), 1e160, _CFG16),
+        "ValueError: taper coefficients sum to zero; degenerate parameters"),
+    "test_gain_direct_rejects_length_mismatch": (
+        lambda: bf_gain_direct(0.0, mrt_precoder(0.0, _CFG16), CFG128),
+        "ValueError: precoder length 16 does not match 128 antennas"),
+    "test_gain_profile_rejects_length_mismatch": (
+        lambda: bf_gain_profile(np.array([0.0, 0.1]), mrt_precoder(0.0, _CFG16), CFG128),
+        "ValueError: precoder length does not match the antenna count"),
+}
+globals().update(table_tests(_REJECTIONS, check_rejections))

@@ -6,19 +6,20 @@ import math
 import os
 from contextlib import suppress
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from thztrack import (
     AngularInterval,
+    ArrayConfig,
     BsGeometry,
     CodebookError,
     CodebookGrid,
     EventBasedParams,
     Scenario,
     TrackRecord,
-    TrackingRunError,
     achievable_rate,
     adaptive_precoder,
     bf_gain_profile,
@@ -49,9 +50,10 @@ from thztrack.exports import (
 from thztrack.codebook import check_scenario
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
-from thztrack import tracking
+from thztrack import exports, tracking
 from thztrack.tracking import _Episode, _event_beam, _run, axis_scenario, run_schemes
 from conftest import DISTANCE_M, END_ANGLE_RAD, aligned_rate, make_objective_spec, make_scenario
+from conftest import CARRIER_HZ, check_rejections, make_budget, table_tests
 from gain_reference import direction_of
 
 TAU = 0.165
@@ -122,27 +124,6 @@ def test_outage_flags_consistent(small_scenario, small_codebook):
         assert np.array_equal(rec.outages, rec.rates < small_scenario.r_min)
 
 
-def test_fingerprint_mismatch_rejected(small_cfg, small_budget, small_codebook):
-    sc = make_scenario(small_cfg, small_budget, velocity=20.0, time_step=TAU / 50.0)
-    bad = replace(sc, r_min=sc.r_min * 2.0)
-    message = f"^codebook r_min {sc.r_min!r} is not the scenario's {bad.r_min!r}; rebuild"
-    with pytest.raises(CodebookError, match=message):
-        run_sensing_assisted(bad, small_codebook)
-
-
-@pytest.mark.parametrize("field, value", [("tau", 0.2), ("r_min", 1.0)])
-def test_header_the_fingerprint_did_not_hash_rejected(
-    small_cfg, small_budget, small_codebook, field, value
-):
-    # tau and r_min are stored once, in the fingerprint, so the values the run reads are
-    # the values it checks, and the check names the field
-    sc = make_scenario(small_cfg, small_budget, velocity=20.0, time_step=TAU / 50.0)
-    edited = replace(small_codebook, fingerprint={**small_codebook.fingerprint, field: value})
-    assert getattr(edited, field) == value
-    with pytest.raises(CodebookError, match=f"codebook {field} {value!r} is not the scenario's"):
-        run_sensing_assisted(sc, edited)
-
-
 def test_rotated_geometry_check_binds_the_path_distance(small_cfg, small_budget, small_pso):
     # the check computes the scenario's distance as the build does; both sense in the BS
     # frame, so on a rotated or moved BS that is sc.perpendicular_distance to the last bit
@@ -189,13 +170,6 @@ def test_period_specs_and_codebooks_do_not_depend_on_the_bs_placement(
             for f in fields(spec):
                 assert repr(getattr(spec, f.name)) == repr(getattr(expected, f.name)), f.name
         assert bits(sc) == expected_bits
-
-
-def test_interval_outside_grid_names_epoch(small_cfg, small_budget, small_codebook):
-    # 60 m/s sweeps a wider interval than the small grid covers
-    sc = make_scenario(small_cfg, small_budget, velocity=60.0, time_step=TAU / 50.0)
-    with pytest.raises(TrackingRunError, match="epoch"):
-        run_sensing_assisted(sc, small_codebook)
 
 
 def test_event_static_never_realigns(small_cfg, small_budget):
@@ -487,12 +461,6 @@ def test_compute_metrics_single_sample_window():
     assert (m.avg_rate, m.outage_prob, m.realignment_count) == (2e9, 1.0, 1)
 
 
-def test_compute_metrics_empty_window(small_scenario, small_codebook):
-    rec = run_conventional(small_scenario)
-    with pytest.raises(ValueError):
-        compute_metrics(rec, window=(1.0, 1.2))
-
-
 def test_sweep_single_point_equals_direct_run(small_scenario, small_codebook):
     rows = sweep(small_scenario, "velocity", [20.0], ["conventional"], small_codebook)
     assert len(rows) == 1
@@ -531,34 +499,6 @@ def test_sweep_rows_independent_of_jobs(small_scenario, small_codebook):
     assert sweep(*args, small_codebook, jobs=2) == sweep(*args, small_codebook, jobs=1)
 
 
-def test_sweep_rejects_bad_input(small_scenario, small_codebook):
-    with pytest.raises(ValueError):
-        sweep(small_scenario, "velocity", [], ["proposed"], small_codebook)
-    with pytest.raises(ValueError):
-        sweep(small_scenario, "velocity", [10.0], ["nonsense"], small_codebook)
-    with pytest.raises(ValueError):
-        sweep(small_scenario, "frequency", [10.0], ["proposed"], small_codebook)
-    with pytest.raises(ValueError, match=r"^velocity value -5\.0: velocity must be >= 0"):
-        sweep(small_scenario, "velocity", [10.0, -5.0], ["conventional"], small_codebook)
-
-
-def test_sweep_error_annotated_with_point(small_cfg, small_budget, small_codebook):
-    sc = make_scenario(small_cfg, small_budget, velocity=20.0, time_step=TAU / 50.0)
-    with pytest.raises(TrackingRunError, match=r"value=80.0.*proposed"):
-        sweep(sc, "velocity", [80.0], ["proposed"], small_codebook)
-    for axis in ("velocity", "tx_power"):  # the proposed scheme without a codebook
-        message = r"^sweep point \(value=30\.0, scheme='proposed'\): .* requires a codebook$"
-        with pytest.raises(TrackingRunError, match=message):
-            sweep(sc, axis, [30.0], ["proposed"], None)
-
-
-def test_power_sweep_error_names_its_point(small_scenario, small_codebook):
-    # a period spec that cannot be built fails alike at every power point; the first is named
-    cb = replace(small_codebook, n_quad=4)
-    with pytest.raises(TrackingRunError, match=r"value=30\.0, scheme='proposed'.*quadrature nodes"):
-        sweep(small_scenario, "tx_power", [30.0, 40.0], ["proposed"], cb, jobs=2)
-
-
 @pytest.mark.parametrize("axis", ["velocity", "tx_power"])
 def test_sweep_lets_other_errors_through(small_scenario, small_codebook, monkeypatch, axis):
     # only a ValueError or TrackingRunError names its point; a programming error keeps its type
@@ -568,14 +508,6 @@ def test_sweep_lets_other_errors_through(small_scenario, small_codebook, monkeyp
     monkeypatch.setattr(tracking, "compute_metrics", broken)
     with pytest.raises(TypeError, match="^not a run failure$"):
         sweep(small_scenario, axis, [30.0], ["proposed", "conventional"], small_codebook)
-
-
-def test_velocity_sweep_codebook_of_another_power_is_a_codebook_error(
-    small_scenario, small_codebook
-):
-    cb = replace(small_codebook, fingerprint={**small_codebook.fingerprint, "tx_power": 1.0})
-    with pytest.raises(CodebookError, match=r"^codebook tx_power 1\.0 is not the scenario's"):
-        sweep(small_scenario, "velocity", [20.0], ["conventional", "proposed"], cb)
 
 
 def test_velocity_sweep_samples_each_point_as_it_runs(small_scenario, small_codebook, monkeypatch):
@@ -628,62 +560,9 @@ def test_direct_run_matches_per_period_swarms(small_scenario, small_pso):
         assert np.array_equal(rec.bf_gains[mask], bf_gain_profile(rec.sin_dirs[mask], beam, sc.cfg))
 
 
-def test_scenario_validation(small_cfg, small_budget):
-    with pytest.raises(ValueError):
-        make_scenario(small_cfg, small_budget, velocity=-5.0)
-    with pytest.raises(ValueError):
-        Scenario(
-            cfg=small_cfg,
-            budget=small_budget,
-            perpendicular_distance=100.0,
-            start_angle=0.3,
-            end_angle=0.0,
-            velocity=10.0,
-            tau=TAU,
-            time_step=TAU / 50.0,
-            r_min=1e9,
-        )
-    with pytest.raises(ValueError):
-        make_scenario(small_cfg, small_budget, velocity=10.0, time_step=TAU)  # too coarse
-
-
-def test_event_params_validation():
-    with pytest.raises(ValueError):
-        EventBasedParams(slot=0.0)
-    with pytest.raises(ValueError):
-        EventBasedParams(rw_var=-1.0)
-    with pytest.raises(ValueError):
-        EventBasedParams(weight=1.5)
-
-
 _SCENARIO_FLOATS = (
     "perpendicular_distance", "start_angle", "end_angle", "velocity", "tau", "time_step", "r_min"
 )
-
-
-@pytest.mark.parametrize("field", _SCENARIO_FLOATS)
-def test_scenario_rejects_nan(small_scenario, field):
-    with pytest.raises(ValueError):
-        replace(small_scenario, **{field: math.nan})
-
-
-@pytest.mark.parametrize("field", ["slot", "rw_var", "weight"])
-def test_event_params_reject_nan(field):
-    with pytest.raises(ValueError):
-        EventBasedParams(**{field: math.nan})
-
-
-def test_export_rejects_non_finite(small_scenario, small_codebook, tmp_path):
-    from dataclasses import replace as dc_replace
-
-    from thztrack.exports import write_trace
-
-    rec = run_conventional(small_scenario)
-    rates = rec.rates.copy()
-    rates[3] = math.inf
-    broken = dc_replace(rec, rates=rates)
-    with pytest.raises(ValueError, match="rate_bps"):
-        write_trace(broken, tmp_path / "t.csv")
 
 
 def test_proposed_trace_parses_back_with_csv(small_scenario, small_codebook, tmp_path):
@@ -704,6 +583,18 @@ def test_proposed_trace_parses_back_with_csv(small_scenario, small_codebook, tmp
     assert [float(x) for x in columns[0]] == list(rec.times)
     assert [float(x) for x in columns[5]] == list(rec.rates)
     assert [int(x) for x in columns[6]] == [int(o) for o in rec.outages]
+
+
+def test_a_long_trace_is_written_in_blocks_with_the_one_block_bytes(small_scenario, tmp_path,
+                                                                      monkeypatch):
+    rec = run_conventional(replace(small_scenario, time_step=TAU / 500.0))
+    rows = len(rec.times)
+    chunks = []
+    write_trace(rec, SimpleNamespace(write=chunks.append))
+    assert len(chunks) == 1 + math.ceil(rows / exports.BLOCK_ROWS) > 2  # the header, then blocks
+    monkeypatch.setattr(exports, "BLOCK_ROWS", rows)
+    write_trace(rec, tmp_path / "one.csv")
+    assert "".join(chunks).encode() == (tmp_path / "one.csv").read_bytes()
 
 
 def test_trace_export_round_trip(small_scenario, tmp_path):
@@ -777,7 +668,8 @@ def test_positions_to_directions_matches_pose_to_direction():
     assert _within_ulps(sins, expected[:, 0], 2) and _within_ulps(dists, expected[:, 1], 2)
     # the one-pose form is the one-element call
     assert pose_to_direction((float(xs[7]), float(ys[7])), geom) == (sins[7], dists[7])
-    with pytest.raises(ValueError):
+    origin = "^target position coincides with the base station origin$"
+    with pytest.raises(ValueError, match=origin):
         positions_to_directions(np.array([5.0, 1.0]), np.array([0.0, 2.0]), geom)
 
 
@@ -867,3 +759,121 @@ def test_every_writer_parses_back_with_csv(small_scenario, small_codebook, delim
     gains_db = pattern_gain_db(bf_gain_profile(sins, mrt_precoder(0.3, cfg), cfg))
     pattern = [(repr(float(s)), repr(float(g))) for s, g in zip(sins, gains_db)]
     assert parsed(write_pattern, sins, gains_db) == [PATTERN_COLUMNS, *pattern]
+
+
+def _with_header(cb, values):
+    return replace(cb, fingerprint={**cb.fingerprint, **values})
+
+
+def _sweep(axis, values, schemes, cb=lambda cb: cb, **kwargs):
+    """A call sweeping the small scenario with ``cb(small codebook)`` as its codebook."""
+    return lambda small_scenario, small_codebook: sweep(
+        small_scenario, axis, values, schemes, cb(small_codebook), **kwargs
+    )
+
+
+def _run_proposed(header=(), **changes):
+    """A call running the proposed scheme on the small scenario and codebook, changed."""
+    return lambda small_scenario, small_codebook: run_sensing_assisted(
+        replace(small_scenario, **changes), _with_header(small_codebook, dict(header))
+    )
+
+
+def _changed(**changes):
+    return lambda small_scenario: replace(small_scenario, **changes)
+
+
+_R_MIN = make_scenario(ArrayConfig(32, CARRIER_HZ), make_budget(), velocity=20.0).r_min
+_REBUILD = "CodebookError: codebook {} {!r} is not the scenario's {!r}; rebuild the codebook"
+_NO_VALUES = "ValueError: sweep requires at least one axis value"
+_POINT = "TrackingRunError: sweep point (value={!r}, scheme='proposed'): "
+_UNKNOWN = "ValueError: unknown scheme {!r}; expected one of ('proposed', 'conventional', 'event')"
+_NO_BEAM = (  # a first interval as wide as its centre
+    "no codebook beam for epoch 0 (t=0 s): interval (theta={0!r}, delta={0!r}) outside grid "
+    "range; rebuild with a wider grid"
+)
+_REJECTIONS = {
+    "test_fingerprint_mismatch_rejected": [
+        (_run_proposed(r_min=2.0 * _R_MIN), _REBUILD.format("r_min", _R_MIN, 2.0 * _R_MIN)),
+    ],
+    # the check names the field
+    "test_header_the_fingerprint_did_not_hash_rejected": {
+        f"{field}-{value}": (_run_proposed({field: value}), _REBUILD.format(field, value, own))
+        for field, value, own in [("tau", 0.2, TAU), ("r_min", 1.0, _R_MIN)]
+    },
+    # 60 m/s sweeps a wider interval than the small grid covers
+    "test_interval_outside_grid_names_epoch": [
+        (_run_proposed(velocity=60.0), "TrackingRunError: " + _NO_BEAM.format(0.04925919391662556)),
+    ],
+    "test_compute_metrics_empty_window": [
+        (lambda small_scenario: compute_metrics(run_conventional(small_scenario), (1.0, 1.2)),
+         "ValueError: no samples fall inside the requested angular window"),
+    ],
+    "test_track_record_validation": [
+        (lambda: TrackRecord("x", *[np.zeros(0)] * 6, [], []),
+         "ValueError: track record must contain at least one sample"),
+        (lambda: TrackRecord("x", np.array([0.0, 0.1, 0.1]), *[np.zeros(3)] * 5, ["b"] * 3, []),
+         "ValueError: sample times must be strictly increasing"),
+    ],
+    "test_run_schemes_rejects_unknown_scheme": [
+        (lambda small_scenario: run_schemes(small_scenario, ["bogus"], None, None),
+         _UNKNOWN.format("bogus")),
+    ],
+    "test_sweep_rejects_bad_input": [
+        (_sweep("velocity", [], ["proposed"]), _NO_VALUES),
+        (_sweep("velocity", [10.0], ["nonsense"]), _UNKNOWN.format("nonsense")),
+        (_sweep("frequency", [10.0], ["proposed"]), "ValueError: unknown sweep axis 'frequency'"),
+        (_sweep("velocity", [10.0, -5.0], ["conventional"]),
+         "ValueError: velocity value -5.0: velocity must be >= 0"),
+    ],
+    "test_sweep_error_annotated_with_point": [
+        (_sweep("velocity", [80.0], ["proposed"]),
+         _POINT.format(80.0) + _NO_BEAM.format(0.065432414529955)),
+        *[  # the proposed scheme without a codebook
+            (_sweep(axis, [30.0], ["proposed"], lambda cb: None),
+             _POINT.format(30.0) + "the proposed scheme requires a codebook")
+            for axis in ("velocity", "tx_power")
+        ],
+    ],
+    # a period spec that cannot be built fails alike at every power point; the first is named
+    "test_power_sweep_error_names_its_point": [
+        (_sweep("tx_power", [30.0, 40.0], ["proposed"], lambda cb: replace(cb, n_quad=4), jobs=2),
+         _POINT.format(30.0) + "need 8 to 1024 quadrature nodes, got 4"),
+    ],
+    "test_velocity_sweep_codebook_of_another_power_is_a_codebook_error": [
+        (_sweep("velocity", [20.0], ["conventional", "proposed"],
+                lambda cb: _with_header(cb, {"tx_power": 1.0})),
+         _REBUILD.format("tx_power", 1.0, 10.0)),
+    ],
+    "test_scenario_validation": [
+        (_changed(velocity=-5.0), "ValueError: velocity must be >= 0"),
+        (_changed(perpendicular_distance=0.0),
+         "ValueError: perpendicular distance must be positive"),
+        (_changed(tau=0.0), "ValueError: sensing period must be positive"),
+        (_changed(r_min=-1.0), "ValueError: minimum rate must be >= 0"),
+        (_changed(start_angle=0.3, end_angle=0.0), "ValueError: end angle must exceed start angle"),
+        (_changed(time_step=TAU), "ValueError: time step must be positive and at most tau/10"),
+    ],
+    "test_event_params_validation": [
+        (lambda: EventBasedParams(slot=0.0), "ValueError: slot duration must be positive"),
+        (lambda: EventBasedParams(rw_var=-1.0), "ValueError: random-walk variance must be >= 0"),
+        (lambda: EventBasedParams(weight=1.5), "ValueError: weight must lie in [0, 1]"),
+    ],
+    "test_scenario_rejects_nan": {  # and either infinity
+        field: [(_changed(**{field: value}), f"ValueError: {field} must be finite, got {value!r}")
+                for value in (math.nan, math.inf, -math.inf)]
+        for field in _SCENARIO_FLOATS
+    },
+    "test_event_params_reject_nan": {
+        field: (lambda f=field: EventBasedParams(**{f: math.nan}), f"ValueError: {message}")
+        for field, message in [("slot", "slot duration must be positive"),
+                               ("rw_var", "random-walk variance must be >= 0"),
+                               ("weight", "weight must lie in [0, 1]")]
+    },
+    "test_export_rejects_non_finite": [
+        (lambda tmp_path: write_trace(TrackRecord("x", np.arange(4.0), *[np.zeros(4)] * 3, np.array(
+            [1.0, 1.0, 1.0, math.inf]), np.zeros(4), ["b"] * 4, []), tmp_path / "t.csv"),
+         "ValueError: refusing to export non-finite values in column 'rate_bps'"),
+    ],
+}
+globals().update(table_tests(_REJECTIONS, check_rejections))
