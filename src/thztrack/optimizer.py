@@ -57,10 +57,10 @@ class ObjectiveSpec:
     n_quad: int
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError(f"sensing period must be positive, got {self.tau!r}")
-        if not self.r_min >= 0.0:
-            raise ValueError(f"minimum rate must be >= 0, got {self.r_min!r}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"sensing period must be finite and positive, got {self.tau!r}")
+        if not 0.0 <= self.r_min < math.inf:
+            raise ValueError(f"minimum rate must be finite and >= 0, got {self.r_min!r}")
         if not 0.0 <= self.alpha < math.inf:  # 0 * inf would make every unpenalised node NaN
             raise ValueError(f"penalty weight must be finite and >= 0, got {self.alpha!r}")
         _check_count("n_quad", self.n_quad)

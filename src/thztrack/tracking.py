@@ -16,13 +16,14 @@ event-based    Slot-clocked approximation of an outage-triggered tracker: the
                reproduced, only the mechanism with its published parameters.
 
 An outage is a sample whose instantaneous rate falls below the scenario's
-minimum-rate threshold.
+minimum-rate threshold. A realignment starts a segment (a sensing period or a
+slot) whose beam is re-pointed; none is recorded after the last slot, which no
+segment follows.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -189,17 +190,17 @@ class EventBasedParams:
     weight: float = 0.1
 
     def __post_init__(self):
-        if not self.slot > 0.0:
-            raise ValueError("slot duration must be positive")
-        if not self.rw_var >= 0.0:
-            raise ValueError("random-walk variance must be >= 0")
+        if not 0.0 < self.slot < math.inf:
+            raise ValueError("slot duration must be finite and positive")
+        if not 0.0 <= self.rw_var < math.inf:
+            raise ValueError("random-walk variance must be finite and >= 0")
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError("weight must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
 class TrackRecord:
-    """Sampled rate trace of one episode, plus the realignment instants."""
+    """Sampled rate trace of one episode, and the start of each segment re-pointing its beam."""
 
     scheme: str
     times: np.ndarray
@@ -268,31 +269,27 @@ def _event_beam(sc: Scenario, centre: float, half_width: float) -> Precoder:
     return adaptive_precoder(AngularInterval(centre, delta), omega, sc.cfg)
 
 
-def _event_beams(ep: _Episode, params: EventBasedParams, realignments: list[float]):
-    """The slot loop of :func:`run_event_based`: yields each slot's beam, None for a slot with no
-    sample, and is sent its outage. Only a slot with a sample can have an outage, so the sines at
-    the start and at those slots' ends are read in one call; (k + 1) * slot has the same bits as
-    a float64 product as it has as a Python float."""
-    sc = ep.sc
-    variance, segment = 0.0, 0
+def _event_beams(sc: Scenario, starts: list[int], params: EventBasedParams):
+    """The slot loop of :func:`run_event_based` over the slots ``starts`` bounds: yields each
+    slot's beam (None for a slot with no sample), id and realignment time (None if it keeps the
+    estimate), and is sent whether the slot before had an outage. Only a slot with a sample can
+    have an outage, so the sines at the start and at those slots' ends are read in one call;
+    (k + 1) * slot has the same bits as a float64 product as it has as a Python float."""
+    variance, segment, realigned = 0.0, 0, 0.0
     growth = params.weight * params.rw_var * EVENT_VARIANCE_UNIT
-    starts = ep.starts(params.slot)
     held_ends = (np.flatnonzero(np.diff(starts)) + 1) * params.slot
     sines = iter(sc.directions_at(np.append(0.0, held_ends))[0].tolist())
     estimate = next(sines)
     for k in range(len(starts) - 1):
         half_width = EVENT_COVERAGE_SIGMAS * math.sqrt(variance)
         beam = _event_beam(sc, estimate, half_width) if starts[k + 1] > starts[k] else None
-        had_outage = yield beam, f"event[{segment}]"
+        had_outage = yield beam, f"event[{segment}]", realigned
         end_sine = None if beam is None else next(sines)
-        boundary = (k + 1) * params.slot
-        if had_outage and boundary < sc.duration:
-            estimate = end_sine
-            variance = 0.0
+        if had_outage:
+            estimate, variance, realigned = end_sine, 0.0, (k + 1) * params.slot
             segment += 1
-            realignments.append(boundary)
         else:
-            variance += growth
+            variance, realigned = variance + growth, None
 
 
 def _optimised(episodes: list[_Episode], pso: PsoConfig, alpha: float, n_quad: int, jobs: int = 1):
@@ -306,12 +303,14 @@ def _optimised(episodes: list[_Episode], pso: PsoConfig, alpha: float, n_quad: i
 
 
 def _scheme_rule(key: str, ep: _Episode, cb, event_params, direct=None) -> tuple:
-    """(scheme, segment length, beams, realignments) of a :data:`SCHEMES` key, or of the
-    proposed scheme re-optimised per period when ``direct`` holds its (interval, omega)."""
+    """(scheme, segment starts, beams) of a :data:`SCHEMES` key, or of the proposed scheme
+    re-optimised per period when ``direct`` holds its (interval, omega); the periodic schemes
+    realign at each sensing epoch, the event tracker at a slot's start after an outage."""
     sc, epochs = ep.sc, [k * ep.sc.tau for k in range(len(ep.periods) - 1)]
     if key == "proposed" and direct is not None:
-        beams = ((adaptive_precoder(*held, sc.cfg), f"opt[{k}]") for k, held in enumerate(direct))
-        return SCHEME_PROPOSED, sc.tau, beams, epochs
+        beams = ((adaptive_precoder(*held, sc.cfg), f"opt[{k}]", k * sc.tau)
+                 for k, held in enumerate(direct))
+        return SCHEME_PROPOSED, ep.periods, beams
     if key == "proposed":
         if cb is None:
             raise TrackingRunError("the proposed scheme requires a codebook")
@@ -320,34 +319,36 @@ def _scheme_rule(key: str, ep: _Episode, cb, event_params, direct=None) -> tuple
         for k, epoch in enumerate(epochs):
             interval = path_to_interval(sc.state_at(epoch), sc.tau)
             try:
-                cells.append(lookup_indices(cb, interval))
+                cells.append((lookup_indices(cb, interval), epoch))
             except CodebookError as exc:
                 raise TrackingRunError(
                     f"no codebook beam for epoch {k} (t={epoch:.6g} s): {exc}"
                 ) from exc
-        beams = ((entry_precoder(cb.entries[c], sc.cfg), "cb[{},{}]".format(*c)) for c in cells)
-        return SCHEME_PROPOSED, sc.tau, beams, epochs
+        beams = ((entry_precoder(cb.entries[c], sc.cfg), "cb[{},{}]".format(*c), t)
+                 for c, t in cells)
+        return SCHEME_PROPOSED, ep.periods, beams
     if key == "conventional":
         sins = sc.directions_at(epochs)[0].tolist()
-        beams = ((mrt_precoder(s, sc.cfg), f"mrt[{k}]") for k, s in enumerate(sins))
-        return SCHEME_CONVENTIONAL, sc.tau, beams, epochs
+        beams = ((mrt_precoder(s, sc.cfg), f"mrt[{k}]", k * sc.tau) for k, s in enumerate(sins))
+        return SCHEME_CONVENTIONAL, ep.periods, beams
     if key == "event":
-        realigned = [0.0]
-        return SCHEME_EVENT, event_params.slot, _event_beams(ep, event_params, realigned), realigned
+        starts = ep.starts(event_params.slot)
+        return SCHEME_EVENT, starts, _event_beams(sc, starts, event_params)
     raise ValueError(f"unknown scheme {key!r}; expected one of {tuple(SCHEMES)}")
 
 
-def _walk(ep: _Episode, rule: tuple, gains: np.ndarray, rates: np.ndarray, beam_ids: list[str]):
-    """Coroutine evaluating ``rule`` on each sensing period sent as (lo, hi, rows); a segment
-    crossing a period boundary is evaluated in pieces. The rule's beams yield each segment's
-    beam (or None if it is empty) and id in order, and are sent whether the last had an outage.
-    """
-    sc, (_, period, beams, _) = ep.sc, rule
-    starts = ep.starts(period)
+def _walk(ep: _Episode, rule: tuple, trace: tuple):
+    """Coroutine evaluating ``rule`` into ``trace`` (gains, rates, ids, realignment times) on each
+    sensing period sent as (lo, hi, rows); a segment crossing a period boundary is evaluated in
+    pieces. The rule's beams yield each segment's beam (None if empty), id and realignment time
+    (or None) in order, and are sent whether the segment before had an outage."""
+    sc, (_, starts, beams), (gains, rates, beam_ids, realignments) = ep.sc, rule, trace
     lo, hi, rows = yield
     outage = None
     for k in range(len(starts) - 1):
-        beam, beam_id = beams.send(outage)
+        beam, beam_id, realigned = beams.send(outage)
+        if realigned is not None:
+            realignments.append(realigned)
         outage = False
         while True:
             a, b = max(starts[k], lo), min(starts[k + 1], hi)
@@ -360,8 +361,6 @@ def _walk(ep: _Episode, rule: tuple, gains: np.ndarray, rates: np.ndarray, beam_
                 break
             del rows  # so that only one period's rows are alive while the next is built
             lo, hi, rows = yield
-    with suppress(StopIteration):
-        beams.send(outage)
     yield  # every segment has ended in the first period that reaches the last sample
 
 
@@ -370,8 +369,8 @@ def _run(ep: _Episode, rules: list[tuple]) -> list[TrackRecord]:
     Each row is its sample's own running product and ``beam_gain`` sums each row by itself,
     so grouping rows by period changes no value."""
     sc, n = ep.sc, len(ep.times)
-    traces = [(np.empty(n), np.empty(n), []) for _ in rules]
-    walks = [_walk(ep, rule, *trace) for rule, trace in zip(rules, traces)]
+    traces = [(np.empty(n), np.empty(n), [], []) for _ in rules]
+    walks = [_walk(ep, rule, trace) for rule, trace in zip(rules, traces)]
     for walk in walks:
         next(walk)
     for lo, hi in zip(ep.periods, ep.periods[1:]):
@@ -383,7 +382,7 @@ def _run(ep: _Episode, rules: list[tuple]) -> list[TrackRecord]:
             break
     return [
         TrackRecord(scheme, ep.times, ep.sins, ep.dists, gains, rates, rates < sc.r_min, ids, times)
-        for (scheme, _, _, times), (gains, rates, ids) in zip(rules, traces)
+        for (scheme, _, _), (gains, rates, ids, times) in zip(rules, traces)
     ]
 
 

@@ -10,15 +10,16 @@ all`` at the configured 20 m/s and, on a copy of the configuration with
 ``velocity_mps`` replaced, at 10 and 100 m/s, ``simulate --scheme event``,
 ``--scheme proposed`` and ``--scheme conventional`` alone at 20 m/s (their traces
 must equal the ``all`` run's, or the script fails), ``simulate --scheme event`` on
-a copy with ``slot_s = 0.001``, whose slots mostly hold no sample, the velocity
-sweep 10-100 m/s, the ``tx_power`` sweep 20-50 dBm at ``--jobs 1`` and ``--jobs
+a copy with ``slot_s = 0.001``, whose slots mostly hold no sample, and on a copy
+at 309.34 m/s and 10 ms steps, whose path ends just after its second slot, the
+velocity sweep 10-100 m/s, the ``tx_power`` sweep 20-50 dBm at ``--jobs 1`` and ``--jobs
 2``, and ``pattern`` at 10, 50 and 90 m/s. Each line is ``sha256  relative-path``;
 a run's stdout counts as ``<run>/stdout``, with the temporary directory and the
 build's wall time masked. Each built codebook also gets a ``<run>/cells`` line:
 the digest of its loaded entries' ``(ti, di, theta_m, delta, omega, objective)``
 reprs, which stays put when a new file format moves the bytes but no value. Every
 file and cells digest of a ``--jobs 2`` run must equal its ``--jobs 1`` twin's, or
-the script fails. It prints 45 lines and takes about 26 s on a 2-core Xeon.
+the script fails. It prints 47 lines and takes about 25 s on a 2-core Xeon.
 The file name keeps pytest from collecting it.
 """
 
@@ -35,37 +36,42 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "table1.ini"
 
-# (run name, CLI arguments after the command's --config and --out, a (key, value) that
-# replaces one line of the config, or None for the shipped config). Traces at 10 and
-# 100 m/s hold many more and many fewer samples per sensing period than the configured
-# 20 m/s; a 1 ms event slot is shorter than the 1.65 ms time step.
+# (run name, CLI arguments after the command's --config and --out, the config keys whose
+# lines get new values, none for the shipped config). Traces at 10 and 100 m/s hold many
+# more and many fewer samples per sensing period than the configured 20 m/s; a 1 ms event
+# slot is shorter than the 1.65 ms time step; at 309.34 m/s and 10 ms steps the path ends
+# 1.4e-17 s after the second 50 ms slot, which has an outage and so would realign if
+# anything followed it.
 RUNS = [
-    ("build_jobs1", ["codebook-build", "--jobs", "1"], None),
-    ("build_jobs2", ["codebook-build", "--jobs", "2"], None),
-    ("simulate", ["simulate", "--scheme", "all"], None),
-    ("simulate_v10", ["simulate", "--scheme", "all"], ("velocity_mps", 10.0)),
-    ("simulate_v100", ["simulate", "--scheme", "all"], ("velocity_mps", 100.0)),
-    ("simulate_event", ["simulate", "--scheme", "event"], None),
-    ("simulate_event_slot1ms", ["simulate", "--scheme", "event"], ("slot_s", 0.001)),
-    ("simulate_proposed", ["simulate", "--scheme", "proposed"], None),
-    ("simulate_conventional", ["simulate", "--scheme", "conventional"], None),
-    ("sweep_velocity", ["sweep", "--axis", "velocity", "--values", "10,20,30,40,50,60,70,80,90,100"], None),
-    ("sweep_power_jobs1", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "1"], None),
-    ("sweep_power_jobs2", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "2"], None),
-    ("pattern", ["pattern", "--velocities", "10,50,90"], None),
+    ("build_jobs1", ["codebook-build", "--jobs", "1"], {}),
+    ("build_jobs2", ["codebook-build", "--jobs", "2"], {}),
+    ("simulate", ["simulate", "--scheme", "all"], {}),
+    ("simulate_v10", ["simulate", "--scheme", "all"], {"velocity_mps": 10.0}),
+    ("simulate_v100", ["simulate", "--scheme", "all"], {"velocity_mps": 100.0}),
+    ("simulate_event", ["simulate", "--scheme", "event"], {}),
+    ("simulate_event_slot1ms", ["simulate", "--scheme", "event"], {"slot_s": 0.001}),
+    ("simulate_event_boundary", ["simulate", "--scheme", "event"],
+     {"velocity_mps": 309.3362496096232, "time_step_s": 0.01}),
+    ("simulate_proposed", ["simulate", "--scheme", "proposed"], {}),
+    ("simulate_conventional", ["simulate", "--scheme", "conventional"], {}),
+    ("sweep_velocity", ["sweep", "--axis", "velocity", "--values", "10,20,30,40,50,60,70,80,90,100"], {}),
+    ("sweep_power_jobs1", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "1"], {}),
+    ("sweep_power_jobs2", ["sweep", "--axis", "tx_power", "--values", "20,25,30,35,40,45,50", "--jobs", "2"], {}),
+    ("pattern", ["pattern", "--velocities", "10,50,90"], {}),
 ]
 
 
-def _config(edit: tuple[str, float] | None, configs: Path) -> Path:
-    """The shipped configuration, or a copy of it in ``configs`` with one key's value replaced."""
-    if edit is None:
+def _config(edits: dict[str, float], configs: Path) -> Path:
+    """The shipped configuration, or a copy of it in ``configs`` with each edited key's value
+    replaced."""
+    if not edits:
         return CONFIG
-    key, value = edit
-    line = f"{key} = {value!r}"
-    text, count = re.subn(rf"^{key} = .*$", line, CONFIG.read_text(), flags=re.MULTILINE)
-    if count != 1:
-        raise SystemExit(f"{CONFIG} does not hold one {key} line")
-    path = configs / f"{key}_{value!r}.ini"
+    text = CONFIG.read_text()
+    for key, value in edits.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value!r}", text, flags=re.MULTILINE)
+        if count != 1:
+            raise SystemExit(f"{CONFIG} does not hold one {key} line")
+    path = configs / ("_".join(f"{key}_{value!r}" for key, value in edits.items()) + ".ini")
     path.write_text(text)
     return path
 
@@ -118,8 +124,8 @@ def main() -> None:
         work.mkdir()
         configs.mkdir()
         stdouts = {
-            name: _run(name, args, work, _config(edit, configs))
-            for name, args, edit in RUNS
+            name: _run(name, args, work, _config(edits, configs))
+            for name, args, edits in RUNS
         }
         digests = {
             path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

@@ -206,6 +206,19 @@ def test_cli_static_trace_constant(tmp_path):
     assert len(rates) == 1
 
 
+def test_cli_event_counts_no_realignment_after_the_last_slot(tmp_path, capsys):
+    # on the shipped config at 309.34 m/s and 10 ms steps the path ends 1.4e-17 s after the
+    # second 50 ms slot, which has an outage; no slot follows it, so it ends in no realignment
+    rc = RunConfig()
+    edge = replace(rc.scenario, velocity_mps=309.3362496096232, time_step_s=0.01)
+    config, out = tmp_path / "edge.ini", tmp_path / "out"
+    config.write_text(render_config(replace(rc, scenario=edge)))
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--scheme", "event"]) == 0
+    assert " realignments=2 " in capsys.readouterr().out
+    rows = (out / "trace_event_based.csv").read_text().splitlines()[1:]
+    assert sorted({row.rsplit(",", 1)[1] for row in rows}) == ["event[0]", "event[1]"]
+
+
 def test_cli_sweep_and_plot_files(tmp_path):
     config = small_config_text(tmp_path)
     assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
@@ -437,7 +450,7 @@ _INVALID = "configuration error: invalid value: "
 _ALPHA = f"{_INVALID}penalty weight must be finite and >= 0, got -1.0"
 _NODES = f"{_INVALID}need 8 to 1024 quadrature nodes, got "
 _SLOTS = "1.54668e+300 segments of 1e-300 s, over 1000000"
-_SLOT_ZERO = f"{_INVALID}slot duration must be positive"
+_SLOT_ZERO = f"{_INVALID}slot duration must be finite and positive"
 _FAR = "warning: link distance inside the Fraunhofer range; far-field model inaccurate"
 _NEAR = {"perpendicular_distance_m": 5.0, "n_antennas": 128}  # inside the 10.99 m range
 # the small grid at theta_step = 1e-12: 320000000001 centres x 3 rows
@@ -762,6 +775,11 @@ _FAILURES = {
         ),
         "slot-sweep": Row(
             [*_VELOCITY_SWEEP, "--schemes", "event"], 4,
+            [f"run error: sweep point (value=20.0, scheme='event'): {_SLOTS}"], {"slot_s": 1e-300},
+        ),
+        # the slots are the event scheme's own segments, so its point names it, not the first
+        "slot-sweep-second-scheme": Row(
+            [*_VELOCITY_SWEEP, "--schemes", "conventional,event"], 4,
             [f"run error: sweep point (value=20.0, scheme='event'): {_SLOTS}"], {"slot_s": 1e-300},
         ),
         "n_quad-huge-pattern": Row(_PATTERN, 2, [_NODES + "1000000000"], {"n_quad": 10**9}),

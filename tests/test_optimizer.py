@@ -469,10 +469,11 @@ _REJECTIONS = {
         for field in ("n_particles", "n_iterations")
     },
     "test_specs_and_swarms_reject_nan": {
-        **{field: (lambda f=field: replace(spec_for_velocity(50.0), **{f: math.nan}), line)
-           for field, line in [("tau", "ValueError: sensing period must be positive, got nan"),
-                               ("r_min", "ValueError: minimum rate must be >= 0, got nan"),
-                               ("alpha", f"{_PENALTY}nan")]},
+        **{field: [(lambda f=field, v=value: replace(spec_for_velocity(50.0), **{f: v}),
+                    f"ValueError: {line}{value!r}") for value in (math.nan, math.inf)]
+           for field, line in [("tau", "sensing period must be finite and positive, got "),
+                               ("r_min", "minimum rate must be finite and >= 0, got "),
+                               ("alpha", "penalty weight must be finite and >= 0, got ")]},
         **{field: (lambda f=field: PsoConfig((0.0, 1.0), **{f: math.nan}), _WEIGHTS + weights)
            for field, weights in [("inertia", "(nan, 1.4962, 1.4962)"),
                                   ("cognitive", "(0.7298, nan, 1.4962)"),

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import suppress
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -213,15 +212,15 @@ def test_event_realigns_to_the_sine_read_at_its_boundary(small_scenario, slot):
     sc, params = small_scenario, EventBasedParams(slot=slot)
     ep = _Episode(sc)
     starts = ep.starts(params.slot)
-    realignments = [0.0]
-    beams = tracking._event_beams(ep, params, realignments)
-    centres = []
-    beam, _ = next(beams)
-    with suppress(StopIteration):
-        while True:
-            if beam is not None:
-                centres.append((float(beam.theta_m), realignments[-1]))
-            beam, _ = beams.send(beam is not None)
+    beams = tracking._event_beams(sc, starts, params)
+    centres, realignments, outage = [], [], None
+    for _ in range(len(starts) - 1):
+        beam, _, realigned = beams.send(outage)
+        if realigned is not None:
+            realignments.append(realigned)
+        if beam is not None:
+            centres.append((float(beam.theta_m), realignments[-1]))
+        outage = beam is not None
     assert len(centres) == sum(b > a for a, b in zip(starts, starts[1:]))
     assert len(realignments) > 10
     for centre, boundary in centres:
@@ -256,7 +255,7 @@ def _written_out_gain_and_rate(sins, dists, beam, sc):
 def _held(beam, count):
     """A rule's beams that hold ``beam`` for each of ``count`` segments."""
     for _ in range(count):
-        yield beam, "b"
+        yield beam, "b", None
 
 
 @pytest.mark.parametrize("length", [1, 3, 30, 100])
@@ -275,7 +274,7 @@ def test_segment_bits_match_the_one_call_forms(small_scenario, length):
     period = length * sc.time_step
     starts = ep.starts(period)
     assert len(starts) - 1 >= 3
-    rules = [("test", period, _held(beam, len(starts) - 1), []) for beam in beams.values()]
+    rules = [("test", starts, _held(beam, len(starts) - 1)) for beam in beams.values()]
     for beam, rec in zip(beams.values(), _run(ep, rules)):
         for k in range(len(starts) - 2):  # every segment but the last, which takes the rest
             seg = slice(starts[k], starts[k + 1])
@@ -290,36 +289,38 @@ def test_segment_bits_match_the_one_call_forms(small_scenario, length):
 
 
 def _listening(beam, count, heard):
-    """A rule's beams that hold ``beam`` for ``count`` segments and keep each outage they hear."""
+    """A rule's beams that hold ``beam`` for ``count`` segments and keep each outage they hear:
+    that of every segment but the last, which no segment follows."""
     for _ in range(count):
-        heard.append((yield beam, "b"))
+        heard.append((yield beam, "b", None))
 
 
 def test_segment_hears_an_outage_in_any_of_its_pieces(small_scenario):
-    # segments of 30 samples cross the 50-sample sensing periods; each must hear, once,
-    # whether any of its pieces had an outage, wherever in the segment that outage fell
+    # segments of 30 samples cross the 50-sample sensing periods; each but the last must be
+    # told, once, whether any of its pieces had an outage, wherever in the segment it fell
     sc = small_scenario
     ep = _Episode(sc)
     period = 30 * sc.time_step
     starts = ep.starts(period)
     beams = [mrt_precoder(float(s), sc.cfg) for s in ep.sins[::40]]
     heard = [[] for _ in beams]
-    rules = [("test", period, _listening(b, len(starts) - 1, h), []) for b, h in zip(beams, heard)]
+    rules = [("test", starts, _listening(b, len(starts) - 1, h)) for b, h in zip(beams, heard)]
     only_before_last = only_in_last = 0
     for rec, told in zip(_run(ep, rules), heard):
         segments = list(zip(starts, starts[1:]))
-        assert told == [bool(rec.outages[a:b].any()) for a, b in segments]
+        assert told == [bool(rec.outages[a:b].any()) for a, b in segments[:-1]]
         for a, b in segments:
             last = max([a] + [p for p in ep.periods if a < p < b])  # the segment's last piece
             before, after = rec.outages[a:last].any(), rec.outages[last:b].any()
             only_before_last += bool(before and not after)
             only_in_last += bool(after and not before and last > a)
     assert only_before_last > 0 and only_in_last > 0
-    # segments shorter than the time step are mostly empty, and each is still heard, in order
+    # segments shorter than the time step are mostly empty, and each but the last is still
+    # heard, in order
     short = 0.6 * sc.time_step
     starts, heard = ep.starts(short), []
-    (rec,) = _run(ep, [("test", short, _listening(beams[0], len(ep.starts(short)) - 1, heard), [])])
-    assert heard == [bool(rec.outages[a:b].any()) for a, b in zip(starts, starts[1:])]
+    (rec,) = _run(ep, [("test", starts, _listening(beams[0], len(starts) - 1, heard))])
+    assert heard == [bool(rec.outages[a:b].any()) for a, b in zip(starts, starts[1:-1])]
     assert len(heard) > len(ep.times)
 
 
@@ -342,7 +343,8 @@ def _assert_same_record(shared: TrackRecord, alone: TrackRecord) -> None:
             assert a == b, f.name
 
 
-# velocity, time step in sensing periods, event slot (s), and the empty segment the case holds
+# velocity, time step in sensing periods, event slot (s), and the edge the case holds: an empty
+# segment, or a last slot that ends with an outage inside the path
 _SHARED_CASES = {
     "v10": (10.0, 1 / 50, 0.05, None),
     "v20": (20.0, 1 / 50, 0.05, None),
@@ -353,30 +355,35 @@ _SHARED_CASES = {
     # 5.02 periods of path sampled every tau / 10.5: no sample falls in the sixth period
     "last-period-empty": (DISTANCE_M * math.tan(END_ANGLE_RAD) / (5.02 * TAU), 1 / 10.5, 0.05,
                           "period"),
+    # eight slots of path at 10 ms steps: the path ends 5.6e-17 s after the eighth slot does
+    "last-boundary-inside": (DISTANCE_M * math.tan(END_ANGLE_RAD) / (8 * 0.05), 0.01 / TAU, 0.05,
+                             "inside"),
 }
 
 
 @pytest.mark.parametrize("case", list(_SHARED_CASES))
 def test_shared_walk_equals_one_scheme_runs(small_cfg, small_budget, wide_codebook, case):
-    velocity, step, slot, empty = _SHARED_CASES[case]
+    velocity, step, slot, edge = _SHARED_CASES[case]
     sc = make_scenario(small_cfg, small_budget, velocity=velocity, time_step=TAU * step)
     cb, params = wide_codebook, EventBasedParams(slot=slot)
     ep = _Episode(sc)
-    if empty == "period":
+    if edge == "period":
         assert ep.periods[-2] == ep.periods[-1]
         assert len(run_conventional(sc).realignment_times) == len(ep.periods) - 1 == 6
-    if empty == "slot":
+    if edge == "slot":
         starts = ep.starts(slot)
         assert starts[-2] == starts[-1]
     shared = run_schemes(sc, ["proposed", "conventional", "event"], cb, params)
     alone = [run_sensing_assisted(sc, cb), run_conventional(sc), run_event_based(sc, params)]
     for rec, one in zip(shared, alone, strict=True):
         _assert_same_record(rec, one)
-    # a slot evaluated in pieces realigns after an outage in any of them
+    # a slot evaluated in pieces realigns after an outage in any of them; nothing follows the last
     starts, outages = ep.starts(slot), shared[2].outages
-    boundaries = [(k + 1) * slot for k in range(len(starts) - 1)]
-    realigned = [b for k, b in enumerate(boundaries) if outages[starts[k] : starts[k + 1]].any()]
-    assert shared[2].realignment_times == [0.0] + [b for b in realigned if b < sc.duration]
+    if edge == "inside":
+        assert (len(starts) - 1) * slot < sc.duration and outages[starts[-2] :].any()
+    ends = [(k + 1) * slot for k in range(len(starts) - 2)]  # of every slot but the last
+    realigned = [b for k, b in enumerate(ends) if outages[starts[k] : starts[k + 1]].any()]
+    assert shared[2].realignment_times == [0.0] + realigned
     # any subset and order of the schemes gives the same records
     reordered = run_schemes(sc, ["event", "proposed"], cb, params)
     _assert_same_record(reordered[0], shared[2])
@@ -855,8 +862,10 @@ _REJECTIONS = {
         (_changed(time_step=TAU), "ValueError: time step must be positive and at most tau/10"),
     ],
     "test_event_params_validation": [
-        (lambda: EventBasedParams(slot=0.0), "ValueError: slot duration must be positive"),
-        (lambda: EventBasedParams(rw_var=-1.0), "ValueError: random-walk variance must be >= 0"),
+        (lambda: EventBasedParams(slot=0.0),
+         "ValueError: slot duration must be finite and positive"),
+        (lambda: EventBasedParams(rw_var=-1.0),
+         "ValueError: random-walk variance must be finite and >= 0"),
         (lambda: EventBasedParams(weight=1.5), "ValueError: weight must lie in [0, 1]"),
     ],
     "test_scenario_rejects_nan": {  # and either infinity
@@ -864,10 +873,11 @@ _REJECTIONS = {
                 for value in (math.nan, math.inf, -math.inf)]
         for field in _SCENARIO_FLOATS
     },
-    "test_event_params_reject_nan": {
-        field: (lambda f=field: EventBasedParams(**{f: math.nan}), f"ValueError: {message}")
-        for field, message in [("slot", "slot duration must be positive"),
-                               ("rw_var", "random-walk variance must be >= 0"),
+    "test_event_params_reject_nan": {  # and infinity
+        field: [(lambda f=field, v=value: EventBasedParams(**{f: v}), f"ValueError: {message}")
+                for value in (math.nan, math.inf)]
+        for field, message in [("slot", "slot duration must be finite and positive"),
+                               ("rw_var", "random-walk variance must be finite and >= 0"),
                                ("weight", "weight must lie in [0, 1]")]
     },
     "test_export_rejects_non_finite": [
