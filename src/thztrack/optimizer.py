@@ -10,11 +10,13 @@ The integral is evaluated by Gauss-Legendre quadrature in real arithmetic,
 for many specs and candidate omegas at once.
 
 The search over omega is a synchronous, seeded particle swarm with reflective
-bounds, deterministic bit-for-bit for a fixed seed, also when swarms step in lockstep.
+bounds that stops once it stalls, deterministic bit-for-bit for a fixed seed, also
+when swarms step in lockstep.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from contextlib import ExitStack
@@ -99,10 +101,13 @@ class PsoConfig:
 
 @dataclass(frozen=True)
 class OptResult:
-    """A swarm's incumbent, the objective evaluations made for it, and the iteration it was found.
+    """A swarm's incumbent, the objective evaluations made for it, and the iteration it converged.
 
-    A zero-width spec (delta = 0) is evaluated once, at the lower bound, so its
-    ``evaluations`` is 1; every other spec's is ``n_particles * (n_iterations + 1)``.
+    ``converged_iteration`` is the last iteration whose incumbent rose by more than
+    :data:`STALL_TOLERANCE` relative (0 if none did); ulp-sized rises and ties along a flat
+    optimum do not count. The swarm stops :data:`STALL_ITERATIONS` iterations later, or at
+    ``n_iterations``, whichever comes first, so ``evaluations`` is ``n_particles * (stop + 1)``.
+    A zero-width spec (delta = 0) is evaluated once, at the lower bound: its ``evaluations`` is 1.
     """
 
     omega_star: float
@@ -122,10 +127,16 @@ def pso_bounds(cfg: ArrayConfig) -> tuple[float, float]:
     return (0.0, half) if cfg.n_antennas % 2 == 0 else (0.0, 2.0 * half)
 
 
-# Specs per lockstep batch. 32 takes 2-4% less CPU per cell than 16 and 64 about the same,
-# but each spec adds about 0.3 MB to the peak: codebook-build's peak RSS went from 45.2 MB at
-# 16 to 50.0 MB at 32 and 58.9 MB at 64 (2-core AMD EPYC), so 16 stays.
+# Specs per lockstep batch. With swarms that stop once they stall, 32 takes 3.6% less CPU per
+# cell than 16 (codebook-build medians 5.88 against 6.10 ms, 6 alternating pairs on a 2-core
+# Xeon), but each spec adds about 0.3 MB to the peak: peak RSS went from 46.1 MB at 16 to
+# 50.5 MB at 32, past 1.1 times the 45.0 MB of the build without the stall rule, so 16 stays.
 SWARM_CHUNK = 16
+
+# A swarm stops once its incumbent has not risen by more than STALL_TOLERANCE relative for
+# STALL_ITERATIONS iterations in a row: the stall rule of MATLAB's particleswarm.
+STALL_ITERATIONS = 20
+STALL_TOLERANCE = 1e-12
 
 
 @lru_cache(maxsize=8)
@@ -180,6 +191,14 @@ class _PeriodEvaluator:
         self.delta, self.bandwidth, self.r_min, self.alpha = np.array(per_spec).T[:, :, None, None]
         self.mirror = self.delta[:, 0] * (np.pi * (n_antennas - 1))
         self.table = taper_table(self.delta[:, 0], half)
+
+    def subset(self, keep) -> _PeriodEvaluator:
+        """The evaluator of the specs that ``keep`` (a mask or indices) selects, in its order."""
+        sub = copy.copy(self)
+        for name in ("steer", "snr", "delta", "bandwidth", "r_min", "alpha", "mirror"):
+            setattr(sub, name, getattr(self, name)[keep])
+        sub.table = tuple(part[keep] for part in self.table)
+        return sub
 
     def rates(self, omegas: np.ndarray) -> np.ndarray:
         """Rate at every node (specs x omegas x nodes) for omegas given as specs x omegas."""
@@ -265,8 +284,11 @@ def optimize_omegas(
     """:func:`optimize_omega` for each spec with its own seed (``pso.seed`` is unused).
 
     The swarms of :data:`SWARM_CHUNK` specs step in lockstep, one batched
-    evaluation per iteration; each keeps its own random stream, so every
-    result is bit-identical to the one-spec run. The chunks run in a pool of
+    evaluation per iteration; each keeps its own random stream, drawn whole up
+    front, so every result is bit-identical to the one-spec run. A swarm leaves
+    the batch once it stalls (see :class:`OptResult`); its result is then the
+    incumbent that a run of all ``pso.n_iterations`` holds at that iteration,
+    and no other swarm's result moves. The chunks run in a pool of
     ``min(jobs, chunks, os.cpu_count())`` worker processes when that is above 1,
     and in this process otherwise; the pool module is imported only then.
 
@@ -307,7 +329,7 @@ def optimize_omegas(
 
 
 def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
-    values = _PeriodEvaluator(specs).values
+    evaluator = _PeriodEvaluator(specs)
     lo, hi = pso.bounds
     # each swarm's whole stream, drawn in the order of one random(n_particles) per use
     shape = (2 * pso.n_iterations + 2, pso.n_particles)
@@ -325,14 +347,16 @@ def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
     # particles 0 and 1 start on the bounds, where reflection keeps others from settling
     x[:, 0], x[:, 1] = lo, hi
     v = (2.0 * draws[1] - 1.0) * v_max
-    fx = values(x)
+    fx = evaluator.values(x)
 
     pbest_x, pbest_f = x.copy(), fx.copy()
     best_x, best_f = _incumbent(x, fx)
     converged_iteration = np.zeros(len(seeds), dtype=int)
+    live = np.arange(len(seeds))  # the input positions of the swarms still stepping
+    results: list = [None] * len(seeds)
 
     for it in range(1, pso.n_iterations + 1):
-        r_cog, r_soc = draws[2 * it], draws[2 * it + 1]
+        r_cog, r_soc = draws[2 * it, live], draws[2 * it + 1, live]
         v = (
             pso.inertia * v
             + pso.cognitive * r_cog * (pbest_x - x)
@@ -347,20 +371,32 @@ def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:
         v[outside] = -v[outside]
         np.clip(x, lo, hi, out=x)
 
-        fx = values(x)
+        fx = evaluator.values(x)
 
         improved = fx > pbest_f
         pbest_x[improved] = x[improved]
         pbest_f[improved] = fx[improved]
 
         cand_x, cand_f = _incumbent(x, fx)
+        converged_iteration[cand_f - best_f > STALL_TOLERANCE * np.abs(best_f)] = it
         better = (cand_f > best_f) | ((cand_f == best_f) & (cand_x < best_x))
         best_x[better] = cand_x[better]
         best_f[better] = cand_f[better]
-        converged_iteration[better] = it
 
-    evaluations = pso.n_particles * (pso.n_iterations + 1)
-    return [
-        OptResult(float(bx), float(bf), evaluations, int(it))
-        for bx, bf, it in zip(best_x, best_f, converged_iteration)
-    ]
+        # a stalled swarm leaves the batch; no value depends on the batch, so its result is
+        # the incumbent that the full run holds at this iteration, and no other swarm's moves
+        stop = (it - converged_iteration >= STALL_ITERATIONS) | (it == pso.n_iterations)
+        for k in np.flatnonzero(stop):
+            results[live[k]] = OptResult(
+                float(best_x[k]), float(best_f[k]), pso.n_particles * (it + 1),
+                int(converged_iteration[k]),
+            )
+        if stop.all():
+            break
+        if stop.any():
+            keep = ~stop
+            live, x, v, pbest_x, pbest_f, best_x, best_f, converged_iteration = (
+                a[keep] for a in (live, x, v, pbest_x, pbest_f, best_x, best_f, converged_iteration)
+            )
+            evaluator = evaluator.subset(keep)
+    return results

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import inspect
+import os
+import time
 
 import pytest
 
@@ -17,6 +19,7 @@ from thztrack import (
     build_codebook,
     pso_bounds,
 )
+from thztrack.config import RunConfig, build_grid, build_objective_template, build_pso
 
 # Reference simulation parameters used throughout the suite.
 CARRIER_HZ = 220e9
@@ -94,6 +97,22 @@ def small_codebook(small_cfg, small_budget, small_pso):
     )
     template = make_objective_spec(sc, n_quad=16)
     return build_codebook(grid, template, small_pso)
+
+
+@pytest.fixture(scope="session")
+def default_codebook():
+    """Default-grid codebook for the reference configuration, built once per session."""
+    rc = RunConfig()
+    started = time.perf_counter()
+    cb = build_codebook(
+        build_grid(rc),
+        build_objective_template(rc),
+        build_pso(rc),
+        jobs=max(1, os.cpu_count() or 1),
+    )
+    elapsed = time.perf_counter() - started
+    print(f"[fixture] default codebook: {len(cb.entries)} cells in {elapsed:.1f} s")
+    return cb
 
 
 @pytest.fixture(scope="session")

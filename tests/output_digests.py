@@ -19,7 +19,7 @@ build's wall time masked. Each built codebook also gets a ``<run>/cells`` line:
 the digest of its loaded entries' ``(ti, di, theta_m, delta, omega, objective)``
 reprs, which stays put when a new file format moves the bytes but no value. Every
 file and cells digest of a ``--jobs 2`` run must equal its ``--jobs 1`` twin's, or
-the script fails. It prints 47 lines and takes about 25 s on a 2-core Xeon.
+the script fails. It prints 47 lines and takes about 18 s on a 2-core Xeon.
 The file name keeps pytest from collecting it.
 """
 

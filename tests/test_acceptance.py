@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a verdict.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 6 and 7 and the
-grid-floor check of every cell share a session-scoped default codebook build
-(about 3.5 s on two AMD EPYC cores).
+grid-floor check of every cell share the session-scoped default codebook build of
+``conftest.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from thztrack import (
 from thztrack.config import (
     RunConfig,
     build_event_params,
-    build_grid,
     build_objective_template,
     build_pso,
     build_scenario,
@@ -52,26 +51,6 @@ VELOCITIES = [float(v) for v in range(10, 101, 10)]
 
 def _report(criterion: int, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
-
-
-@pytest.fixture(scope="session")
-def default_codebook(tmp_path_factory):
-    """Default-grid codebook for the reference configuration."""
-    import os
-
-    rc = RunConfig()
-    started = time.perf_counter()
-    cb = build_codebook(
-        build_grid(rc),
-        build_objective_template(rc),
-        build_pso(rc),
-        jobs=max(1, os.cpu_count() or 1),
-    )
-    elapsed = time.perf_counter() - started
-    path = tmp_path_factory.mktemp("codebook") / "default.json"
-    save(cb, path)
-    print(f"[fixture] default codebook: {len(cb.entries)} cells in {elapsed:.1f} s")
-    return cb
 
 
 def test_criterion_1_unit_power():

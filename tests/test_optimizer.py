@@ -31,7 +31,14 @@ from thztrack import (
 from thztrack.codebook import _cell_spec
 from thztrack.config import build_grid, build_objective_template, build_pso, parse_config_file
 from thztrack.geometry import BS_FRAME
-from thztrack.optimizer import SWARM_CHUNK, _gauss_legendre, _lockstep_swarms, _PeriodEvaluator
+from thztrack import optimizer
+from thztrack.optimizer import (
+    STALL_ITERATIONS,
+    SWARM_CHUNK,
+    _gauss_legendre,
+    _lockstep_swarms,
+    _PeriodEvaluator,
+)
 from thztrack.precoder import taper
 from conftest import CARRIER_HZ, aligned_rate, make_budget, make_objective_spec, make_scenario
 from conftest import check_rejections, table_tests
@@ -330,10 +337,59 @@ def test_optimize_omegas_bit_equal_to_per_spec_runs():
     batched = optimize_omegas(specs, pso, seeds)
     single = [optimize_omega(spec, replace(pso, seed=seed)) for spec, seed in zip(specs, seeds)]
     assert batched == single  # OptResult equality compares every float bit for bit
-    # both bounds are particles of the first call, so a bound incumbent reports iteration 0
+    # both bounds are particles of the first call, so a bound incumbent reports iteration 0,
+    # and its swarm stops STALL_ITERATIONS later; the zero-width spec runs no swarm
     lo, hi = pso.bounds
     assert [(r.omega_star, r.converged_iteration) for r in batched[:2]] == [(hi, 0), (lo, 0)]
-    assert batched[0].evaluations == 16 * (25 + 1)
+    assert [r.evaluations for r in batched[:2]] == [16 * (STALL_ITERATIONS + 1), 1]
+    for r in batched[2:]:
+        stop = min(r.converged_iteration + STALL_ITERATIONS, pso.n_iterations)
+        assert r.evaluations == 16 * (stop + 1)
+
+
+def _grid_swarms(count: int, seed: int) -> tuple[list[ObjectiveSpec], PsoConfig, list[int]]:
+    """``count`` default-grid cells of non-zero width, the configured swarm settings, seeds."""
+    config = parse_config_file(REPO_CONFIG)
+    template, cells = build_objective_template(config), build_grid(config).cells()
+    rng = np.random.default_rng(seed)
+    specs = [_cell_spec(template, cells[i][1]) for i in rng.permutation(len(cells))]
+    specs = [spec for spec in specs if spec.interval.delta > 0.0][:count]
+    return specs, build_pso(config), [int(s) for s in rng.integers(0, 2**31, count)]
+
+
+def test_swarms_that_stop_apart_are_bit_equal_batched_alone_and_pooled():
+    # one chunk whose swarms leave the batch at several iterations, and a second chunk so that
+    # jobs=2 runs a pool
+    specs, pso, seeds = _grid_swarms(2 * SWARM_CHUNK, 3)
+    batched = optimize_omegas(specs, pso, seeds)
+    stops = {r.evaluations // pso.n_particles - 1 for r in batched[:SWARM_CHUNK]}
+    assert len(stops) >= 3 and min(stops) < pso.n_iterations
+    alone = [_lockstep_swarms([spec], pso, [seed])[0] for spec, seed in zip(specs, seeds)]
+    assert batched == alone  # bit for bit
+    assert optimize_omegas(specs, pso, seeds, jobs=2) == batched
+
+
+def test_stopped_swarm_holds_the_full_runs_incumbent_at_its_stop(monkeypatch):
+    specs, pso, seeds = _grid_swarms(SWARM_CHUNK, 4)
+    stopped = optimize_omegas(specs, pso, seeds)
+    monkeypatch.setattr(optimizer, "STALL_ITERATIONS", pso.n_iterations + 1)  # the rule off
+    early = 0
+    for spec, seed, got in zip(specs, seeds, stopped):
+        stop = got.evaluations // pso.n_particles - 1
+        assert stop == min(got.converged_iteration + STALL_ITERATIONS, pso.n_iterations)
+        early += stop < pso.n_iterations
+        (full,) = optimize_omegas([spec], replace(pso, n_iterations=stop), [seed])
+        assert (got.omega_star, got.objective_value) == (full.omega_star, full.objective_value)
+    assert early >= SWARM_CHUNK // 2
+
+
+def test_swarms_without_the_stall_rule_run_every_iteration(monkeypatch):
+    specs, pso, seeds = _grid_swarms(SWARM_CHUNK, 5)
+    pso = replace(pso, n_particles=8, n_iterations=50)
+    monkeypatch.setattr(optimizer, "STALL_ITERATIONS", pso.n_iterations + 1)
+    results = optimize_omegas(specs, pso, seeds)
+    assert {r.evaluations for r in results} == {8 * (50 + 1)}
+    assert all(0 <= r.converged_iteration <= 50 for r in results)
 
 
 def test_optimize_omegas_pool_bit_equal_to_serial():
