@@ -20,11 +20,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ArrayConfig, response_matrix
+from .channel import ArrayConfig, response_generator, response_rows
 from .geometry import AngularInterval
 
 _UNIT_POWER_TOL = 1e-9
 _DEGENERATE_SUM = 1e-300
+
+# The most complex entries in one block of response rows (4 MiB): a gain profile builds its
+# rows a block of at least one row at a time, so no profile holds the directions x N matrix.
+# The default 2001-direction pattern at N = 128 is one block.
+PROFILE_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +155,14 @@ def beam_gain(responses: np.ndarray, precoder: Precoder) -> np.ndarray:
 
 
 def bf_gain_profile(sin_dirs, precoder: Precoder, cfg: ArrayConfig) -> np.ndarray:
-    """Beamforming gain |a(s)^H f|^2, in [0, N], at each direction: the one-call form
-    of :func:`~thztrack.channel.response_matrix` and :func:`beam_gain`."""
+    """Beamforming gain |a(s)^H f|^2, in [0, N], at each direction: :func:`beam_gain` of
+    the :func:`~thztrack.channel.response_matrix` rows, built :data:`PROFILE_BLOCK_ENTRIES`
+    entries at a time. Each row's gain has the same bits as in the one-call form."""
     if len(precoder.weights) != cfg.n_antennas:
         raise ValueError("precoder length does not match the antenna count")
-    return beam_gain(response_matrix(sin_dirs, cfg), precoder)
+    z = response_generator(sin_dirs)
+    step = max(1, PROFILE_BLOCK_ENTRIES // cfg.n_antennas)
+    gains = np.empty(len(z))
+    for i in range(0, len(z), step):
+        gains[i : i + step] = beam_gain(response_rows(z[i : i + step], cfg.n_antennas), precoder)
+    return gains

@@ -20,6 +20,7 @@ from thztrack import (
     pso_bounds,
 )
 from thztrack.config import RunConfig, build_grid, build_objective_template, build_pso
+from make_golden import run_all
 
 # Reference simulation parameters used throughout the suite.
 CARRIER_HZ = 220e9
@@ -113,6 +114,16 @@ def default_codebook():
     elapsed = time.perf_counter() - started
     print(f"[fixture] default codebook: {len(cb.entries)} cells in {elapsed:.1f} s")
     return cb
+
+
+@pytest.fixture(scope="session")
+def cli_runs(tmp_path_factory):
+    """The directory of the CLI runs of ``make_golden.RUNS``, also their working directory, and
+    their records; made once per session."""
+    work = tmp_path_factory.mktemp("cli_runs")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(work)
+        return work, run_all(work)
 
 
 @pytest.fixture(scope="session")

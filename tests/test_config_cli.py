@@ -170,28 +170,16 @@ def test_cli_codebook_build_and_determinism(tmp_path, capsys):
     assert cb_path.read_bytes() == first
 
 
-def test_cli_simulate_all_schemes(tmp_path, capsys):
-    config = small_config_text(tmp_path)
-    assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
-    assert main(["simulate", "--config", str(config), "--scheme", "all"]) == 0
-    out_dir = tmp_path / "out"
-    traces = sorted(p.name for p in out_dir.glob("trace_*.csv"))
-    assert traces == ["trace_conventional.csv", "trace_event_based.csv", "trace_proposed.csv"]
-    # aligned time axes and finite numeric columns
-    columns = {}
-    for name in traces:
-        lines = (out_dir / name).read_text().strip().splitlines()
-        header = lines[0].split(",")
+def test_cli_simulate_all_schemes(cli_runs):
+    # the traces share one finite time axis, and the approximate baseline is labelled as such
+    out_dir, axes = cli_runs[0] / "simulate", set()
+    for name in ("trace_conventional.csv", "trace_event_based.csv", "trace_proposed.csv"):
+        header, *rows = [line.split(",") for line in (out_dir / name).read_text().splitlines()]
         assert header[:2] == ["time_s", "scheme"]
-        times = [float(line.split(",")[0]) for line in lines[1:]]
-        values = [float(line.split(",")[5]) for line in lines[1:]]
-        assert all(math.isfinite(v) for v in times + values)
-        columns[name] = times
-    assert columns["trace_proposed.csv"] == columns["trace_conventional.csv"]
-    assert columns["trace_proposed.csv"] == columns["trace_event_based.csv"]
-    # the approximate baseline is labelled as such
-    event_text = (out_dir / "trace_event_based.csv").read_text()
-    assert "event-based (approx.)" in event_text
+        assert all(math.isfinite(float(row[0])) and math.isfinite(float(row[5])) for row in rows)
+        axes.add(tuple(row[0] for row in rows))
+    assert len(axes) == 1
+    assert "event-based (approx.)" in (out_dir / "trace_event_based.csv").read_text()
 
 
 def test_cli_static_trace_constant(tmp_path):
@@ -206,58 +194,24 @@ def test_cli_static_trace_constant(tmp_path):
     assert len(rates) == 1
 
 
-def test_cli_event_counts_no_realignment_after_the_last_slot(tmp_path, capsys):
+def test_cli_event_counts_no_realignment_after_the_last_slot(cli_runs):
     # on the shipped config at 309.34 m/s and 10 ms steps the path ends 1.4e-17 s after the
     # second 50 ms slot, which has an outage; no slot follows it, so it ends in no realignment
-    rc = RunConfig()
-    edge = replace(rc.scenario, velocity_mps=309.3362496096232, time_step_s=0.01)
-    config, out = tmp_path / "edge.ini", tmp_path / "out"
-    config.write_text(render_config(replace(rc, scenario=edge)))
-    assert main(["simulate", "--config", str(config), "--out", str(out), "--scheme", "event"]) == 0
-    assert " realignments=2 " in capsys.readouterr().out
-    rows = (out / "trace_event_based.csv").read_text().splitlines()[1:]
+    assert " realignments=2 " in cli_runs[1]["simulate_event_boundary"]["stdout"][0]
+    rows = (cli_runs[0] / "simulate_event_boundary" / "trace_event_based.csv").read_text().splitlines()[1:]
     assert sorted({row.rsplit(",", 1)[1] for row in rows}) == ["event[0]", "event[1]"]
 
 
 def test_cli_sweep_and_plot_files(tmp_path):
     config = small_config_text(tmp_path)
     assert main(["codebook-build", "--config", str(config), "--jobs", "1"]) == 0
-    assert (
-        main(
-            [
-                "sweep",
-                "--config",
-                str(config),
-                "--axis",
-                "velocity",
-                "--values",
-                "10,20",
-                "--schemes",
-                "proposed,conventional",
-                "--jobs",
-                "1",
-            ]
-        )
-        == 0
-    )
+    argv = ["sweep", "--config", str(config), "--axis", "velocity", "--values", "10,20"]
+    assert main([*argv, "--schemes", "proposed,conventional", "--jobs", "1"]) == 0
     out_dir = tmp_path / "out"
     table = (out_dir / "sweep.csv").read_text().strip().splitlines()
     assert table[0] == "value,scheme,avg_rate_bps,outage_prob,realignment_count"
     assert len(table) == 5  # header + 2 values x 2 schemes
-    assert (out_dir / "sweep_proposed.csv").exists()
-    assert (out_dir / "sweep_conventional.csv").exists()
-
-
-def test_cli_pattern(tmp_path):
-    config = small_config_text(tmp_path)
-    assert main(["pattern", "--config", str(config), "--velocities", "10,50"]) == 0
-    out_dir = tmp_path / "out"
-    for v in ("10", "50"):
-        lines = (out_dir / f"pattern_v{v}.csv").read_text().strip().splitlines()
-        assert lines[0] == "sin_dir,gain_db"
-        assert len(lines) == 2002
-        gains = [float(line.split(",")[1]) for line in lines[1:]]
-        assert all(math.isfinite(g) for g in gains)
+    assert sorted(p.name for p in out_dir.iterdir()) == ["sweep.csv", "sweep_conventional.csv", "sweep_proposed.csv"]
 
 
 def test_cli_pattern_matches_direct_gain(tmp_path):
@@ -275,6 +229,7 @@ def test_cli_pattern_matches_direct_gain(tmp_path):
     assert main(["pattern", "--config", str(config), "--velocities", "30"]) == 0
     lines = (tmp_path / "out" / "pattern_v30.csv").read_text().strip().splitlines()
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert lines[0] == "sin_dir,gain_db" and len(rows) == 2001
 
     rc = parse_config_file(config)
     scenario = replace(build_scenario(rc), velocity=30.0)

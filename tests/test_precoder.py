@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,9 +16,10 @@ from thztrack import (
     bf_gain_profile,
     mrt_precoder,
     pso_bounds,
+    response_matrix,
     sample_fn,
 )
-from thztrack.precoder import TAPER_DIRECT, Precoder, taper, taper_table
+from thztrack.precoder import PROFILE_BLOCK_ENTRIES, TAPER_DIRECT, Precoder, beam_gain, taper, taper_table
 from conftest import CARRIER_HZ, check_rejections, table_tests
 from gain_reference import (
     array_response,
@@ -316,6 +318,27 @@ def test_gain_profile_matches_outer_product_reference(n_antennas):
         )
         got = bf_gain_profile(dirs, beam, cfg)
         assert np.allclose(got, bf_gain_profile_outer(dirs, beam, cfg), rtol=0.0, atol=1e-12 * n_antennas)
+
+
+def test_gain_profile_blocks_keep_the_one_call_bits(monkeypatch):
+    cfg, dirs = ArrayConfig(1001, CARRIER_HZ), np.linspace(-1.0, 1.0, 301)
+    beam = adaptive_precoder(AngularInterval(0.04, 0.04), 150.0, cfg)
+    one_call = beam_gain(response_matrix(dirs, cfg), beam)
+    for entries in (1, 7 * 1001, 256 * 1001):  # a block of one row at the least
+        monkeypatch.setattr("thztrack.precoder.PROFILE_BLOCK_ENTRIES", entries)
+        assert np.array_equal(bf_gain_profile(dirs, beam, cfg), one_call)
+
+
+def test_gain_profile_memory_stays_within_two_blocks():
+    # the one-call 2001 x 16384 response matrix would take 525 MB
+    cfg = ArrayConfig(16384, CARRIER_HZ)
+    tracemalloc.start()
+    try:
+        bf_gain_profile(np.linspace(-1.0, 1.0, 2001), mrt_precoder(0.3, cfg), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * PROFILE_BLOCK_ENTRIES * 16  # bytes of complex entries
 
 
 def test_integral_definition_oracle_small():
