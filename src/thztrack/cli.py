@@ -242,8 +242,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    with warnings.catch_warnings():  # forked pool workers inherit the one-line format
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+    shown = set()
+
+    def show(message, *_):  # each distinct message once, as one line
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
         try:
             if getattr(args, "jobs", 1) < 1:
                 raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")

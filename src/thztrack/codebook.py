@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .geometry import AngularInterval, SensedState
@@ -243,29 +243,23 @@ def entry_precoder(entry: CodebookEntry, cfg) -> Precoder:
     return adaptive_precoder(entry.interval, entry.omega, cfg)
 
 
-def _to_payload(cb: Codebook) -> dict:
-    lo, hi = cb.grid.theta_range
-    entries = [cb.entries[key] for key in sorted(cb.entries)]  # row-major
-    return {
+# the grid's stored fields, in the order of CodebookGrid's values
+_GRID_KEYS = ("theta_step", "delta_step", "theta_lo", "theta_hi", "delta_max")
+
+
+def save(cb: Codebook, sink) -> None:
+    """Write the codebook to a path or text file object (deterministic bytes)."""
+    g, entries = cb.grid, [cb.entries[key] for key in sorted(cb.entries)]  # row-major
+    payload = {
         "format_version": FORMAT_VERSION,
         "fingerprint": cb.fingerprint,
-        "grid": {
-            "theta_step": cb.grid.theta_step,
-            "delta_step": cb.grid.delta_step,
-            "theta_lo": lo,
-            "theta_hi": hi,
-            "delta_max": cb.grid.delta_max,
-        },
+        "grid": dict(zip(_GRID_KEYS, (g.theta_step, g.delta_step, *g.theta_range, g.delta_max))),
         "n_quad": cb.n_quad,
         "pso": asdict(cb.pso),
         "omega": [entry.omega for entry in entries],
         "objective": [entry.objective_value for entry in entries],
     }
-
-
-def save(cb: Codebook, sink) -> None:
-    """Write the codebook to a path or text file object (deterministic bytes)."""
-    write_text(sink, [json.dumps(_to_payload(cb), sort_keys=True, separators=(",", ":"))])
+    write_text(sink, [json.dumps(payload, sort_keys=True, separators=(",", ":"))])
 
 
 def _finite(text: str) -> float:
@@ -275,12 +269,24 @@ def _finite(text: str) -> float:
     return value
 
 
-def _typed(value, name: str, kinds: tuple = (int,)):
+# The JSON type of a stored field, by name; every other field is a number. An object's fields
+# follow the same rule, and a list holds numbers, each named as the list without a plural s.
+_KINDS = {
+    "fingerprint": dict, "grid": dict, "pso": dict, "bounds": list, "omega": list,
+    "objective": list, "format_version": int, "n_quad": int, "n_particles": int,
+    "n_iterations": int, "seed": int, "n_antennas": int,
+}
+_NOUNS = {dict: "object", list: "list", int: "integer", float: "number"}
+
+
+def _typed(name: str, value, kind: type | None = None):
     # bool is an int subclass, and a float such as 64.0 passes every range check
-    if type(value) not in kinds:
-        noun = "object" if dict in kinds else "number" if float in kinds else "integer"
-        raise CodebookError(f"codebook {name} {value!r} is not a JSON {noun}")
-    return value
+    kind = kind or _KINDS.get(name, float)
+    if type(value) is not kind and (kind is not float or type(value) is not int):
+        raise CodebookError(f"codebook {name} {value!r} is not a JSON {_NOUNS[kind]}")
+    if kind is dict:
+        return {key: _typed(key, item) for key, item in value.items()}
+    return tuple([_typed(name.rstrip("s"), v, float) for v in value]) if kind is list else value
 
 
 def load(path, expected_fingerprint: dict[str, float] | None = None) -> Codebook:
@@ -302,37 +308,20 @@ def load(path, expected_fingerprint: dict[str, float] | None = None) -> Codebook
 
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise CodebookError("codebook payload missing format_version")
-    if payload["format_version"] != FORMAT_VERSION:
+    if (version := _typed("format_version", payload["format_version"])) != FORMAT_VERSION:
         raise CodebookError(
-            f"unsupported codebook format {payload['format_version']!r}, "
-            f"expected {FORMAT_VERSION}; rebuild the codebook"
+            f"unsupported codebook format {version!r}, expected {FORMAT_VERSION}; "
+            "rebuild the codebook"
         )
 
     try:
-        grid_raw, pso_raw = payload["grid"], payload["pso"]
-        theta_step, delta_step, theta_lo, theta_hi, delta_max = (
-            _typed(grid_raw[key], key, (int, float))
-            for key in ("theta_step", "delta_step", "theta_lo", "theta_hi", "delta_max")
-        )
+        keys = ("grid", "pso", "n_quad", "omega", "objective", "fingerprint")
+        layout, settings, n_quad, omegas, objectives, built = (_typed(k, payload[k]) for k in keys)
+        theta_step, delta_step, theta_lo, theta_hi, delta_max = (layout[k] for k in _GRID_KEYS)
         grid = CodebookGrid(theta_step, delta_step, (theta_lo, theta_hi), delta_max)
-        pso = PsoConfig(
-            bounds=tuple(_typed(v, "bound", (int, float)) for v in pso_raw["bounds"]),
-            n_particles=_typed(pso_raw["n_particles"], "n_particles"),
-            n_iterations=_typed(pso_raw["n_iterations"], "n_iterations"),
-            inertia=_typed(pso_raw["inertia"], "inertia", (int, float)),
-            cognitive=_typed(pso_raw["cognitive"], "cognitive", (int, float)),
-            social=_typed(pso_raw["social"], "social", (int, float)),
-            seed=_typed(pso_raw["seed"], "seed"),
-        )
-        n_quad = _typed(payload["n_quad"], "n_quad")
-        omegas, objectives = (
-            [_typed(v, key, (int, float)) for v in payload[key]] for key in ("omega", "objective")
-        )
-        stored = _typed(payload["fingerprint"], "fingerprint", (dict,))
-        fingerprint = {
-            key: _typed(stored[key], key, (int,) if key == "n_antennas" else (int, float))
-            for key in FINGERPRINT
-        }
+        # every field is required, and PsoConfig rejects any other
+        pso = PsoConfig(**{f.name: settings.pop(f.name) for f in fields(PsoConfig)}, **settings)
+        fingerprint = {key: built[key] for key in FINGERPRINT}
     except (KeyError, TypeError, ValueError) as exc:
         raise CodebookError(f"codebook payload incomplete or invalid: {exc}") from exc
 
@@ -347,10 +336,9 @@ def load(path, expected_fingerprint: dict[str, float] | None = None) -> Codebook
         raise CodebookError(
             f"{len(omegas)} omegas and {len(objectives)} objectives for {n_cells} cells"
         )
-    cells = grid.cells()
     lo, hi = pso.bounds
     entries = {}
-    for (key, interval), omega, value in zip(cells, omegas, objectives):
+    for (key, interval), omega, value in zip(grid.cells(), omegas, objectives):
         if not lo <= omega <= hi:
             raise CodebookError(
                 f"codebook cell {key} has omega {omega!r} outside the bounds {pso.bounds}"

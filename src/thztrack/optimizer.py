@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
@@ -88,8 +89,9 @@ class PsoConfig:
         lo, hi = self.bounds
         if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
             raise ValueError(f"invalid search bounds {self.bounds!r}; need 0 <= lo < hi")
-        _check_count("n_particles", self.n_particles)
-        _check_count("n_iterations", self.n_iterations)
+        for name in ("n_particles", "n_iterations", "seed"):  # numpy ints are saved as JSON ints
+            _check_count(name, value := getattr(self, name))
+            object.__setattr__(self, name, int(value))
         if self.n_particles < 2:
             raise ValueError(f"need at least 2 particles, got {self.n_particles!r}")
         if self.n_iterations < 1:
@@ -297,7 +299,8 @@ def optimize_omegas(
     random numbers: it is evaluated once, at the lower bound, in batches of
     :data:`SWARM_CHUNK`, and its result is ``(lo, value, 1, 0)``. Since no
     value depends on how many omegas share a call, that is the swarm's own
-    answer with ``evaluations == 1``. Results keep input order.
+    answer with ``evaluations == 1``. Results keep input order. The warnings of every
+    evaluation, in this process or in a worker, are raised again here, each distinct one once.
     """
     if len(specs) != len(seeds):
         raise ValueError(f"{len(specs)} specs but {len(seeds)} seeds")
@@ -307,10 +310,13 @@ def optimize_omegas(
 
     results: list = [None] * len(specs)
     lo = pso.bounds[0]
-    for chunk in chunked([i for i, spec in enumerate(specs) if spec.interval.delta == 0.0]):
-        values = _PeriodEvaluator([specs[i] for i in chunk]).values(np.full((len(chunk), 1), lo))
-        for i, value in zip(chunk, values[:, 0]):
-            results[i] = OptResult(lo, float(value), 1, 0)
+    with warnings.catch_warnings(record=True) as caught:  # raised again below, as a chunk's are
+        warnings.simplefilter("always")
+        for chunk in chunked([i for i, spec in enumerate(specs) if spec.interval.delta == 0.0]):
+            evaluator = _PeriodEvaluator([specs[i] for i in chunk])
+            for i, value in zip(chunk, evaluator.values(np.full((len(chunk), 1), lo))[:, 0]):
+                results[i] = OptResult(lo, float(value), 1, 0)
+    messages = [w.message for w in caught]
     swarmed = chunked([i for i, spec in enumerate(specs) if spec.interval.delta != 0.0])
     workers = min(jobs, len(swarmed), os.cpu_count() or 1)
     with ExitStack() as stack:
@@ -321,11 +327,23 @@ def optimize_omegas(
             run = stack.enter_context(ProcessPoolExecutor(workers)).map
         spec_chunks = [[specs[i] for i in chunk] for chunk in swarmed]
         seed_chunks = [[seeds[i] for i in chunk] for chunk in swarmed]
-        parts = run(_lockstep_swarms, spec_chunks, repeat(pso), seed_chunks)
-        for chunk, part in zip(swarmed, parts):
+        parts = run(_recorded_swarms, spec_chunks, repeat(pso), seed_chunks)
+        for chunk, (part, raised) in zip(swarmed, parts):
+            messages += raised
             for i, result in zip(chunk, part):
                 results[i] = result
+    for message in {(type(m), str(m)): m for m in messages}.values():
+        warnings.warn(message, stacklevel=2)
     return results
+
+
+def _recorded_swarms(specs, pso: PsoConfig, seeds) -> tuple[list[OptResult], list[Warning]]:
+    """:func:`_lockstep_swarms` and the warnings it raised, for the caller to raise again: a
+    worker's own warning filters and hooks depend on how the pool started it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = _lockstep_swarms(specs, pso, seeds)
+    return results, [w.message for w in caught]
 
 
 def _lockstep_swarms(specs, pso: PsoConfig, seeds) -> list[OptResult]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 
 from thztrack import (
     AngularInterval,
+    ArrayConfig,
+    Codebook,
     CodebookError,
     CodebookGrid,
+    PsoConfig,
     build_codebook,
     entry_precoder,
     load,
@@ -25,12 +28,20 @@ from thztrack import (
     mrt_precoder,
     objectives,
     optimize_omega,
+    pso_bounds,
     save,
 )
 from thztrack.codebook import _cell_spec
 from thztrack.optimizer import SWARM_CHUNK
 from thztrack.seeding import derive_seed
-from conftest import check_rejections, make_objective_spec, make_scenario, table_tests
+from conftest import (
+    CARRIER_HZ,
+    check_rejections,
+    make_budget,
+    make_objective_spec,
+    make_scenario,
+    table_tests,
+)
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +244,49 @@ def test_save_load_round_trip(tiny_build, tmp_path):
     assert (edited.tau, edited.r_min) == (0.2, 1.0)  # stored once, in the fingerprint
     assert loaded.pso == cb.pso
     assert loaded.entries == cb.entries
+
+
+def _exact(value):
+    """``value`` with every float as its hex form, through dataclasses, dicts and sequences, so
+    that equal means bit for bit (and 0.0 is not -0.0)."""
+    if isinstance(value, float):
+        return value.hex()
+    if is_dataclass(value):
+        return _exact(astuple(value))
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_exact(item) for item in value]
+    return value
+
+
+def _int_or_int64(low: int, high: int):
+    return st.integers(low, high).flatmap(lambda n: st.sampled_from([n, np.int64(n)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    centres=st.integers(1, 3),
+    rows=st.integers(1, 3),
+    n_antennas=st.sampled_from([2, 3, 8]),
+    n_particles=_int_or_int64(2, 4),
+    n_iterations=_int_or_int64(1, 3),
+    seed=_int_or_int64(-(2**63), 2**63 - 1),
+)
+def test_every_built_codebook_loads_back_equal(tmp_path_factory, centres, rows, n_antennas,
+                                                n_particles, n_iterations, seed):
+    cfg = ArrayConfig(n_antennas=n_antennas, carrier_freq=CARRIER_HZ)
+    template = make_objective_spec(make_scenario(cfg, make_budget(), velocity=20.0), n_quad=8)
+    grid = CodebookGrid(0.05, 0.01, (0.0, 0.05 * (centres - 1)), 0.01 * (rows - 1))
+    pso = PsoConfig(pso_bounds(cfg), n_particles, n_iterations, seed=seed)
+    cb = build_codebook(grid, template, pso)
+    path, again = tmp_path_factory.getbasetemp() / "round_trip.json", io.StringIO()
+    save(cb, path)
+    loaded = load(path)
+    for field in fields(Codebook):
+        assert _exact(getattr(loaded, field.name)) == _exact(getattr(cb, field.name)), field.name
+    save(loaded, again)
+    assert again.getvalue() == path.read_text()
 
 
 def test_save_deterministic_bytes(tiny_build, small_pso):

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -334,6 +337,30 @@ def test_cli_seed_overrides_where_the_swarm_runs():
         assert parser.parse_args([*swarm_command, "--config", "x.ini", "--seed", "3"]).seed == 3
 
 
+# main in a process whose pool workers a forkserver starts: they inherit neither the CLI's
+# warning hook nor its filters, so only warnings sent back to the caller print as one line
+_FORKSERVER_MAIN = """
+import multiprocessing, sys
+multiprocessing.set_start_method("forkserver")
+from thztrack.cli import main
+config, *commands = sys.argv[1:]
+sys.exit(max(main([*command.split(), "--config", config, "--jobs", "2"]) for command in commands))
+"""
+
+
+def test_cli_warns_once_per_command_in_forkserver_workers(tmp_path):
+    config = small_config_text(tmp_path)
+    text = config.read_text()
+    for key, value in {**_NEAR, "velocity_mps": 1.0}.items():  # 2 swarm chunks in each command
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+    config.write_text(text)
+    commands = ["codebook-build", "sweep --axis tx_power --values 30,40 --schemes proposed"]
+    env = {**os.environ, "PYTHONPATH": str(REPO_CONFIG.parent.parent / "src")}
+    argv = [sys.executable, "-c", _FORKSERVER_MAIN, str(config), *commands]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (run.returncode, run.stderr.splitlines()) == (0, [_FAR, _FAR])
+
+
 # ---------------------------------------------------------------------------
 # Every documented failure of the command line, one row per run.
 # ---------------------------------------------------------------------------
@@ -419,6 +446,11 @@ _SLOTS = "1.54668e+300 segments of 1e-300 s, over 1000000"
 _SLOT_ZERO = f"{_INVALID}slot duration must be finite and positive"
 _FAR = "warning: link distance inside the Fraunhofer range; far-field model inaccurate"
 _NEAR = {"perpendicular_distance_m": 5.0, "n_antennas": 128}  # inside the 10.99 m range
+# at 1 m/s the power sweep re-optimises 20 periods, in two swarm chunks, with the settings of a
+# codebook that states the near-field build values
+_NEAR_SWEEP = {**_NEAR, "velocity_mps": 1.0, "r_min_bps": 5e9}
+_NEAR_HEADER = {("fingerprint", "n_antennas"): 128, ("fingerprint", "perpendicular_distance"): 5.0,
+                ("fingerprint", "r_min"): 5e9}
 # the small grid at theta_step = 1e-12: 320000000001 centres x 3 rows
 _FINE_GRID = {"theta_step": 1e-12, "delta_step": 0.01, "theta_lo": 0.0, "theta_hi": 0.32,
               "delta_max": 0.02}
@@ -436,8 +468,9 @@ _NO_EVENT_SECTION = re.sub(r"\[event_based\][^[]*", "", render_config(RunConfig(
 _AT_EDGE = {"end_angle_rad": 1.5707963267948963, "velocity_mps": 1e15}
 
 # key path and value, then the message: a negative bound or alpha, too few quadrature nodes,
-# a float, bool or string where a count or seed belongs, header, grid and cell values that
-# are no numbers, and a fingerprint that is no object
+# a float, bool or string where a version, count or seed belongs, header, grid and cell values
+# that are no numbers, sections that are no objects, cell lists that are no lists, and unknown
+# section keys, typed by the same rule (PsoConfig also rejects one in pso)
 _INVALID_HEADERS = {
     "negative-lower-bound": (
         ("pso", "bounds", 0, -1.0),
@@ -466,6 +499,19 @@ _INVALID_HEADERS = {
     "theta_lo-bool": (("grid", "theta_lo", False), "theta_lo False is not a JSON number"),
     "delta_step-string": (("grid", "delta_step", "0.01"), "delta_step '0.01' is not a JSON number"),
     "delta_max-null": (("grid", "delta_max", None), "delta_max None is not a JSON number"),
+    "format_version-float": (("format_version", 3.0), "format_version 3.0 is not a JSON integer"),
+    "format_version-bool": (("format_version", True), "format_version True is not a JSON integer"),
+    "grid-int": (("grid", 5), "grid 5 is not a JSON object"),
+    "pso-list": (("pso", [1]), "pso [1] is not a JSON object"),
+    "omega-number": (("omega", 5.0), "omega 5.0 is not a JSON list"),
+    "grid-unknown-string": (("grid", "bogus", "x"), "bogus 'x' is not a JSON number"),
+    "fingerprint-unknown-object": (("fingerprint", "bogus", {}), "bogus {} is not a JSON number"),
+    "pso-unknown-bool": (("pso", "bogus", False), "bogus False is not a JSON number"),
+    "pso-unknown-number": (
+        ("pso", "bogus", 1),
+        "payload incomplete or invalid: PsoConfig.__init__() got an unexpected keyword argument "
+        "'bogus'",
+    ),
 }
 
 _HEADER_RUNS = {
@@ -762,8 +808,15 @@ _FAILURES = {
             ["simulate"], 3, [f"codebook error: codebook payload incomplete or invalid: {_CELLS}"], header={("grid",): _FINE_GRID}
         ),
         "far-field-simulate": Row(_CONVENTIONAL, 0, [_FAR], _NEAR),
-        "far-field-build-jobs-1": Row([*_BUILD, "1"], 0, [_FAR, _FAR], _NEAR),
-        "far-field-build-jobs-2": Row([*_BUILD, "2"], 0, [_FAR, _FAR], _NEAR),
+        # each distinct warning once per command, for any --jobs (see also the forkserver test)
+        **{
+            f"far-field-{case}-jobs-{jobs}": Row([*argv, jobs], 0, [_FAR], edits, header)
+            for case, argv, edits, header in [
+                ("build", _BUILD, _NEAR, None),
+                ("power-sweep", [*_POWER, "30,40", "--jobs"], _NEAR_SWEEP, _NEAR_HEADER),
+            ]
+            for jobs in ("1", "2")
+        },
         # an antenna count over channel.MAX_ANTENNAS, rejected before anything is sized by it
         "antennas-simulate": Row(
             _CONVENTIONAL, 2, [f"{_INVALID}antenna count {10**17} is over 1000000"],

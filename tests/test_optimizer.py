@@ -519,10 +519,14 @@ _REJECTIONS = {
          f"ValueError: invalid search bounds {bounds}; need 0 <= lo < hi")
         for bounds in [(3.0, 3.0), (-1.0, 10.0)]
     ],
+    # the seed too, as its codebook stores it as a JSON integer; numpy counts and seeds pass
     "test_pso_config_rejects_non_integer_counts": {
-        field: (lambda f=field: PsoConfig(bounds=(0.0, 1.0), **{f: 2.5}),
-                f"ValueError: {field} must be an integer, got 2.5")
-        for field in ("n_particles", "n_iterations")
+        **{field: (lambda f=field: PsoConfig(bounds=(0.0, 1.0), **{f: 2.5}),
+                   f"ValueError: {field} must be an integer, got 2.5")
+           for field in ("n_particles", "n_iterations", "seed")},
+        "seed-bool": (lambda: PsoConfig(bounds=(0.0, 1.0), seed=True),
+                      "ValueError: seed must be an integer, got True"),
+        "numpy": (lambda: PsoConfig((0.0, 1.0), np.int64(4), np.int64(2), seed=np.int64(-3)), None),
     },
     "test_specs_and_swarms_reject_nan": {
         **{field: [(lambda f=field, v=value: replace(spec_for_velocity(50.0), **{f: v}),
